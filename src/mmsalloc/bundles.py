@@ -8,7 +8,7 @@ oracles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import InsufficientBundles, Items
@@ -63,12 +63,7 @@ def bundles_from_mms_partition(oracle: ValuationOracle, record: MmsRecord,
 
 def make_bundles_two_fifths(request: BundleRequest) -> list[IndependentBundle] | None:
     """Two-phase construction at threshold (2/5) * mu_star."""
-    if request.alpha != TWO_FIFTHS:
-        request = BundleRequest(oracle=request.oracle, items=request.items,
-                                count=request.count, mu_star=request.mu_star,
-                                alpha=TWO_FIFTHS,
-                                exact_pairs=request.exact_pairs)
-    return make_bundles_alpha(request)
+    return make_bundles_alpha(replace(request, alpha=TWO_FIFTHS))
 
 
 def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None:

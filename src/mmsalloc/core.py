@@ -415,6 +415,8 @@ def _system_to_payload(system: SetSystem) -> dict:
 
 
 def _system_from_payload(payload: dict, n: int) -> SetSystem | EntitledSpec:
+    if not isinstance(payload, dict):
+        raise InstanceError(f"system payload must be an object, got {payload!r}")
     kind = payload.get("kind")
     if kind == "free":
         return FreeSystem()
@@ -486,27 +488,30 @@ def instance_from_json(text: str) -> Instance:
         raise InstanceError("instance declares both a shared and per-agent systems")
 
     spec: SystemSpec
-    if has_asym:
-        systems = tuple(_system_from_payload(p, n) for p in doc["asymmetric"])
-        if any(isinstance(s, EntitledSpec) for s in systems):
-            raise InstanceError("per-agent system payloads must be plain systems")
-        if has_order:
-            ordering = tuple(i - 1 for i in doc["entitled"])
-            spec = EntitledSpec(systems=systems, ordering=ordering)
+    try:
+        if has_asym:
+            systems = tuple(_system_from_payload(p, n) for p in doc["asymmetric"])
+            if any(isinstance(s, EntitledSpec) for s in systems):
+                raise InstanceError("per-agent system payloads must be plain systems")
+            if has_order:
+                ordering = tuple(i - 1 for i in doc["entitled"])
+                spec = EntitledSpec(systems=systems, ordering=ordering)
+            else:
+                spec = AsymmetricSpec(systems=systems)
+        elif has_system:
+            parsed = _system_from_payload(doc["system"], n)
+            if has_order:
+                if not isinstance(parsed, EntitledSpec):
+                    raise InstanceError(
+                        "an entitled ordering needs per-agent systems "
+                        "(per-agent budgets or an asymmetric block)")
+                ordering = tuple(i - 1 for i in doc["entitled"])
+                parsed = EntitledSpec(systems=parsed.systems, ordering=ordering)
+            spec = parsed
         else:
-            spec = AsymmetricSpec(systems=systems)
-    elif has_system:
-        parsed = _system_from_payload(doc["system"], n)
-        if has_order:
-            if not isinstance(parsed, EntitledSpec):
-                raise InstanceError(
-                    "an entitled ordering needs per-agent systems "
-                    "(per-agent budgets or an asymmetric block)")
-            ordering = tuple(i - 1 for i in doc["entitled"])
-            parsed = EntitledSpec(systems=parsed.systems, ordering=ordering)
-        spec = parsed
-    else:
-        raise InstanceError("instance declares no set system")
+            raise InstanceError("instance declares no set system")
+    except (KeyError, TypeError) as exc:
+        raise InstanceError(f"malformed instance JSON: {exc}") from exc
 
     return validate_instance(Instance(n=n, m=m, values=values, system=spec))
 

@@ -6,9 +6,11 @@ matching then hands bundles to agents who value them enough, and the round's
 items leave the pool.  Envy-freeness keeps every allocated bundle cheap for
 whoever remains.
 
-The entitled variant works through approximate oracles: it can swap the
-divider when a bundle betrays a more restrictive remaining agent, matches on
-oracle-reported subset values, and awards those independent subsets.
+The two engines differ only in what a non-divider is offered for a bundle.
+``lone_divider`` offers the whole bundle at its additive value.
+``lone_divider_entitled`` works through approximate oracles: it offers the
+independent subset the agent's oracle reports, and swaps the divider when a
+bundle betrays a more restrictive remaining agent.
 """
 
 from __future__ import annotations
@@ -58,15 +60,74 @@ def _pick_divider(remaining: list[int], rule: str,
     raise ValueError(f"unknown divider rule {rule!r}")
 
 
-def _run_matching(agents: list[int], bundles, edge_value, thresholds):
-    """Envy-free matching over recorded edge values; returns matched pairs."""
-    values = [(agent, idx, edge_value(agent, idx))
-              for agent in agents for idx in range(len(bundles))]
-    adjacency = [[idx for idx in range(len(bundles))
-                  if edge_value(agent, idx) >= thresholds[agent]]
-                 for agent in agents]
-    matching = envy_free_matching(len(agents), len(bundles), adjacency)
-    return values, [(agents[pos], idx) for pos, idx in matching]
+def _item_sum(instance: Instance, agent: int, items: Items) -> Fraction:
+    return sum((instance.values[agent][j] for j in items), Fraction(0))
+
+
+def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
+                offers_for, agents, divider_rule: str,
+                ordering: tuple[int, ...] | None) -> DividerOutcome:
+    """The round loop behind both engines.
+
+    ``offers_for(divider, remaining, bundles)`` returns either a dict giving
+    the bundle each non-divider would receive for each (agent, bundle index),
+    or an agent who must take over as divider, in which case she rebuilds
+    the bundles.  The divider is offered her own bundles; whatever a matched
+    agent receives, the whole matched bundle leaves the item pool.
+    """
+    remaining = sorted(thresholds if agents is None else agents)
+    items = instance.all_items()
+    allocation: dict[int, IndependentBundle] = {}
+    trace: list[RoundRecord] = []
+
+    while remaining:
+        divider = _pick_divider(remaining, divider_rule, ordering)
+        swaps: list[tuple[int, int]] = []
+        dividers_seen = {divider}
+        while True:
+            bundles = maker(divider, items, len(remaining))
+            if bundles is None:
+                return DividerOutcome(allocation=None, failed_agent=divider,
+                                      trace=tuple(trace))
+            assert len(bundles) == len(remaining)
+            assert all(b.value >= thresholds[divider] for b in bundles)
+            offers = offers_for(divider, remaining, bundles)
+            if not isinstance(offers, int):
+                break
+            swaps.append((divider, offers))
+            assert offers not in dividers_seen
+            dividers_seen.add(offers)
+            divider = offers
+
+        grants = {(agent, idx): bundle if agent == divider else offers[agent, idx]
+                  for agent in remaining for idx, bundle in enumerate(bundles)}
+        adjacency = [[idx for idx in range(len(bundles))
+                      if grants[agent, idx].value >= thresholds[agent]]
+                     for agent in remaining]
+        matched = [(remaining[pos], idx) for pos, idx in
+                   envy_free_matching(len(remaining), len(bundles), adjacency)]
+        assert matched and any(agent == divider for agent, _ in matched)
+
+        awarded = []
+        for agent, idx in matched:
+            granted = grants[agent, idx]
+            assert granted.value >= thresholds[agent]
+            allocation[agent] = granted
+            awarded.append((agent, granted.items))
+
+        trace.append(RoundRecord(
+            index=len(trace), divider=divider, agents=tuple(remaining),
+            swaps=tuple(swaps), bundles=tuple(b.items for b in bundles),
+            edge_values=tuple((agent, idx, granted.value)
+                              for (agent, idx), granted in grants.items()),
+            matching=tuple(matched), awarded=tuple(awarded)))
+        matched_agents = {agent for agent, _ in matched}
+        taken = frozenset().union(*(bundles[idx].items for _, idx in matched))
+        remaining = [a for a in remaining if a not in matched_agents]
+        items -= taken
+
+    return DividerOutcome(allocation=allocation, failed_agent=None,
+                          trace=tuple(trace))
 
 
 def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker, *,
@@ -80,53 +141,15 @@ def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker, *,
     independent for every remaining agent: shared systems always, entitled
     ones under the most-restrictive-first rule.
     """
-    remaining = sorted(thresholds if agents is None else agents)
-    items = instance.all_items()
-    allocation: dict[int, IndependentBundle] = {}
-    trace: list[RoundRecord] = []
+    def additive(divider, remaining, bundles):
+        return {(agent, idx): IndependentBundle(
+                    items=bundle.items,
+                    value=_item_sum(instance, agent, bundle.items))
+                for agent in remaining if agent != divider
+                for idx, bundle in enumerate(bundles)}
 
-    while remaining:
-        divider = _pick_divider(remaining, divider_rule, ordering)
-        bundles = maker(divider, items, len(remaining))
-        if bundles is None:
-            return DividerOutcome(allocation=None, failed_agent=divider,
-                                  trace=tuple(trace))
-        assert len(bundles) == len(remaining)
-        assert all(b.value >= thresholds[divider] for b in bundles)
-
-        def edge_value(agent, idx, _divider=divider, _bundles=bundles):
-            if agent == _divider:
-                return _bundles[idx].value
-            return sum((instance.values[agent][j] for j in _bundles[idx].items),
-                       Fraction(0))
-
-        values, matched = _run_matching(remaining, bundles, edge_value,
-                                        thresholds)
-        assert matched and any(agent == divider for agent, _ in matched)
-
-        awarded = []
-        for agent, idx in matched:
-            bundle = bundles[idx]
-            assert edge_value(agent, idx) >= thresholds[agent]
-            if agent == divider:
-                allocation[agent] = bundle
-            else:
-                allocation[agent] = IndependentBundle(
-                    items=bundle.items, value=edge_value(agent, idx))
-            awarded.append((agent, bundle.items))
-
-        trace.append(RoundRecord(
-            index=len(trace), divider=divider, agents=tuple(remaining),
-            swaps=(), bundles=tuple(b.items for b in bundles),
-            edge_values=tuple(values), matching=tuple(matched),
-            awarded=tuple(awarded)))
-        matched_agents = {agent for agent, _ in matched}
-        taken = frozenset().union(*(bundles[idx].items for _, idx in matched))
-        remaining = [a for a in remaining if a not in matched_agents]
-        items -= taken
-
-    return DividerOutcome(allocation=allocation, failed_agent=None,
-                          trace=tuple(trace))
+    return _run_rounds(instance, thresholds, maker, additive, agents,
+                       divider_rule, ordering)
 
 
 def lone_divider_entitled(instance: Instance, thresholds: dict[int, Fraction],
@@ -143,79 +166,24 @@ def lone_divider_entitled(instance: Instance, thresholds: dict[int, Fraction],
     and matched agents other than the divider receive exactly that reported
     independent subset, while the whole bundle leaves the item pool.
     """
-    remaining = sorted(thresholds if agents is None else agents)
-    items = instance.all_items()
-    allocation: dict[int, IndependentBundle] = {}
-    trace: list[RoundRecord] = []
     shrink = ONE - epsilon
 
-    while remaining:
-        divider = _pick_divider(remaining, divider_rule, ordering)
-        swaps: list[tuple[int, int]] = []
-        dividers_seen = {divider}
-        while True:
-            bundles = maker(divider, items, len(remaining))
-            if bundles is None:
-                return DividerOutcome(allocation=None, failed_agent=divider,
-                                      trace=tuple(trace))
-            assert len(bundles) == len(remaining)
-
-            subset_of: dict[tuple[int, int], IndependentBundle] = {}
-            trigger = None
-            for agent in remaining:
-                if agent == divider:
-                    continue
-                for idx, bundle in enumerate(bundles):
-                    reported = oracles[agent].approx_value_subset(bundle.items)
-                    subset_of[agent, idx] = reported
-                    item_sum = sum((instance.values[agent][j]
-                                    for j in bundle.items), Fraction(0))
-                    if reported.value < shrink * item_sum:
-                        trigger = agent
-                        break
-                if trigger is not None:
-                    break
-            if trigger is None:
-                break
-            # The bundle is independent for the current divider but not for
-            # the triggering agent, so her family is strictly smaller.
-            swaps.append((divider, trigger))
-            assert trigger not in dividers_seen
-            dividers_seen.add(trigger)
-            divider = trigger
-
-        def edge_value(agent, idx, _divider=divider, _bundles=bundles,
-                       _subsets=subset_of):
-            if agent == _divider:
-                return _bundles[idx].value
-            return _subsets[agent, idx].value
-
-        values, matched = _run_matching(remaining, bundles, edge_value,
-                                        thresholds)
-        assert matched and any(agent == divider for agent, _ in matched)
-
-        awarded = []
-        for agent, idx in matched:
+    def reported(divider, remaining, bundles):
+        subset_of: dict[tuple[int, int], IndependentBundle] = {}
+        for agent in remaining:
             if agent == divider:
-                granted = bundles[idx]
-            else:
-                granted = subset_of[agent, idx]
-            assert granted.value >= thresholds[agent]
-            allocation[agent] = granted
-            awarded.append((agent, granted.items))
+                continue
+            for idx, bundle in enumerate(bundles):
+                subset = oracles[agent].approx_value_subset(bundle.items)
+                if subset.value < shrink * _item_sum(instance, agent, bundle.items):
+                    # The bundle is independent for the current divider but
+                    # not for this agent, so her family is strictly smaller.
+                    return agent
+                subset_of[agent, idx] = subset
+        return subset_of
 
-        trace.append(RoundRecord(
-            index=len(trace), divider=divider, agents=tuple(remaining),
-            swaps=tuple(swaps), bundles=tuple(b.items for b in bundles),
-            edge_values=tuple(values), matching=tuple(matched),
-            awarded=tuple(awarded)))
-        matched_agents = {agent for agent, _ in matched}
-        taken = frozenset().union(*(bundles[idx].items for _, idx in matched))
-        remaining = [a for a in remaining if a not in matched_agents]
-        items -= taken
-
-    return DividerOutcome(allocation=allocation, failed_agent=None,
-                          trace=tuple(trace))
+    return _run_rounds(instance, thresholds, maker, reported, agents,
+                       divider_rule, ordering)
 
 
 def trace_to_dicts(outcome: DividerOutcome, run: int = 1) -> list[dict]:

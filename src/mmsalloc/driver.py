@@ -17,7 +17,7 @@ Four modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bundles import (
@@ -137,7 +137,7 @@ def solve_existence(instance: Instance, *,
 
 
 # ---------------------------------------------------------------------------
-# Preprocessing shared by the polynomial modes
+# The polynomial pipeline behind the 2/5, alpha and entitled modes
 # ---------------------------------------------------------------------------
 
 def _singleton_values(instance: Instance, agent: int) -> list[Fraction]:
@@ -172,26 +172,50 @@ def _default_oracle(instance: Instance, agent: int,
     return oracle_for(instance, agent, epsilon=epsilon)
 
 
-def _grant_everything(instance, mode, alpha, agent, oracle) -> SolveResult:
-    """Single positive agent: she receives an oracle subset of all items."""
-    granted = oracle.approx_value_subset(instance.all_items())
-    return _assemble(instance, mode, alpha, {agent: granted}, [agent],
-                     {}, {}, {agent: 0}, [])
+def _two_fifths_shrink(count: int) -> Fraction:
+    return Fraction(count, count + 1)
 
 
-# ---------------------------------------------------------------------------
-# Estimate-adjustment loop
-# ---------------------------------------------------------------------------
+def _two_fifths_cap(count: int, m: int) -> float:
+    return Fraction(6, 5) * (count + 1) * math.log(m)
 
-def _adjustment_loop(instance, mode, alpha, active, estimates,
-                     make_request, run_divider, shrink_factor, count_bound):
-    """Run the lone divider, shaving a failing agent's estimate each time.
 
-    ``shrink_factor(k)`` maps the active-agent count to the multiplicative
-    estimate adjustment; ``count_bound(k, m)`` to the proven cap on the
-    number of adjustments per agent.
+def _divide_shared(instance, thresholds, maker, oracles, epsilon, agents):
+    return lone_divider(instance, thresholds, maker, agents=agents)
+
+
+def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
+                      epsilon_for, divide, *, exact_pairs: bool = False,
+                      shrink_factor=_two_fifths_shrink,
+                      count_bound=_two_fifths_cap,
+                      oracle_factory=None) -> SolveResult:
+    """Estimate each agent's MMS from singleton values, then run the lone
+    divider, shaving a failing agent's estimate each time, until a run
+    succeeds.
+
+    ``epsilon_for(k)`` gives the oracle error for k active agents and may
+    raise when the mode cannot serve them; ``shrink_factor(k)`` the
+    multiplicative estimate adjustment; ``count_bound(k, m)`` the proven cap
+    on adjustments per agent.  ``divide(instance, thresholds, maker, oracles,
+    epsilon, agents)`` runs one lone divider.
     """
+    if instance.n == 0:
+        return _empty_result(instance, mode, alpha)
+    singletons = [_singleton_values(instance, i) for i in range(instance.n)]
+    active = _active_agents(instance, singletons)
+    if not active:
+        return _empty_result(instance, mode, alpha)
     k = len(active)
+    epsilon = epsilon_for(k)
+    factory = _default_oracle if oracle_factory is None else oracle_factory
+    oracles = {i: factory(instance, i, epsilon) for i in active}
+    if k == 1:
+        # A single positive agent receives an oracle subset of all items.
+        granted = oracles[active[0]].approx_value_subset(instance.all_items())
+        return _assemble(instance, mode, alpha, {active[0]: granted}, active,
+                         {}, {}, {active[0]: 0}, [])
+
+    estimates = _initial_estimates(instance, active, singletons)
     adjustments = {i: 0 for i in active}
     cap = count_bound(k, instance.m)
     runs: list[DividerOutcome] = []
@@ -199,10 +223,11 @@ def _adjustment_loop(instance, mode, alpha, active, estimates,
         thresholds = {i: alpha * estimates[i] for i in active}
 
         def maker(agent: int, items: Items, count: int):
-            return make_bundles_alpha(make_request(agent, items, count,
-                                                   estimates[agent]))
+            return make_bundles_alpha(BundleRequest(
+                oracle=oracles[agent], items=items, count=count,
+                mu_star=estimates[agent], alpha=alpha, exact_pairs=exact_pairs))
 
-        outcome = run_divider(thresholds, maker)
+        outcome = divide(instance, thresholds, maker, oracles, epsilon, active)
         runs.append(outcome)
         if outcome.succeeded:
             return _assemble(instance, mode, alpha, outcome.allocation, active,
@@ -225,44 +250,16 @@ def solve_two_fifths(instance: Instance, *, oracle_factory=None) -> SolveResult:
     _reject_asymmetric(instance, "the 2/5 mode")
     if instance.is_entitled:
         return solve_entitled(instance, oracle_factory=oracle_factory)
-    if instance.n == 0:
-        return _empty_result(instance, "two_fifths", TWO_FIFTHS)
 
-    singletons = [_singleton_values(instance, i) for i in range(instance.n)]
-    active = _active_agents(instance, singletons)
-    if not active:
-        return _empty_result(instance, "two_fifths", TWO_FIFTHS)
-    k = len(active)
-    epsilon = Fraction(1, k + 1)
-    if isinstance(instance.system, IntervalSystem) and k >= 2:
-        raise EpsilonOutOfRange(
-            "interval oracles have error bound 1/2 > 1/(n+1); "
-            "use solve_alpha with epsilon 1/2")
+    def epsilon_for(k: int) -> Fraction:
+        if isinstance(instance.system, IntervalSystem) and k >= 2:
+            raise EpsilonOutOfRange(
+                "interval oracles have error bound 1/2 > 1/(n+1); "
+                "use solve_alpha with epsilon 1/2")
+        return Fraction(1, k + 1)
 
-    def build_oracle(agent: int) -> ValuationOracle:
-        if oracle_factory is not None:
-            return oracle_factory(instance, agent, epsilon)
-        return _default_oracle(instance, agent, epsilon)
-
-    oracles = {i: build_oracle(i) for i in active}
-    if k == 1:
-        return _grant_everything(instance, "two_fifths", TWO_FIFTHS,
-                                 active[0], oracles[active[0]])
-
-    estimates = _initial_estimates(instance, active, singletons)
-
-    def make_request(agent, items, count, mu_star):
-        return BundleRequest(oracle=oracles[agent], items=items, count=count,
-                             mu_star=mu_star, alpha=TWO_FIFTHS)
-
-    def run_divider(thresholds, maker):
-        return lone_divider(instance, thresholds, maker, agents=active)
-
-    return _adjustment_loop(
-        instance, "two_fifths", TWO_FIFTHS, active, estimates,
-        make_request, run_divider,
-        shrink_factor=lambda count: Fraction(count, count + 1),
-        count_bound=lambda count, m: Fraction(6, 5) * (count + 1) * math.log(m))
+    return _solve_polynomial(instance, "two_fifths", TWO_FIFTHS, epsilon_for,
+                             _divide_shared, oracle_factory=oracle_factory)
 
 
 def solve_alpha(instance: Instance, epsilon: Fraction, *,
@@ -277,14 +274,8 @@ def solve_alpha(instance: Instance, epsilon: Fraction, *,
     if not ZERO <= epsilon < ONE:
         raise EpsilonOutOfRange(f"error bound {epsilon} not in [0, 1)")
     if epsilon == 0:
-        result = solve_two_fifths(instance, oracle_factory=oracle_factory)
-        return SolveResult(mode="alpha", alpha=result.alpha,
-                           allocation=result.allocation,
-                           awarded=result.awarded,
-                           active_agents=result.active_agents,
-                           thresholds=result.thresholds,
-                           estimates=result.estimates,
-                           adjustments=result.adjustments, runs=result.runs)
+        return replace(solve_two_fifths(instance, oracle_factory=oracle_factory),
+                       mode="alpha")
     _reject_asymmetric(instance, "the alpha mode")
     if instance.is_entitled:
         raise UnsupportedSystem(
@@ -295,45 +286,17 @@ def solve_alpha(instance: Instance, epsilon: Fraction, *,
     if epsilon > ONE - ONE / delta:
         raise EpsilonOutOfRange(
             f"delta {delta} too small for error bound {epsilon}")
-    if instance.n == 0:
-        return _empty_result(instance, "alpha", alpha)
-
-    singletons = [_singleton_values(instance, i) for i in range(instance.n)]
-    active = _active_agents(instance, singletons)
-    if not active:
-        return _empty_result(instance, "alpha", alpha)
-    k = len(active)
-
-    def build_oracle(agent: int) -> ValuationOracle:
-        if oracle_factory is not None:
-            return oracle_factory(instance, agent, epsilon)
-        return _default_oracle(instance, agent, epsilon)
-
-    oracles = {i: build_oracle(i) for i in active}
-    if k == 1:
-        return _grant_everything(instance, "alpha", alpha,
-                                 active[0], oracles[active[0]])
-
-    estimates = _initial_estimates(instance, active, singletons)
-    exact_pairs = epsilon > Fraction(1, 3)
-
-    def make_request(agent, items, count, mu_star):
-        return BundleRequest(oracle=oracles[agent], items=items, count=count,
-                             mu_star=mu_star, alpha=alpha,
-                             exact_pairs=exact_pairs)
-
-    def run_divider(thresholds, maker):
-        return lone_divider(instance, thresholds, maker, agents=active)
 
     def shrink_factor(count: int) -> Fraction:
         overshoot = (3 - 3 * epsilon) / (5 * count - 3 * count * epsilon
                                          + 3 * epsilon + 3)
         return ONE / (ONE + overshoot)
 
-    return _adjustment_loop(
-        instance, "alpha", alpha, active, estimates, make_request,
-        run_divider, shrink_factor,
-        count_bound=lambda count, m: float(delta) * (5 * count + 3) * math.log(m))
+    return _solve_polynomial(
+        instance, "alpha", alpha, lambda k: epsilon, _divide_shared,
+        exact_pairs=epsilon > Fraction(1, 3), shrink_factor=shrink_factor,
+        count_bound=lambda count, m: float(delta) * (5 * count + 3) * math.log(m),
+        oracle_factory=oracle_factory)
 
 
 def solve_entitled(instance: Instance, epsilon: Fraction | None = None, *,
@@ -346,54 +309,30 @@ def solve_entitled(instance: Instance, epsilon: Fraction | None = None, *,
     per-agent feasibility constraints.  ``divider_rule`` is "swap_detect"
     (the ordering is treated as unknown) or "most_restrictive".
     """
+    if divider_rule not in ("swap_detect", "most_restrictive"):
+        raise ValueError(f"unknown divider rule {divider_rule!r}; "
+                         "expected swap_detect or most_restrictive")
     _reject_asymmetric(instance, "the entitled mode")
-    if instance.n == 0:
-        return _empty_result(instance, "entitled", TWO_FIFTHS)
 
-    singletons = [_singleton_values(instance, i) for i in range(instance.n)]
-    active = _active_agents(instance, singletons)
-    if not active:
-        return _empty_result(instance, "entitled", TWO_FIFTHS)
-    k = len(active)
-    if epsilon is None:
-        epsilon = Fraction(1, k + 1)
-    if not ZERO <= epsilon <= Fraction(1, k + 1):
-        raise EpsilonOutOfRange(
-            f"entitled mode needs oracle error at most 1/(n+1) = 1/{k + 1}, "
-            f"got {epsilon}")
+    def epsilon_for(k: int) -> Fraction:
+        chosen = Fraction(1, k + 1) if epsilon is None else epsilon
+        if not ZERO <= chosen <= Fraction(1, k + 1):
+            raise EpsilonOutOfRange(
+                f"entitled mode needs oracle error at most 1/(n+1) = 1/{k + 1}, "
+                f"got {chosen}")
+        return chosen
 
-    def build_oracle(agent: int) -> ValuationOracle:
-        if oracle_factory is not None:
-            return oracle_factory(instance, agent, epsilon)
-        return _default_oracle(instance, agent, epsilon)
-
-    oracles = {i: build_oracle(i) for i in active}
-    if k == 1:
-        return _grant_everything(instance, "entitled", TWO_FIFTHS,
-                                 active[0], oracles[active[0]])
-
-    estimates = _initial_estimates(instance, active, singletons)
+    # Shared systems have no ordering to follow; their lowest-index divider
+    # is already a most restrictive one.
     ordering = None
-    if divider_rule == "most_restrictive":
-        if instance.is_entitled:
-            ordering = tuple(i for i in instance.system.ordering if i in set(active))
-        else:
-            ordering = tuple(active)
+    if divider_rule == "most_restrictive" and instance.is_entitled:
+        ordering = instance.system.ordering
 
-    def make_request(agent, items, count, mu_star):
-        return BundleRequest(oracle=oracles[agent], items=items, count=count,
-                             mu_star=mu_star, alpha=TWO_FIFTHS)
+    def divide(instance, thresholds, maker, oracles, error, agents):
+        return lone_divider_entitled(
+            instance, thresholds, maker, oracles, error, agents=agents,
+            divider_rule="lowest_index" if ordering is None else "most_restrictive",
+            ordering=ordering)
 
-    def run_divider(thresholds, maker):
-        return lone_divider_entitled(instance, thresholds, maker, oracles,
-                                     epsilon, agents=active,
-                                     divider_rule=("lowest_index"
-                                                   if ordering is None
-                                                   else "most_restrictive"),
-                                     ordering=ordering)
-
-    return _adjustment_loop(
-        instance, "entitled", TWO_FIFTHS, active, estimates,
-        make_request, run_divider,
-        shrink_factor=lambda count: Fraction(count, count + 1),
-        count_bound=lambda count, m: Fraction(6, 5) * (count + 1) * math.log(m))
+    return _solve_polynomial(instance, "entitled", TWO_FIFTHS, epsilon_for,
+                             divide, oracle_factory=oracle_factory)

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from mmsalloc.cli import main
 from mmsalloc.core import instance_from_json
 
@@ -115,6 +117,23 @@ def test_verify_failure_exit_code(tmp_path):
                    "--alpha", "1/2") == 1
     assert run_cli("verify", str(instance_path), str(alloc_path),
                    "--alpha", "0") == 0
+
+
+@pytest.mark.parametrize("fields", [
+    {"system": {"kind": "explicit", "maximal_sets": [["a"]]}},
+    {"system": {"kind": "explicit", "maximal_sets": 5}},
+    {"system": 5},
+    {"system": {"kind": "budget", "sizes": ["1", "1"], "budgets": ["1", "2"]},
+     "entitled": ["x", 2]},
+])
+def test_malformed_instance_is_an_input_error(tmp_path, capsys, fields):
+    instance_path = tmp_path / "bad.json"
+    instance_path.write_text(json.dumps(
+        {"n": 2, "m": 2, "values": [["1", "1"], ["1", "1"]], **fields}))
+    assert run_cli("solve", str(instance_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_byte_identical_outputs_across_runs(tmp_path):

@@ -212,6 +212,13 @@ def test_entitled_rejects_oversized_epsilon():
         solve_entitled(inst, F(2, 3))
 
 
+def test_entitled_rejects_unknown_divider_rule():
+    rng = random.Random(67)
+    inst = rand_budget_instance(rng, n=2)
+    with pytest.raises(ValueError, match="swap_detect or most_restrictive"):
+        solve_entitled(inst, divider_rule="no-such-rule")
+
+
 def test_full_pipeline_is_deterministic():
     inst = gen_random_hereditary(m=8, n=3, seed=71)
     first = solve_two_fifths(inst)
