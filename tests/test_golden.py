@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from mmsalloc.adapters import solve_intervals_adapter
+from mmsalloc.adapters import solve_budget_adapter, solve_intervals_adapter
 from mmsalloc.core import (
     BudgetSystem,
     EntitledSpec,
@@ -46,6 +46,21 @@ def _budget_instance(seed: int, m: int, n: int) -> Instance:
             ordering=ordering)))
 
 
+def _fractional_budget_instance(seed: int, m: int, n: int) -> Instance:
+    """Nested budgets with sizes and budgets in halves, thirds and quarters,
+    so the knapsack oracles work over mixed denominators."""
+    rng = random.Random(seed)
+    sizes = tuple(F(rng.randint(0, 12), rng.choice((1, 2, 3, 4)))
+                  for _ in range(m))
+    budgets = [F(rng.randint(8, 30), rng.choice((2, 3))) for _ in range(n)]
+    ordering = tuple(sorted(range(n), key=lambda i: (budgets[i], i)))
+    return validate_instance(Instance(
+        n=n, m=m, values=rand_values(rng, n, m),
+        system=EntitledSpec(
+            systems=tuple(BudgetSystem(sizes=sizes, budget=b) for b in budgets),
+            ordering=ordering)))
+
+
 def _cases():
     for seed, m, n in ((1, 8, 3), (2, 9, 3), (3, 9, 2), (4, 10, 4)):
         inst = gen_random_hereditary(m=m, n=n, family_density=0.6, seed=seed)
@@ -66,6 +81,12 @@ def _cases():
         for rule in ("swap_detect", "most_restrictive"):
             yield (f"entitled-{rule}-{seed}", inst,
                    lambda inst=inst, rule=rule: solve_entitled(inst, divider_rule=rule))
+    for seed, m, n in ((18, 12, 3), (19, 14, 4)):
+        inst = _fractional_budget_instance(seed, m, n)
+        yield (f"budget_fractional-{seed}", inst,
+               lambda inst=inst: solve_budget_adapter(inst))
+    inst = gen_random_hereditary(m=40, n=6, seed=20)
+    yield "two_fifths_m40-20", inst, lambda inst=inst: solve_two_fifths(inst)
 
 
 def _golden_doc(inst, solved) -> dict:
@@ -126,6 +147,12 @@ GOLDEN = {
         "f113fc5deef94b7774f3bf07250bed41efa7074ff8bdec31a66e1b95da93f0d1",
     "entitled-most_restrictive-17":
         "e44a4c1848856302e8240fbb2cea7c508c44d609cb38afae7edd6aeb7d6ee663",
+    "budget_fractional-18":
+        "35c47a5c71e8bb80d203dc52c1d70e67b274a30732e46fdabca778c305834925",
+    "budget_fractional-19":
+        "32f5f13cda66a7462e5e267f1ff87c55c7adaaea2150991a9d50288b4b101272",
+    "two_fifths_m40-20":
+        "c104da63db348a790f684869454d9906eecf37e1b7f708796d33a1b0fd3cabba",
 }
 
 
