@@ -123,6 +123,9 @@ def _cmd_solve(args) -> int:
     trace_path = args.trace
     if args.config is not None:
         config = json.loads(_read(args.config))
+        if not isinstance(config, dict):
+            raise InstanceError(
+                f"config must be a JSON object, got {type(config).__name__}")
         if mode is None:
             mode = config.get("mode")
         if epsilon_text is None and "epsilon" in config:

@@ -534,6 +534,12 @@ def allocation_from_json(instance: Instance, text: str) -> Allocation:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"malformed allocation JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("bundles"), list):
+        raise InstanceError("allocation must be an object with a list of bundles")
+    for b in doc["bundles"]:
+        if not isinstance(b, list) or not all(
+                isinstance(j, int) and not isinstance(j, bool) for j in b):
+            raise InstanceError(f"allocation bundle {b!r} is not a list of item numbers")
     bundles = tuple(frozenset(j - 1 for j in b) for b in doc["bundles"])
     allocation = Allocation(bundles=bundles, complete=bool(doc.get("complete")))
     return validate_allocation(instance, allocation)

@@ -8,6 +8,7 @@ pipeline only ever touches sums of item values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,6 +62,7 @@ class ValuationOracle:
         self.gate = gate if gate is not None else DEFAULT_GATES.get(system.kind)
         self._value_cache: dict[Items, Fraction] = {}
         self._indep_cache: dict[Items, bool] = {}
+        self._subset_cache: dict[Items, IndependentBundle] = {}
         if isinstance(system, ConflictSystem):
             self._adj: dict[int, set[int]] = {}
             for a, b in system.edges:
@@ -188,9 +190,11 @@ class ValuationOracle:
         Scans items in ascending index order and drops each item whose removal
         keeps the value unchanged; with ties between equal-value independent
         subsets the result therefore depends on this order.  Uses at most
-        len(bundle) + 1 exact value queries.
+        len(bundle) + 1 exact value queries; explicit families need none.
         """
         items = frozenset(bundle)
+        if isinstance(self.system, ExplicitSystem):
+            return self._reduce_explicit(items)
         value = self.exact_value(items)
         for j in sorted(items):
             without = items - {j}
@@ -198,11 +202,40 @@ class ValuationOracle:
                 items = without
         return IndependentBundle(items=items, value=value)
 
+    def _reduce_explicit(self, items: Items) -> IndependentBundle:
+        """The ascending scan of ``reduce_to_independent`` in one pass.
+
+        Keeps one running sum per maximal set: the value of the bundle's
+        items inside it.  The bundle's value is the largest sum, and dropping
+        j lowers the sums of the sets that contain j by v_j.
+        """
+        values = self.values
+        sets = self.system.maximal_sets
+        sums = [sum((values[j] for j in items & s), ZERO) for s in sets]
+        value = max(sums, default=ZERO)
+        for j in sorted(items):
+            v = values[j]
+            lowered = [t - v if j in s else t for t, s in zip(sums, sets)]
+            if max(lowered, default=ZERO) == value:
+                items = items - {j}
+                sums = lowered
+        return IndependentBundle(items=items, value=value)
+
     # -- approximate subset queries ------------------------------------------
 
     def approx_value_subset(self, bundle) -> IndependentBundle:
-        """Independent subset worth at least (1 - epsilon) of the true value."""
+        """Independent subset worth at least (1 - epsilon) of the true value.
+
+        Answers are memoized for the life of the oracle: the divider reruns
+        ask the same subset queries again.
+        """
         items = frozenset(bundle)
+        answer = self._subset_cache.get(items)
+        if answer is None:
+            answer = self._subset_cache[items] = self._approx_value_subset(items)
+        return answer
+
+    def _approx_value_subset(self, items: Items) -> IndependentBundle:
         if self.is_independent(items):
             return IndependentBundle(items=items, value=self.additive_value(items))
         system = self.system
@@ -247,13 +280,8 @@ class AdversarialOracle(ValuationOracle):
         if not ZERO <= epsilon < ONE:
             raise EpsilonOutOfRange(f"error bound {epsilon} not in [0, 1)")
         self.epsilon = epsilon
-        self._worst_cache: dict[Items, IndependentBundle] = {}
 
-    def approx_value_subset(self, bundle) -> IndependentBundle:
-        items = frozenset(bundle)
-        cached = self._worst_cache.get(items)
-        if cached is not None:
-            return cached
+    def _approx_value_subset(self, items: Items) -> IndependentBundle:
         if len(items) > self.ENUMERATION_GATE:
             raise ExactnessGateExceeded(
                 f"adversarial enumeration over {len(items)} items exceeds the "
@@ -271,9 +299,7 @@ class AdversarialOracle(ValuationOracle):
             if best is None or key < best:
                 best = key
         assert best is not None  # the reduced optimum always qualifies
-        result = IndependentBundle(items=frozenset(best[1]), value=best[0])
-        self._worst_cache[items] = result
-        return result
+        return IndependentBundle(items=frozenset(best[1]), value=best[0])
 
 
 def oracle_for(instance: Instance, agent: int, *, epsilon: Fraction = ZERO,
@@ -367,30 +393,39 @@ def _knapsack_fptas(items, values, sizes, budget, eps):
     Classic value scaling: item values are floored to multiples of
     eps * vmax / k, and a min-size DP over scaled totals picks the best
     reachable total.  The additive loss is at most eps * vmax <= eps * OPT.
+    Sizes and the budget are scaled by the least common multiple of their
+    denominators, so the DP compares integers; each entry links its last
+    item to the entry it grew from instead of copying the chosen tuple.
     """
     usable = [j for j in items if sizes[j] <= budget and values[j] > 0]
     if not usable:
         return []
     vmax = max(values[j] for j in usable)
     unit = eps * vmax / len(usable)
-    # dp: scaled total -> (min combined size, chosen items)
-    dp: dict[int, tuple[Fraction, tuple[int, ...]]] = {0: (ZERO, ())}
+    scale = math.lcm(budget.denominator, *(sizes[j].denominator for j in usable))
+    capacity = budget.numerator * (scale // budget.denominator)
+    # dp: scaled total -> (min combined scaled size, (last item, rest) link)
+    dp: dict[int, tuple[int, tuple | None]] = {0: (0, None)}
     for j in usable:
         w = int(values[j] / unit)
-        updates: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
+        size_j = sizes[j].numerator * (scale // sizes[j].denominator)
+        updates: dict[int, tuple[int, tuple | None]] = {}
         for total, (size, chosen) in dp.items():
-            grown = size + sizes[j]
-            if grown > budget:
+            grown = size + size_j
+            if grown > capacity:
                 continue
-            candidate = (grown, chosen + (j,))
-            incumbent = updates.get(total + w, dp.get(total + w))
-            if incumbent is None or candidate[0] < incumbent[0]:
-                updates[total + w] = candidate
-        for total, candidate in updates.items():
-            incumbent = dp.get(total)
-            if incumbent is None or candidate[0] < incumbent[0]:
-                dp[total] = candidate
-    return sorted(dp[max(dp)][1])
+            key = total + w
+            incumbent = updates.get(key, dp.get(key))
+            if incumbent is None or grown < incumbent[0]:
+                updates[key] = (grown, (j, chosen))
+        # Every update is strictly smaller than what dp holds at its total.
+        dp.update(updates)
+    chosen = dp[max(dp)][1]
+    picked = []
+    while chosen is not None:
+        j, chosen = chosen
+        picked.append(j)
+    return sorted(picked)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,31 @@ def test_malformed_instance_is_an_input_error(tmp_path, capsys, fields):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("verify", '{"bundles": [["a"], []]}'),
+    ("verify", '{"bundles": 5}'),
+    ("verify", '[]'),
+    ("solve", '[1]'),
+], ids=["bundle-entry", "bundles-not-a-list", "allocation-not-an-object",
+        "config-not-an-object"])
+def test_malformed_allocation_or_config_is_an_input_error(tmp_path, capsys,
+                                                          command, text):
+    instance_path = tmp_path / "inst.json"
+    run_cli("gen", "two-thirds", "--n", "2", "--out", str(instance_path))
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(text)
+    capsys.readouterr()
+    if command == "verify":
+        argv = ("verify", str(instance_path), str(bad_path), "--alpha", "2/5")
+    else:
+        argv = ("solve", str(instance_path), "--config", str(bad_path),
+                "--out", str(tmp_path / "alloc.json"))
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_byte_identical_outputs_across_runs(tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"

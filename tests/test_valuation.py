@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import mmsalloc.valuation
 from mmsalloc.core import (
     BudgetSystem,
     ConflictSystem,
@@ -59,6 +60,89 @@ def test_budget_fptas_worked_example():
     assert result.items == frozenset({1, 2})
     assert result.value == 6
     assert result.value >= F(2, 3) * 6
+
+
+def test_subset_answers_are_memoized_per_oracle(monkeypatch):
+    runs = []
+    fptas = mmsalloc.valuation._knapsack_fptas
+
+    def counting(*args):
+        runs.append(args)
+        return fptas(*args)
+
+    monkeypatch.setattr(mmsalloc.valuation, "_knapsack_fptas", counting)
+    system = BudgetSystem(sizes=(F(4), F(3), F(3)), budget=F(6))
+    oracle = ValuationOracle(system, (F(5), F(3), F(3)), epsilon=F(1, 3))
+    first = oracle.approx_value_subset(frozenset({0, 1, 2}))
+    second = oracle.approx_value_subset([2, 1, 0])
+    assert first == second
+    assert len(runs) == 1
+
+
+def _reference_fptas(items, values, sizes, budget, eps):
+    """Value-scaling DP over Fraction sizes that copies chosen tuples."""
+    usable = [j for j in items if sizes[j] <= budget and values[j] > 0]
+    if not usable:
+        return []
+    unit = eps * max(values[j] for j in usable) / len(usable)
+    dp = {0: (F(0), ())}
+    for j in usable:
+        w = int(values[j] / unit)
+        updates = {}
+        for total, (size, chosen) in dp.items():
+            grown = size + sizes[j]
+            if grown > budget:
+                continue
+            incumbent = updates.get(total + w, dp.get(total + w))
+            if incumbent is None or grown < incumbent[0]:
+                updates[total + w] = (grown, chosen + (j,))
+        for total, candidate in updates.items():
+            incumbent = dp.get(total)
+            if incumbent is None or candidate[0] < incumbent[0]:
+                dp[total] = candidate
+    return sorted(dp[max(dp)][1])
+
+
+def test_fptas_matches_the_fraction_reference():
+    rng = random.Random(2024)
+    for trial in range(600):
+        m = rng.randint(0, 11)
+        sizes = tuple(F(rng.randint(0, 9), rng.choice((1, 2, 3, 4, 6)))
+                      for _ in range(m))
+        budget = F(0) if trial % 10 == 0 else \
+            F(rng.randint(0, 24), rng.choice((1, 2, 3, 5)))
+        values = tuple(F(rng.randint(0, 9), rng.choice((1, 2, 3)))
+                       for _ in range(m))
+        eps = rng.choice((F(1, 2), F(1, 3), F(1, 5), F(1, 9)))
+        items = sorted(j for j in range(m) if rng.random() < 0.85)
+        assert mmsalloc.valuation._knapsack_fptas(
+            items, values, sizes, budget, eps) == \
+            _reference_fptas(items, values, sizes, budget, eps), trial
+
+
+def _reference_reduce(system, values, bundle):
+    """Ascending scan that drops each item whose removal keeps the value."""
+    items = frozenset(bundle)
+    value = brute_value(system, values, items)
+    for j in sorted(items):
+        if brute_value(system, values, items - {j}) == value:
+            items = items - {j}
+    return items, value
+
+
+def test_explicit_reduce_matches_the_ascending_scan():
+    rng = random.Random(4242)
+    for trial in range(320):
+        m = rng.randint(0, 8)
+        system = ExplicitSystem.normalize(
+            frozenset(j for j in range(m) if rng.random() < 0.5)
+            for _ in range(rng.randint(1, 5)))
+        values = tuple(F(rng.randint(0, 4), rng.choice((1, 2)))
+                       for _ in range(m))
+        bundle = frozenset(j for j in range(m) if rng.random() < 0.8)
+        reduced = ValuationOracle(system, values).reduce_to_independent(bundle)
+        assert (reduced.items, reduced.value) == \
+            _reference_reduce(system, values, bundle), trial
 
 
 def test_interval_single_slot_forces_singleton():
