@@ -261,6 +261,24 @@ def test_conflict_exact_matches_brute_force():
         assert oracle.exact_value(bundle) == brute_value(system, values, bundle)
 
 
+def test_budget_exact_matches_brute_force():
+    rng = random.Random(17)
+    for trial in range(360):
+        m = rng.randint(1, 10)
+        den = 1 if trial % 2 == 0 else rng.choice((2, 3, 4, 6))
+        sizes = tuple(F(rng.randint(0, 9), rng.choice((1, den)))
+                      for _ in range(m))
+        budget = F(0) if trial % 9 == 0 else \
+            F(rng.randint(0, 20), rng.choice((1, den)))
+        system = BudgetSystem(sizes=sizes, budget=budget)
+        values = tuple(F(rng.randint(0, 9), rng.choice((1, 2)))
+                       for _ in range(m))
+        oracle = ValuationOracle(system, values)
+        bundle = frozenset(j for j in range(m) if rng.random() < 0.85)
+        assert oracle.exact_value(bundle) == \
+            brute_value(system, values, bundle), trial
+
+
 def test_adversarial_wrapper_sits_on_the_contract_boundary():
     rng = random.Random(31)
     for trial in range(60):
