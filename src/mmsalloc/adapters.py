@@ -66,10 +66,6 @@ def conflict_feasible(instance: Instance, items) -> bool:
     return not any(a in bundle and b in bundle for a, b in system.edges)
 
 
-def interval_feasible(instance: Instance, agent: int, items) -> bool:
-    return oracle_for(instance, agent).is_independent(frozenset(items))
-
-
 # ---------------------------------------------------------------------------
 # Budget constraints
 # ---------------------------------------------------------------------------

@@ -50,10 +50,6 @@ class BruteForceGateExceeded(RuntimeError):
     """A brute-force enumeration was requested above the configured gate."""
 
 
-class IndeterminateZeroValueSingleton(RuntimeError):
-    """Approximate oracles cannot decide independence of zero-valued singletons."""
-
-
 class InsufficientBundles(RuntimeError):
     """A maker with a success guarantee produced fewer bundles than required."""
 
@@ -250,10 +246,6 @@ class Instance:
         return self.system
 
     @property
-    def is_shared(self) -> bool:
-        return not isinstance(self.system, (EntitledSpec, AsymmetricSpec))
-
-    @property
     def is_entitled(self) -> bool:
         return isinstance(self.system, EntitledSpec)
 
@@ -331,9 +323,9 @@ def validate_instance(instance: Instance) -> Instance:
     Raises a subclass of InstanceError on the first violation found.
     """
     n, m = instance.n, instance.m
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InstanceError(f"agent count {n!r} must be a non-negative int")
-    if not isinstance(m, int) or m < 0:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise InstanceError(f"item count {m!r} must be a non-negative int")
     if len(instance.values) != n:
         raise InstanceError(
@@ -414,6 +406,14 @@ def _system_to_payload(system: SetSystem) -> dict:
     raise InstanceError(f"unknown system variant: {system!r}")
 
 
+def _zero_based(numbers, what: str) -> list:
+    """Shift 1-based numbers from a file to indices; JSON true is not 1."""
+    numbers = list(numbers)
+    if any(isinstance(j, bool) for j in numbers):
+        raise InstanceError(f"{what}: {numbers!r} holds a boolean, not a number")
+    return [j - 1 for j in numbers]
+
+
 def _system_from_payload(payload: dict, n: int) -> SetSystem | EntitledSpec:
     if not isinstance(payload, dict):
         raise InstanceError(f"system payload must be an object, got {payload!r}")
@@ -421,7 +421,8 @@ def _system_from_payload(payload: dict, n: int) -> SetSystem | EntitledSpec:
     if kind == "free":
         return FreeSystem()
     if kind == "explicit":
-        sets = [frozenset(j - 1 for j in s) for s in payload["maximal_sets"]]
+        sets = [frozenset(_zero_based(s, "explicit family"))
+                for s in payload["maximal_sets"]]
         return ExplicitSystem.normalize(sets)
     if kind == "budget":
         sizes = tuple(parse_rational(s) for s in payload["sizes"])
@@ -436,7 +437,7 @@ def _system_from_payload(payload: dict, n: int) -> SetSystem | EntitledSpec:
         return BudgetSystem(sizes=sizes, budget=parse_rational(payload["budget"]))
     if kind == "conflict":
         return ConflictSystem.normalize(
-            (a - 1, b - 1) for a, b in payload["edges"])
+            _zero_based(edge, "conflict edge") for edge in payload["edges"])
     if kind == "interval":
         jobs = tuple((job["p"], job["r"], job["d"]) for job in payload["jobs"])
         return IntervalSystem(jobs=jobs)
@@ -489,12 +490,13 @@ def instance_from_json(text: str) -> Instance:
 
     spec: SystemSpec
     try:
+        if has_order:
+            ordering = tuple(_zero_based(doc["entitled"], "entitled ordering"))
         if has_asym:
             systems = tuple(_system_from_payload(p, n) for p in doc["asymmetric"])
             if any(isinstance(s, EntitledSpec) for s in systems):
                 raise InstanceError("per-agent system payloads must be plain systems")
             if has_order:
-                ordering = tuple(i - 1 for i in doc["entitled"])
                 spec = EntitledSpec(systems=systems, ordering=ordering)
             else:
                 spec = AsymmetricSpec(systems=systems)
@@ -505,7 +507,6 @@ def instance_from_json(text: str) -> Instance:
                     raise InstanceError(
                         "an entitled ordering needs per-agent systems "
                         "(per-agent budgets or an asymmetric block)")
-                ordering = tuple(i - 1 for i in doc["entitled"])
                 parsed = EntitledSpec(systems=parsed.systems, ordering=ordering)
             spec = parsed
         else:

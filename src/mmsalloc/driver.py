@@ -29,16 +29,14 @@ from .core import (
     ONE,
     ZERO,
     Allocation,
-    BudgetSystem,
     EpsilonOutOfRange,
     Instance,
-    IntervalSystem,
     Items,
     UnsupportedSystem,
 )
 from .divider import DividerOutcome, lone_divider, lone_divider_entitled
 from .mms_oracle import DEFAULT_MMS_GATE, MmsRecord, compute_mms_exact
-from .valuation import IndependentBundle, ValuationOracle, oracle_for
+from .valuation import IndependentBundle, oracle_for
 
 TWO_FIFTHS = Fraction(2, 5)
 
@@ -54,10 +52,6 @@ class SolveResult:
     estimates: dict[int, Fraction]
     adjustments: dict[int, int]
     runs: tuple[DividerOutcome, ...]
-
-    @property
-    def trace(self):
-        return self.runs[-1].trace if self.runs else ()
 
 
 def alpha_for_error(epsilon: Fraction) -> Fraction:
@@ -162,16 +156,6 @@ def _initial_estimates(instance, active, singletons) -> dict[int, Fraction]:
             for i in active}
 
 
-def _default_oracle(instance: Instance, agent: int,
-                    epsilon: Fraction) -> ValuationOracle:
-    system = instance.system_for(agent)
-    if isinstance(system, BudgetSystem) and epsilon > 0:
-        return oracle_for(instance, agent, epsilon=epsilon)
-    if isinstance(system, IntervalSystem) and epsilon > 0:
-        return oracle_for(instance, agent, epsilon=max(epsilon, Fraction(1, 2)))
-    return oracle_for(instance, agent, epsilon=epsilon)
-
-
 def _two_fifths_shrink(count: int) -> Fraction:
     return Fraction(count, count + 1)
 
@@ -194,7 +178,8 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     succeeds.
 
     ``epsilon_for(k)`` gives the oracle error for k active agents and may
-    raise when the mode cannot serve them; ``shrink_factor(k)`` the
+    raise when the mode cannot serve them (each oracle also rejects an error
+    its system kind cannot meet); ``shrink_factor(k)`` the
     multiplicative estimate adjustment; ``count_bound(k, m)`` the proven cap
     on adjustments per agent.  ``divide(instance, thresholds, maker, oracles,
     epsilon, agents)`` runs one lone divider.
@@ -207,8 +192,10 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
         return _empty_result(instance, mode, alpha)
     k = len(active)
     epsilon = epsilon_for(k)
-    factory = _default_oracle if oracle_factory is None else oracle_factory
-    oracles = {i: factory(instance, i, epsilon) for i in active}
+    if oracle_factory is None:
+        oracles = {i: oracle_for(instance, i, epsilon=epsilon) for i in active}
+    else:
+        oracles = {i: oracle_factory(instance, i, epsilon) for i in active}
     if k == 1:
         # A single positive agent receives an oracle subset of all items.
         granted = oracles[active[0]].approx_value_subset(instance.all_items())
@@ -244,26 +231,19 @@ def solve_two_fifths(instance: Instance, *, oracle_factory=None) -> SolveResult:
     """Polynomial 2/5-approximate solver for shared hereditary systems.
 
     Oracle error is capped at 1/(n+1): budget systems use the knapsack value
-    scaling at exactly that error, interval systems are rejected (their
-    polynomial oracle loses a factor 2; use solve_alpha at epsilon 1/2).
+    scaling at exactly that error, interval systems are rejected by their
+    oracle (its polynomial path loses a factor 2; use solve_alpha at
+    epsilon 1/2).
     """
     _reject_asymmetric(instance, "the 2/5 mode")
     if instance.is_entitled:
         return solve_entitled(instance, oracle_factory=oracle_factory)
-
-    def epsilon_for(k: int) -> Fraction:
-        if isinstance(instance.system, IntervalSystem) and k >= 2:
-            raise EpsilonOutOfRange(
-                "interval oracles have error bound 1/2 > 1/(n+1); "
-                "use solve_alpha with epsilon 1/2")
-        return Fraction(1, k + 1)
-
-    return _solve_polynomial(instance, "two_fifths", TWO_FIFTHS, epsilon_for,
-                             _divide_shared, oracle_factory=oracle_factory)
+    return _solve_polynomial(instance, "two_fifths", TWO_FIFTHS,
+                             lambda k: Fraction(1, k + 1), _divide_shared,
+                             oracle_factory=oracle_factory)
 
 
 def solve_alpha(instance: Instance, epsilon: Fraction, *,
-                delta: Fraction | None = None,
                 oracle_factory=None) -> SolveResult:
     """Solver for inaccurate oracles with error bound epsilon.
 
@@ -271,8 +251,7 @@ def solve_alpha(instance: Instance, epsilon: Fraction, *,
     epsilon above 1/3 the phase-two pair test switches to exact cardinality-2
     independence queries.  Epsilon 0 is the 2/5 mode, bundle for bundle.
     """
-    if not ZERO <= epsilon < ONE:
-        raise EpsilonOutOfRange(f"error bound {epsilon} not in [0, 1)")
+    alpha = alpha_for_error(epsilon)
     if epsilon == 0:
         return replace(solve_two_fifths(instance, oracle_factory=oracle_factory),
                        mode="alpha")
@@ -280,12 +259,7 @@ def solve_alpha(instance: Instance, epsilon: Fraction, *,
     if instance.is_entitled:
         raise UnsupportedSystem(
             "per-agent families take solve_entitled, not the alpha mode")
-    alpha = alpha_for_error(epsilon)
-    if delta is None:
-        delta = ONE / (ONE - epsilon)
-    if epsilon > ONE - ONE / delta:
-        raise EpsilonOutOfRange(
-            f"delta {delta} too small for error bound {epsilon}")
+    delta = ONE / (ONE - epsilon)
 
     def shrink_factor(count: int) -> Fraction:
         overshoot = (3 - 3 * epsilon) / (5 * count - 3 * count * epsilon

@@ -15,24 +15,39 @@ def max_bipartite_matching(n_left: int, n_right: int,
     """Maximum matching in a bipartite graph via augmenting paths.
 
     ``adjacency[x]`` lists the right-side neighbours of left vertex ``x``.
+    Each search is a depth-first walk on an explicit stack, so long
+    alternating paths need no recursion.
     """
     match_left = [-1] * n_left
     match_right = [-1] * n_right
 
-    def augment(x: int, seen: list[bool]) -> bool:
-        for y in adjacency[x]:
-            if seen[y]:
+    def augment(root: int) -> None:
+        seen = [False] * n_right
+        # One (left vertex, unread neighbours) frame per step of the path;
+        # path[t] is the right vertex that frame t moved through.
+        stack = [(root, iter(adjacency[root]))]
+        path: list[int] = []
+        while stack:
+            for y in stack[-1][1]:
+                if not seen[y]:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             seen[y] = True
-            if match_right[y] == -1 or augment(match_right[y], seen):
-                match_left[x] = y
-                match_right[y] = x
-                return True
-        return False
+            path.append(y)
+            if match_right[y] == -1:
+                for (x, _), y in zip(stack, path):
+                    match_left[x] = y
+                    match_right[y] = x
+                return
+            stack.append((match_right[y], iter(adjacency[match_right[y]])))
 
     for x in range(n_left):
         if match_left[x] == -1:
-            augment(x, [False] * n_right)
+            augment(x)
     return [(x, match_left[x]) for x in range(n_left) if match_left[x] != -1]
 
 

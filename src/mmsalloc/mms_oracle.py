@@ -186,25 +186,17 @@ def mms_bounds(instance: Instance, agent: int, *,
 def verify_allocation(instance: Instance, allocation: Allocation,
                       alpha: Fraction, *,
                       records: dict[int, MmsRecord] | None = None,
-                      gate: int = DEFAULT_MMS_GATE,
-                      bundle_feasible=None) -> VerificationReport:
+                      gate: int = DEFAULT_MMS_GATE) -> VerificationReport:
     """Per-agent check that the allocation reaches alpha times the MMS.
 
     Agents whose exact MMS is unavailable (gate exceeded, no record supplied)
-    fail their check explicitly instead of being silently skipped.  An
-    optional ``bundle_feasible(agent, items) -> bool`` hook lets constraint
-    adapters reject infeasible bundles.
+    fail their check explicitly instead of being silently skipped.
     """
     checks = []
     for agent in range(instance.n):
         bundle = allocation.bundles[agent]
         oracle = oracle_for(instance, agent)
         value = oracle.exact_value(bundle)
-        if bundle_feasible is not None and not bundle_feasible(agent, bundle):
-            checks.append(AgentCheck(agent=agent, value=value, mu=None,
-                                     ratio=None, ok=False,
-                                     reason="bundle violates its constraint"))
-            continue
         record = records.get(agent) if records else None
         if record is None:
             try:

@@ -21,7 +21,6 @@ from .core import (
     ExactnessGateExceeded,
     ExplicitSystem,
     FreeSystem,
-    IndeterminateZeroValueSingleton,
     Instance,
     IntervalSystem,
     Items,
@@ -54,8 +53,8 @@ class ValuationOracle:
             raise EpsilonOutOfRange(f"error bound {epsilon} not in [0, 1)")
         if (isinstance(system, IntervalSystem)
                 and ZERO < epsilon < Fraction(1, 2)):
-            raise EpsilonOutOfRange(
-                "interval oracles support error bound 0 (gated exact) or >= 1/2")
+            raise EpsilonOutOfRange("interval oracles support error bound 0 "
+                                    f"(gated exact) or >= 1/2, not {epsilon}")
         self.system = system
         self.values = tuple(values)
         self.epsilon = epsilon
@@ -68,10 +67,6 @@ class ValuationOracle:
             for a, b in system.edges:
                 self._adj.setdefault(a, set()).add(b)
                 self._adj.setdefault(b, set()).add(a)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.epsilon == 0
 
     # -- additive arithmetic ------------------------------------------------
 
@@ -113,18 +108,6 @@ class ValuationOracle:
             return _interval_min_completion(system, sorted(items))[-1] is not None
         raise TypeError(f"unknown system variant: {system!r}")
 
-    def is_singleton_independent(self, j: int) -> bool:
-        """Decide whether {j} is independent.
-
-        Approximate oracles can only settle this for items of positive value,
-        mirroring what a black-box subset query can reveal.
-        """
-        if not self.is_exact and self.values[j] == 0:
-            raise IndeterminateZeroValueSingleton(
-                f"item {j}: zero value, independence not observable at error "
-                f"bound {self.epsilon}")
-        return self.is_independent(frozenset((j,)))
-
     def pair_independent(self, j1: int, j2: int) -> bool:
         """Decide whether {j1, j2} is independent, exactly and in poly time."""
         if j1 == j2:
@@ -158,9 +141,7 @@ class ValuationOracle:
         if cached is not None:
             return cached
         system = self.system
-        if isinstance(system, FreeSystem):
-            value = self.additive_value(items)
-        elif isinstance(system, ExplicitSystem):
+        if isinstance(system, ExplicitSystem):
             value = ZERO
             for s in system.maximal_sets:
                 value = max(value, self.additive_value(items & s))
@@ -275,12 +256,6 @@ class AdversarialOracle(ValuationOracle):
 
     ENUMERATION_GATE = 16
 
-    def __init__(self, system, values, *, epsilon, gate=None):
-        super().__init__(system, values, epsilon=ZERO, gate=gate)
-        if not ZERO <= epsilon < ONE:
-            raise EpsilonOutOfRange(f"error bound {epsilon} not in [0, 1)")
-        self.epsilon = epsilon
-
     def _approx_value_subset(self, items: Items) -> IndependentBundle:
         if len(items) > self.ENUMERATION_GATE:
             raise ExactnessGateExceeded(
@@ -311,44 +286,15 @@ def oracle_for(instance: Instance, agent: int, *, epsilon: Fraction = ZERO,
 
 
 # ---------------------------------------------------------------------------
-# Exact knapsack: integer-size DP when cheap, branch and bound otherwise
+# Exact knapsack by branch and bound
 # ---------------------------------------------------------------------------
 
-_DP_CAPACITY_LIMIT = 10 ** 6
-
-
 def _knapsack_exact(items, values, sizes, budget):
+    # Branch and bound divides by size, so zero-size items join outright.
     usable = [j for j in items if sizes[j] <= budget]
     free = [j for j in usable if sizes[j] == 0]
     paid = [j for j in usable if sizes[j] > 0]
-    if all(sizes[j].denominator == 1 for j in paid) and budget >= 0:
-        cap = min(int(budget), sum(int(sizes[j]) for j in paid))
-        if cap <= _DP_CAPACITY_LIMIT:
-            return free + _knapsack_dp(paid, values, sizes, cap)
     return free + _knapsack_branch_bound(paid, values, sizes, budget)
-
-
-def _knapsack_dp(items, values, sizes, capacity):
-    best = [ZERO] * (capacity + 1)
-    stages = []  # per item: bytearray marking capacities where it was taken
-    for j in items:
-        size = int(sizes[j])
-        value = values[j]
-        took = bytearray(capacity + 1)
-        if 0 < size <= capacity and value > 0:
-            for c in range(capacity, size - 1, -1):
-                candidate = best[c - size] + value
-                if candidate > best[c]:
-                    best[c] = candidate
-                    took[c] = 1
-        stages.append((j, size, took))
-    c = max(range(capacity + 1), key=lambda cap: (best[cap], -cap))
-    chosen = []
-    for j, size, took in reversed(stages):
-        if took[c]:
-            chosen.append(j)
-            c -= size
-    return sorted(chosen)
 
 
 def _knapsack_branch_bound(items, values, sizes, budget):

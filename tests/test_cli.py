@@ -136,6 +136,38 @@ def test_malformed_instance_is_an_input_error(tmp_path, capsys, fields):
     assert "Traceback" not in err
 
 
+_TWO_BY_TWO = {"n": 2, "m": 2, "values": [["1", "1"], ["1", "1"]]}
+_INTERVALS = {"kind": "interval", "jobs": [{"p": 1, "r": 1, "d": 2}] * 4}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ({**_TWO_BY_TWO,
+      "system": {"kind": "explicit", "maximal_sets": [[True, 2]]}}, ()),
+    ({**_TWO_BY_TWO, "system": {"kind": "conflict", "edges": [[True, 2]]}},
+     ("--mode", "existence")),
+    ({**_TWO_BY_TWO, "system": {"kind": "budget", "sizes": ["1", "1"],
+                                "budgets": ["1", "2"]},
+      "entitled": [True, 2]}, ()),
+    ({"n": True, "m": 2, "values": [["1", "1"]], "system": {"kind": "free"}},
+     ()),
+    ({"n": 2, "m": 4, "values": [["1"] * 4] * 2, "system": _INTERVALS},
+     ("--mode", "alpha", "--epsilon", "1/3")),
+    ({"n": 2, "m": 4, "values": [["1"] * 4] * 2,
+      "asymmetric": [_INTERVALS, _INTERVALS], "entitled": [1, 2]},
+     ("--mode", "entitled")),
+], ids=["boolean-in-maximal-set", "boolean-in-edge", "boolean-in-ordering",
+        "boolean-agent-count", "interval-error-below-half",
+        "entitled-interval-families"])
+def test_unservable_instance_is_an_input_error(tmp_path, capsys, doc, argv):
+    instance_path = tmp_path / "inst.json"
+    instance_path.write_text(json.dumps(doc))
+    assert run_cli("solve", str(instance_path), *argv,
+                   "--out", str(tmp_path / "alloc.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, text", [
     ("verify", '{"bundles": [["a"], []]}'),
     ("verify", '{"bundles": 5}'),

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mmsalloc.core import (
     AsymmetricSpec,
     BudgetSystem,
+    ConflictSystem,
     EntitledSpec,
     ExplicitSystem,
     FreeSystem,
@@ -123,6 +124,31 @@ def test_entitled_and_asymmetric_json_round_trip():
             ExplicitSystem.normalize([{1, 2}]))))
     validate_instance(asym)
     assert instance_from_json(instance_to_json(asym)) == asym
+
+
+_SIZES = (F(3, 2), F(0), F(2), F(1, 3))
+
+
+@pytest.mark.parametrize("spec", [
+    FreeSystem(),
+    ExplicitSystem.normalize([{0, 1}, {1, 2, 3}]),
+    BudgetSystem(sizes=_SIZES, budget=F(7, 2)),
+    EntitledSpec(systems=(BudgetSystem(sizes=_SIZES, budget=F(2)),
+                          BudgetSystem(sizes=_SIZES, budget=F(5, 2))),
+                 ordering=(0, 1)),
+    ConflictSystem.normalize([(0, 1), (3, 2)]),
+    IntervalSystem(jobs=((1, 1, 2), (2, 1, 4), (1, 3, 3), (3, 2, 6))),
+    AsymmetricSpec(systems=(ExplicitSystem.normalize([{0, 3}]),
+                            BudgetSystem(sizes=_SIZES, budget=F(1)))),
+], ids=["free", "explicit", "shared-budget", "per-agent-budgets", "conflict",
+        "interval", "asymmetric"])
+def test_every_system_kind_survives_a_json_round_trip(spec):
+    inst = validate_instance(Instance(
+        n=2, m=4, values=((F(1), F(3, 2), F(0), F(2)),
+                          (F(5, 3), F(1), F(1), F(0))), system=spec))
+    text = instance_to_json(inst)
+    assert instance_from_json(text) == inst
+    assert instance_to_json(instance_from_json(text)) == text
 
 
 def test_allocation_json_round_trip_and_validation():

@@ -9,9 +9,11 @@ from fractions import Fraction
 import pytest
 
 from mmsalloc.core import (
+    EntitledSpec,
     EpsilonOutOfRange,
     FreeSystem,
     Instance,
+    IntervalSystem,
     UnsupportedSystem,
     validate_instance,
 )
@@ -149,12 +151,29 @@ def test_alpha_third_matches_spec_value():
     assert verify_allocation(inst, result.allocation, F(1, 3)).ok
 
 
-def test_alpha_rejects_bad_epsilon_and_delta():
+def test_alpha_rejects_bad_epsilon():
     inst = gen_random_hereditary(m=5, n=2, seed=5)
     with pytest.raises(EpsilonOutOfRange):
         solve_alpha(inst, F(3, 2))
+
+
+def _identical_interval_families(entitled: bool) -> Instance:
+    system = IntervalSystem(jobs=((1, 1, 2),) * 4)
+    spec = (EntitledSpec(systems=(system, system), ordering=(0, 1))
+            if entitled else system)
+    return validate_instance(Instance(
+        n=2, m=4, values=((F(1),) * 4,) * 2, system=spec))
+
+
+def test_interval_oracles_keep_the_declared_error():
+    # Interval oracles serve error 0 or at least 1/2, so these modes may not
+    # quietly run them at 1/2 while reporting a ratio for less error.
     with pytest.raises(EpsilonOutOfRange):
-        solve_alpha(inst, F(1, 2), delta=F(3, 2))  # needs delta >= 2
+        solve_alpha(_identical_interval_families(entitled=False), F(1, 3))
+    with pytest.raises(EpsilonOutOfRange):
+        solve_entitled(_identical_interval_families(entitled=True))
+    assert solve_alpha(_identical_interval_families(entitled=False),
+                       F(1, 2)).alpha == F(2, 7)
 
 
 def test_solvers_reject_asymmetric_instances():

@@ -101,3 +101,13 @@ def test_deterministic_tie_break():
     assert first == envy_free_matching(2, 2, adjacency)
     # The augmenting scan rematches agent 0 while extending agent 1.
     assert first == [(0, 1), (1, 0)]
+
+
+def test_long_augmenting_path_needs_no_recursion():
+    # Left 0..n-2 take right 0..n-2 greedily; left n-1 then rematches the
+    # whole chain along one alternating path of length n.
+    n = 1500
+    adjacency = [[i, i + 1] for i in range(n - 1)] + [[0]]
+    expected = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+    assert max_bipartite_matching(n, n, adjacency) == expected
+    assert envy_free_matching(n, n, adjacency) == expected

@@ -14,7 +14,6 @@ from mmsalloc.core import (
     EpsilonOutOfRange,
     ExplicitSystem,
     FreeSystem,
-    IndeterminateZeroValueSingleton,
     IntervalSystem,
 )
 from mmsalloc.generators import gen_two_thirds_bound
@@ -178,19 +177,14 @@ def test_reduce_identity_on_independent_bundle():
 
 def test_singleton_independence_per_variant():
     free = ValuationOracle(FreeSystem(), (F(1),))
-    assert free.is_singleton_independent(0)
+    assert free.is_independent({0})
 
     explicit = ValuationOracle(ExplicitSystem.normalize([{0, 1}]),
                                (F(1), F(1), F(1)))
-    assert not explicit.is_singleton_independent(2)
+    assert not explicit.is_independent({2})
 
     budget = ValuationOracle(BudgetSystem(sizes=(F(5),), budget=F(4)), (F(1),))
-    assert not budget.is_singleton_independent(0)
-
-    lossy = ValuationOracle(BudgetSystem(sizes=(F(1),), budget=F(4)), (F(0),),
-                            epsilon=F(1, 3))
-    with pytest.raises(IndeterminateZeroValueSingleton):
-        lossy.is_singleton_independent(0)
+    assert not budget.is_independent({0})
 
 
 def test_pair_independence_examples():
@@ -211,6 +205,14 @@ def test_interval_oracle_rejects_sub_half_epsilon():
     system = IntervalSystem(jobs=((1, 1, 1),))
     with pytest.raises(EpsilonOutOfRange):
         ValuationOracle(system, (F(1),), epsilon=F(1, 4))
+
+
+def test_adversarial_oracle_checks_epsilon_like_the_base_class():
+    system = IntervalSystem(jobs=((1, 1, 1),))
+    for epsilon in (F(1, 4), F(-1, 2), F(1)):
+        with pytest.raises(EpsilonOutOfRange):
+            AdversarialOracle(system, (F(1),), epsilon=epsilon)
+    assert AdversarialOracle(system, (F(1),), epsilon=F(1, 2)).epsilon == F(1, 2)
 
 
 def test_fptas_contract_on_random_knapsacks():
