@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import mmsalloc.valuation
+from mmsalloc.adapters import _schedule_is_valid
 from mmsalloc.core import (
     BudgetSystem,
     ConflictSystem,
@@ -316,3 +317,31 @@ def test_schedule_witness_is_a_real_schedule():
         p, r, d = system.jobs[j]
         assert r <= s and e <= d
     assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+
+
+def test_interval_exact_matches_brute_force():
+    rng = random.Random(61)
+    fits_seen = set()
+    for trial in range(320):
+        m = rng.randint(1, 8)
+        jobs = []
+        for _ in range(m):
+            p, r = rng.randint(1, 3), rng.randint(1, 6)
+            jobs.append((p, r, r + p - 1 + rng.randint(0, 4)))
+        system = IntervalSystem(jobs=tuple(jobs))
+        values = tuple(F(rng.randint(0, 9), rng.choice((1, 2)))
+                       for _ in range(m))
+        oracle = ValuationOracle(system, values)
+        bundle = frozenset(j for j in range(m) if rng.random() < 0.85)
+        assert oracle.exact_value(bundle) == \
+            brute_value(system, values, bundle), trial
+        fits = brute_schedulable(jobs, bundle)
+        fits_seen.add(fits)
+        assert oracle.is_independent(bundle) == fits, trial
+        if fits:
+            witness = oracle.schedule_witness(bundle)
+            assert _schedule_is_valid(system, bundle, witness), trial
+        else:
+            with pytest.raises(ValueError):
+                oracle.schedule_witness(bundle)
+    assert fits_seen == {True, False}
