@@ -71,16 +71,17 @@ def conflict_feasible(instance: Instance, items) -> bool:
 # ---------------------------------------------------------------------------
 
 def solve_budget_adapter(instance: Instance, *,
-                         oracle_factory=None) -> ConstraintReport:
+                         epsilon: Fraction | None = None) -> ConstraintReport:
     """2/5-approximate allocation where every bundle fits its owner's budget.
 
     Budgets order the agents from most to least restrictive, so the entitled
-    solver applies; its oracle-subset awards are affordable by construction.
+    solver applies at oracle error ``epsilon`` (1/(n+1) when None); its
+    oracle-subset awards are affordable by construction.
     """
     if not all(isinstance(instance.system_for(i), BudgetSystem)
                for i in range(instance.n)):
         raise UnsupportedSystem("budget adapter needs budget systems")
-    result = solve_entitled(instance, oracle_factory=oracle_factory)
+    result = solve_entitled(instance, epsilon)
     feasible = tuple(budget_feasible(instance, i, result.allocation.bundles[i])
                      for i in range(instance.n))
     assert all(feasible)
@@ -147,16 +148,17 @@ def solve_conflicts_adapter(instance: Instance, *,
 # ---------------------------------------------------------------------------
 
 def solve_intervals_adapter(instance: Instance, *,
-                            oracle_factory=None) -> ConstraintReport:
-    """2/7-approximate allocation of interval jobs with schedule witnesses.
+                            epsilon: Fraction | None = None) -> ConstraintReport:
+    """Approximate allocation of interval jobs with schedule witnesses.
 
-    Runs the lossy-oracle mode at error bound 1/2 (the ratio of the greedy
-    local-ratio scheduler); every awarded bundle is schedulable and the
-    witness start times are emitted so feasibility is checkable directly.
+    Runs the lossy-oracle mode at error bound ``epsilon``; None means 1/2,
+    the ratio of the greedy local-ratio scheduler, which guarantees 2/7.  Every
+    awarded bundle is schedulable and the witness start times are emitted so
+    feasibility is checkable directly.
     """
     if not isinstance(instance.system, IntervalSystem):
         raise UnsupportedSystem("intervals adapter needs a shared interval system")
-    result = solve_alpha(instance, HALF, oracle_factory=oracle_factory)
+    result = solve_alpha(instance, HALF if epsilon is None else epsilon)
     schedules = []
     feasible = []
     for i in range(instance.n):

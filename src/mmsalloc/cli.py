@@ -86,27 +86,26 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _solve(instance, mode: str, epsilon: Fraction | None):
+def _solve(instance, mode: str, epsilon: Fraction | None, gate: int):
     """Route to the solver or adapter matching the mode and system kind."""
     system = instance.system
     if isinstance(system, ConflictSystem):
         if mode != "existence":
             raise InstanceError(
                 "conflict-graph instances are only supported in existence mode")
-        return solve_conflicts_adapter(instance)
+        return solve_conflicts_adapter(instance, gate=gate)
     if isinstance(system, IntervalSystem) and mode in ("alpha", "two_fifths"):
         if mode == "two_fifths":
             raise InstanceError(
                 "interval instances need --mode alpha (oracle error is 1/2)")
-        if epsilon is not None and epsilon != Fraction(1, 2):
-            return solve_alpha(instance, epsilon)
-        return solve_intervals_adapter(instance)
+        return solve_intervals_adapter(instance, epsilon=epsilon)
     if (mode in ("two_fifths", "entitled") and instance.n > 0
             and all(isinstance(instance.system_for(i), BudgetSystem)
                     for i in range(instance.n))):
-        return solve_budget_adapter(instance)
+        return solve_budget_adapter(
+            instance, epsilon=epsilon if mode == "entitled" else None)
     if mode == "existence":
-        return solve_existence(instance)
+        return solve_existence(instance, gate=gate)
     if mode == "two_fifths":
         return solve_two_fifths(instance)
     if mode == "alpha":
@@ -136,7 +135,7 @@ def _cmd_solve(args) -> int:
     if mode is None:
         mode = "two_fifths"
     epsilon = parse_rational(epsilon_text) if epsilon_text is not None else None
-    solved = _solve(instance, mode, epsilon)
+    solved = _solve(instance, mode, epsilon, args.gate)
     if isinstance(solved, ConstraintReport):
         result, allocation = solved.result, solved.allocation
     else:
@@ -164,8 +163,7 @@ def _cmd_solve(args) -> int:
              "ratio": None if check.ratio is None else format_rational(check.ratio),
              "ok": check.ok}
             for check in report.checks]
-        if any(check.reason == "mms gate exceeded and no record supplied"
-               for check in report.checks):
+        if report.gate_hit:
             exit_code = EXIT_GATE
         elif not report.ok:
             exit_code = EXIT_VERIFY_FAIL
@@ -209,10 +207,7 @@ def _cmd_verify(args) -> int:
     alpha = parse_rational(args.alpha)
     report = verify_allocation(instance, allocation, alpha, gate=args.gate)
     lines = []
-    gate_hit = False
     for check in report.checks:
-        if check.reason == "mms gate exceeded and no record supplied":
-            gate_hit = True
         mu = "?" if check.mu is None else format_rational(check.mu)
         ratio = "-" if check.ratio is None else format_rational(check.ratio)
         verdict = "pass" if check.ok else "FAIL"
@@ -222,7 +217,7 @@ def _cmd_verify(args) -> int:
     lines.append(f"alpha {format_rational(alpha)}: "
                  f"{'pass' if report.ok else 'FAIL'}")
     _emit("".join(line + "\n" for line in lines), args.out)
-    if gate_hit:
+    if report.gate_hit:
         return EXIT_GATE
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
 

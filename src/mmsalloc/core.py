@@ -436,8 +436,12 @@ def _system_from_payload(payload: dict, n: int) -> SetSystem | EntitledSpec:
             return EntitledSpec(systems=systems, ordering=order)
         return BudgetSystem(sizes=sizes, budget=parse_rational(payload["budget"]))
     if kind == "conflict":
-        return ConflictSystem.normalize(
-            _zero_based(edge, "conflict edge") for edge in payload["edges"])
+        edges = [_zero_based(edge, "conflict edge") for edge in payload["edges"]]
+        for edge in edges:
+            if len(edge) != 2:
+                raise InstanceError(
+                    f"conflict edge {[j + 1 for j in edge]} does not join two items")
+        return ConflictSystem.normalize(edges)
     if kind == "interval":
         jobs = tuple((job["p"], job["r"], job["d"]) for job in payload["jobs"])
         return IntervalSystem(jobs=jobs)

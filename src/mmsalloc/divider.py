@@ -48,26 +48,17 @@ class DividerOutcome:
         return self.allocation is not None
 
 
-def _pick_divider(remaining: list[int], rule: str,
-                  ordering: tuple[int, ...] | None) -> int:
-    if rule == "lowest_index":
-        return remaining[0]
-    if rule == "most_restrictive":
-        if ordering is None:
-            raise ValueError("most_restrictive divider rule needs an ordering")
-        position = {agent: t for t, agent in enumerate(ordering)}
-        return min(remaining, key=lambda a: position[a])
-    raise ValueError(f"unknown divider rule {rule!r}")
-
-
 def _item_sum(instance: Instance, agent: int, items: Items) -> Fraction:
     return sum((instance.values[agent][j] for j in items), Fraction(0))
 
 
 def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
-                offers_for, agents, divider_rule: str,
-                ordering: tuple[int, ...] | None) -> DividerOutcome:
+                offers_for, agents, ordering: tuple[int, ...] | None
+                ) -> DividerOutcome:
     """The round loop behind both engines.
+
+    Each round the most restrictive remaining agent of ``ordering`` divides,
+    or the lowest-index one when there is no ordering.
 
     ``offers_for(divider, remaining, bundles)`` returns either a dict giving
     the bundle each non-divider would receive for each (agent, bundle index),
@@ -81,7 +72,8 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
     trace: list[RoundRecord] = []
 
     while remaining:
-        divider = _pick_divider(remaining, divider_rule, ordering)
+        divider = (remaining[0] if ordering is None
+                   else min(remaining, key=ordering.index))
         swaps: list[tuple[int, int]] = []
         dividers_seen = {divider}
         while True:
@@ -131,8 +123,8 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
 
 
 def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker, *,
-                 agents=None, divider_rule: str = "lowest_index",
-                 ordering: tuple[int, ...] | None = None) -> DividerOutcome:
+                 agents=None, ordering: tuple[int, ...] | None = None
+                 ) -> DividerOutcome:
     """Run the engine with exact additive edge values.
 
     ``maker(agent, items, k)`` must return k disjoint bundles independent for
@@ -148,14 +140,12 @@ def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker, *,
                 for agent in remaining if agent != divider
                 for idx, bundle in enumerate(bundles)}
 
-    return _run_rounds(instance, thresholds, maker, additive, agents,
-                       divider_rule, ordering)
+    return _run_rounds(instance, thresholds, maker, additive, agents, ordering)
 
 
 def lone_divider_entitled(instance: Instance, thresholds: dict[int, Fraction],
                           maker, oracles: dict[int, ValuationOracle],
                           epsilon: Fraction, *, agents=None,
-                          divider_rule: str = "lowest_index",
                           ordering: tuple[int, ...] | None = None) -> DividerOutcome:
     """Engine variant for per-agent families behind approximate oracles.
 
@@ -182,8 +172,7 @@ def lone_divider_entitled(instance: Instance, thresholds: dict[int, Fraction],
                 subset_of[agent, idx] = subset
         return subset_of
 
-    return _run_rounds(instance, thresholds, maker, reported, agents,
-                       divider_rule, ordering)
+    return _run_rounds(instance, thresholds, maker, reported, agents, ordering)
 
 
 def trace_to_dicts(outcome: DividerOutcome, run: int = 1) -> list[dict]:

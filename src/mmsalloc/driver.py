@@ -117,12 +117,8 @@ def solve_existence(instance: Instance, *,
         return bundles_from_mms_partition(oracles[agent], records[agent],
                                           items, count, thresholds[agent])
 
-    if instance.is_entitled:
-        outcome = lone_divider(instance, thresholds, maker,
-                               divider_rule="most_restrictive",
-                               ordering=instance.system.ordering)
-    else:
-        outcome = lone_divider(instance, thresholds, maker)
+    ordering = instance.system.ordering if instance.is_entitled else None
+    outcome = lone_divider(instance, thresholds, maker, ordering=ordering)
     assert outcome.succeeded
     return _assemble(instance, "existence", ratio, outcome.allocation,
                      range(n), thresholds,
@@ -303,10 +299,8 @@ def solve_entitled(instance: Instance, epsilon: Fraction | None = None, *,
         ordering = instance.system.ordering
 
     def divide(instance, thresholds, maker, oracles, error, agents):
-        return lone_divider_entitled(
-            instance, thresholds, maker, oracles, error, agents=agents,
-            divider_rule="lowest_index" if ordering is None else "most_restrictive",
-            ordering=ordering)
+        return lone_divider_entitled(instance, thresholds, maker, oracles, error,
+                                     agents=agents, ordering=ordering)
 
     return _solve_polynomial(instance, "entitled", TWO_FIFTHS, epsilon_for,
                              divide, oracle_factory=oracle_factory)

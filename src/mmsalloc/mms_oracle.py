@@ -64,6 +64,11 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(check.ok for check in self.checks)
 
+    @property
+    def gate_hit(self) -> bool:
+        """Some agent's MMS was past the brute-force gate, so it is unverified."""
+        return any(check.mu is None for check in self.checks)
+
 
 def _mask_items(mask: int) -> Items:
     items = set()

@@ -105,7 +105,7 @@ class ValuationOracle:
                 j1, j2 = sorted(items)
                 return self.pair_independent(j1, j2)
             self._check_gate(items)
-            return _interval_min_completion(system, sorted(items))[-1] is not None
+            return _interval_table(system, sorted(items))[0][-1] is not None
         raise TypeError(f"unknown system variant: {system!r}")
 
     def pair_independent(self, j1: int, j2: int) -> bool:
@@ -149,8 +149,8 @@ class ValuationOracle:
             value = self.additive_value(items)
         elif isinstance(system, BudgetSystem):
             self._check_gate(items)
-            chosen = _knapsack_exact(sorted(items), self.values, system.sizes,
-                                     system.budget)
+            chosen = _knapsack(sorted(items), self.values, system.sizes,
+                               system.budget, ZERO)
             value = self.additive_value(chosen)
         elif isinstance(system, ConflictSystem):
             self._check_gate(items)
@@ -158,8 +158,11 @@ class ValuationOracle:
             value = self.additive_value(chosen)
         elif isinstance(system, IntervalSystem):
             self._check_gate(items)
-            chosen, _ = _interval_best_subset(system, self.values, sorted(items))
-            value = self.additive_value(chosen)
+            ordered = sorted(items)
+            finish, _ = _interval_table(system, ordered)
+            value = max(self.additive_value(j for t, j in enumerate(ordered)
+                                            if mask >> t & 1)
+                        for mask, end in enumerate(finish) if end is not None)
         else:
             raise TypeError(f"unknown system variant: {system!r}")
         self._value_cache[items] = value
@@ -221,8 +224,8 @@ class ValuationOracle:
             return IndependentBundle(items=items, value=self.additive_value(items))
         system = self.system
         if isinstance(system, BudgetSystem) and self.epsilon > 0:
-            chosen = _knapsack_fptas(sorted(items), self.values, system.sizes,
-                                     system.budget, self.epsilon)
+            chosen = _knapsack(sorted(items), self.values, system.sizes,
+                               system.budget, self.epsilon)
             return IndependentBundle(items=frozenset(chosen),
                                      value=self.additive_value(chosen))
         if isinstance(system, IntervalSystem) and self.epsilon > 0:
@@ -240,10 +243,16 @@ class ValuationOracle:
         if not items:
             return {}
         self._check_gate(items)
-        completions = _interval_min_completion(system, items)
-        if completions[-1] is None:
+        finish, last = _interval_table(system, items)
+        if finish[-1] is None:
             raise ValueError(f"bundle {items} is not schedulable")
-        return _interval_schedule_from_dp(system, items, completions)
+        starts: dict[int, int] = {}
+        mask = len(finish) - 1
+        while mask:
+            t = last[mask]
+            starts[items[t]] = finish[mask] - system.jobs[items[t]][0] + 1
+            mask ^= 1 << t
+        return starts
 
 
 class AdversarialOracle(ValuationOracle):
@@ -278,67 +287,24 @@ class AdversarialOracle(ValuationOracle):
 
 
 def oracle_for(instance: Instance, agent: int, *, epsilon: Fraction = ZERO,
-               gate: int | None = None, adversarial: bool = False) -> ValuationOracle:
+               gate: int | None = None) -> ValuationOracle:
     """Build the oracle for one agent of an instance."""
-    system = instance.system_for(agent)
-    cls = AdversarialOracle if adversarial else ValuationOracle
-    return cls(system, instance.values[agent], epsilon=epsilon, gate=gate)
+    return ValuationOracle(instance.system_for(agent), instance.values[agent],
+                           epsilon=epsilon, gate=gate)
 
 
 # ---------------------------------------------------------------------------
-# Exact knapsack by branch and bound
+# Knapsack by value scaling: approximate above error 0, exact at 0
 # ---------------------------------------------------------------------------
 
-def _knapsack_exact(items, values, sizes, budget):
-    # Branch and bound divides by size, so zero-size items join outright.
-    usable = [j for j in items if sizes[j] <= budget]
-    free = [j for j in usable if sizes[j] == 0]
-    paid = [j for j in usable if sizes[j] > 0]
-    return free + _knapsack_branch_bound(paid, values, sizes, budget)
-
-
-def _knapsack_branch_bound(items, values, sizes, budget):
-    order = sorted(items, key=lambda j: (-(values[j] / sizes[j]), j))
-    best_value = ZERO
-    best_set: list[int] = []
-
-    def bound(idx, value, room):
-        for j in order[idx:]:
-            if sizes[j] <= room:
-                room -= sizes[j]
-                value += values[j]
-            else:
-                return value + values[j] * (room / sizes[j])
-        return value
-
-    def explore(idx, value, room, chosen):
-        nonlocal best_value, best_set
-        if value > best_value:
-            best_value = value
-            best_set = list(chosen)
-        if idx == len(order) or bound(idx, value, room) <= best_value:
-            return
-        j = order[idx]
-        if sizes[j] <= room:
-            chosen.append(j)
-            explore(idx + 1, value + values[j], room - sizes[j], chosen)
-            chosen.pop()
-        explore(idx + 1, value, room, chosen)
-
-    explore(0, ZERO, budget, [])
-    return sorted(best_set)
-
-
-# ---------------------------------------------------------------------------
-# Knapsack FPTAS by value scaling
-# ---------------------------------------------------------------------------
-
-def _knapsack_fptas(items, values, sizes, budget, eps):
+def _knapsack(items, values, sizes, budget, eps):
     """Feasible subset with value at least (1 - eps) times the optimum.
 
-    Classic value scaling: item values are floored to multiples of
-    eps * vmax / k, and a min-size DP over scaled totals picks the best
-    reachable total.  The additive loss is at most eps * vmax <= eps * OPT.
+    Classic value scaling: item values are floored to multiples of a unit,
+    and a min-size DP over scaled totals picks the best reachable total.
+    Above error 0 the unit is eps * vmax / k, so the additive loss is at most
+    eps * vmax <= eps * OPT; at error 0 it is one over the least common
+    multiple of the value denominators, so every scaled value is exact.
     Sizes and the budget are scaled by the least common multiple of their
     denominators, so the DP compares integers; each entry links its last
     item to the entry it grew from instead of copying the chosen tuple.
@@ -346,8 +312,10 @@ def _knapsack_fptas(items, values, sizes, budget, eps):
     usable = [j for j in items if sizes[j] <= budget and values[j] > 0]
     if not usable:
         return []
-    vmax = max(values[j] for j in usable)
-    unit = eps * vmax / len(usable)
+    if eps:
+        unit = eps * max(values[j] for j in usable) / len(usable)
+    else:
+        unit = Fraction(1, math.lcm(*(values[j].denominator for j in usable)))
     scale = math.lcm(budget.denominator, *(sizes[j].denominator for j in usable))
     capacity = budget.numerator * (scale // budget.denominator)
     # dp: scaled total -> (min combined scaled size, (last item, rest) link)
@@ -366,6 +334,15 @@ def _knapsack_fptas(items, values, sizes, budget, eps):
                 updates[key] = (grown, (j, chosen))
         # Every update is strictly smaller than what dp holds at its total.
         dp.update(updates)
+        # A total that a larger one reaches in no more room lies on no
+        # optimal path.  Dropping it bounds the table by the distinct sizes;
+        # without it an exact table keeps one entry per distinct value sum.
+        least = capacity + 1
+        for total in sorted(dp, reverse=True):
+            if dp[total][0] < least:
+                least = dp[total][0]
+            else:
+                del dp[total]
     chosen = dp[max(dp)][1]
     picked = []
     while chosen is not None:
@@ -422,72 +399,41 @@ def _pair_schedulable(system, first, second):
     return _job_fits(system, first, r1) and _job_fits(system, second, start2)
 
 
-def _interval_min_completion(system, items):
+def _interval_table(system, items):
     """DP over subsets: the least last-occupied slot per schedulable subset.
 
     Scheduling the remaining job after an earliest-completion schedule of the
     rest is always optimal, so the recurrence over "last job" is exact.
-    Returns a list indexed by bitmask over ``items``; None marks infeasible.
+    Returns two lists indexed by bitmask over ``items``: the finish slot
+    (None marks infeasible) and the position of the job that runs last, the
+    lowest position reaching the least finish.
     """
+    jobs = [system.jobs[j] for j in items]
     k = len(items)
-    completions: list[int | None] = [None] * (1 << k)
-    completions[0] = 0
+    finish: list[int | None] = [None] * (1 << k)
+    last: list[int | None] = [None] * (1 << k)
+    finish[0] = 0
     for mask in range(1, 1 << k):
-        best = None
+        best = best_t = None
         for t in range(k):
             if not mask >> t & 1:
                 continue
-            prev = completions[mask ^ (1 << t)]
+            prev = finish[mask ^ (1 << t)]
             if prev is None:
                 continue
-            p, r, d = system.jobs[items[t]]
-            start = max(r, prev + 1)
-            finish = start + p - 1
-            if finish <= d and (best is None or finish < best):
-                best = finish
-        completions[mask] = best
-    return completions
+            p, r, d = jobs[t]
+            end = max(r, prev + 1) + p - 1
+            if end <= d and (best is None or end < best):
+                best, best_t = end, t
+        finish[mask] = best
+        last[mask] = best_t
+    return finish, last
 
 
-def _interval_schedule_from_dp(system, items, completions):
-    starts: dict[int, int] = {}
-    mask = (1 << len(items)) - 1
-    while mask:
-        target = completions[mask]
-        for t in range(len(items)):
-            if not mask >> t & 1:
-                continue
-            prev = completions[mask ^ (1 << t)]
-            if prev is None:
-                continue
-            p, r, d = system.jobs[items[t]]
-            start = max(r, prev + 1)
-            if start + p - 1 == target and start + p - 1 <= d:
-                starts[items[t]] = start
-                mask ^= 1 << t
-                break
-        else:
-            raise AssertionError("inconsistent interval DP table")
-    return starts
+_PLACEMENT_CAP = 500_000
 
 
-def _interval_best_subset(system, values, items):
-    completions = _interval_min_completion(system, items)
-    best_mask = 0
-    best_value = ZERO
-    for mask in range(1 << len(items)):
-        if completions[mask] is None:
-            continue
-        value = sum((values[items[t]] for t in range(len(items))
-                     if mask >> t & 1), ZERO)
-        if value > best_value:
-            best_value = value
-            best_mask = mask
-    chosen = [items[t] for t in range(len(items)) if best_mask >> t & 1]
-    return chosen, best_value
-
-
-def _interval_local_ratio(system, values, items, *, candidate_cap=500_000):
+def _interval_local_ratio(system, values, items):
     """Greedy local-ratio schedule with at least half the optimal weight.
 
     Expands every feasible placement of every job, repeatedly pushes the
@@ -500,9 +446,9 @@ def _interval_local_ratio(system, values, items, *, candidate_cap=500_000):
         p, r, d = system.jobs[j]
         for start in range(r, d - p + 2):
             placements.append((start + p - 1, start, j))
-    if len(placements) > candidate_cap:
+    if len(placements) > _PLACEMENT_CAP:
         raise ExactnessGateExceeded(
-            f"{len(placements)} interval placements exceed the cap {candidate_cap}")
+            f"{len(placements)} interval placements exceed the cap {_PLACEMENT_CAP}")
     placements.sort()
     residual = {pl: values[pl[2]] for pl in placements}
     stack = []

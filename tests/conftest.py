@@ -2,7 +2,7 @@
 
 Every reference here recomputes from the definitions along a different code
 path than the library (permutation search instead of DP, subset enumeration
-instead of branch and bound), so agreement is meaningful.
+instead of DP and branch and bound), so agreement is meaningful.
 """
 
 from __future__ import annotations

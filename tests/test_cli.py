@@ -168,6 +168,43 @@ def test_unservable_instance_is_an_input_error(tmp_path, capsys, doc, argv):
     assert "Traceback" not in err
 
 
+def test_conflict_edge_that_is_not_a_pair_is_named(tmp_path, capsys):
+    instance_path = tmp_path / "inst.json"
+    instance_path.write_text(json.dumps(
+        {**_TWO_BY_TWO, "system": {"kind": "conflict", "edges": [[1, 2, 2]]}}))
+    assert run_cli("solve", str(instance_path), "--mode", "existence") == 2
+    assert capsys.readouterr().err == \
+        "error: conflict edge [1, 2, 2] does not join two items\n"
+
+
+_THIRTEEN = {"n": 3, "m": 13, "values": [[str(1 + j % 4) for j in range(13)]] * 3}
+
+
+@pytest.mark.parametrize("doc, argv, code, keys", [
+    ({**_THIRTEEN, "n": 2, "values": _THIRTEEN["values"][:2],
+      "system": {"kind": "free"}},
+     ("--mode", "existence", "--gate", "13"), 0, ()),
+    ({**_THIRTEEN, "system": {"kind": "conflict",
+                              "edges": [[j, j + 1] for j in range(1, 13)]}},
+     ("--mode", "existence", "--gate", "13"), 0, ("feasible",)),
+    ({"n": 3, "m": 4, "values": [["1"] * 4] * 3,
+      "system": {"kind": "budget", "sizes": ["1"] * 4,
+                 "budgets": ["1", "2", "3"]}},
+     ("--mode", "entitled", "--epsilon", "1/2"), 2, ()),
+    ({"n": 2, "m": 4, "values": [["1"] * 4] * 2, "system": _INTERVALS},
+     ("--mode", "alpha", "--epsilon", "3/5"), 0, ("feasible", "schedules")),
+], ids=["gate-reaches-existence", "gate-reaches-conflicts",
+        "epsilon-reaches-budgets", "epsilon-reaches-intervals"])
+def test_solve_flags_reach_the_solver(tmp_path, doc, argv, code, keys):
+    instance_path = tmp_path / "inst.json"
+    instance_path.write_text(json.dumps(doc))
+    alloc_path = tmp_path / "alloc.json"
+    assert run_cli("solve", str(instance_path), *argv,
+                   "--out", str(alloc_path)) == code
+    if code == 0:
+        payload = json.loads(alloc_path.read_text())
+        assert all(payload[key] for key in keys)
+
 @pytest.mark.parametrize("command, text", [
     ("verify", '{"bundles": [["a"], []]}'),
     ("verify", '{"bundles": 5}'),

@@ -125,7 +125,6 @@ def test_entitled_budget_with_known_ordering_never_swaps():
             continue
         outcome = lone_divider_entitled(
             inst, thresholds, maker, oracles, epsilon,
-            divider_rule="most_restrictive",
             ordering=inst.system.ordering)
         assert outcome.succeeded
         assert all(record.swaps == () for record in outcome.trace)
@@ -162,7 +161,6 @@ def test_entitled_swap_fires_for_misordered_divider_rule():
             continue
         outcome = lone_divider_entitled(
             inst, thresholds, maker, oracles, epsilon,
-            divider_rule="most_restrictive",
             ordering=tuple(reversed(inst.system.ordering)))
         if not outcome.succeeded:
             continue

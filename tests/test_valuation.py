@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -64,13 +65,13 @@ def test_budget_fptas_worked_example():
 
 def test_subset_answers_are_memoized_per_oracle(monkeypatch):
     runs = []
-    fptas = mmsalloc.valuation._knapsack_fptas
+    fptas = mmsalloc.valuation._knapsack
 
     def counting(*args):
         runs.append(args)
         return fptas(*args)
 
-    monkeypatch.setattr(mmsalloc.valuation, "_knapsack_fptas", counting)
+    monkeypatch.setattr(mmsalloc.valuation, "_knapsack", counting)
     system = BudgetSystem(sizes=(F(4), F(3), F(3)), budget=F(6))
     oracle = ValuationOracle(system, (F(5), F(3), F(3)), epsilon=F(1, 3))
     first = oracle.approx_value_subset(frozenset({0, 1, 2}))
@@ -115,7 +116,7 @@ def test_fptas_matches_the_fraction_reference():
                        for _ in range(m))
         eps = rng.choice((F(1, 2), F(1, 3), F(1, 5), F(1, 9)))
         items = sorted(j for j in range(m) if rng.random() < 0.85)
-        assert mmsalloc.valuation._knapsack_fptas(
+        assert mmsalloc.valuation._knapsack(
             items, values, sizes, budget, eps) == \
             _reference_fptas(items, values, sizes, budget, eps), trial
 
@@ -281,6 +282,34 @@ def test_budget_exact_matches_brute_force():
         assert oracle.exact_value(bundle) == \
             brute_value(system, values, bundle), trial
 
+
+
+def _capacity_dp_value(values, sizes, budget):
+    """Textbook 0/1 knapsack: best value per integer capacity."""
+    best = [0] * (budget + 1)
+    for value, size in zip(values, sizes):
+        for room in range(budget, size - 1, -1):
+            best[room] = max(best[room], best[room - size] + value)
+    return best[budget]
+
+
+def test_budget_exact_on_correlated_knapsacks_at_the_gate():
+    """Strongly correlated knapsacks (value = size + 1, even sizes, odd
+    budget) at the 25-item gate defeat bounding; the exact DP must not."""
+    rng = random.Random(25)
+    spent = 0.0
+    for trial in range(20):
+        sizes = [2 * rng.randint(50, 500) for _ in range(25)]
+        values = [size + 1 for size in sizes]
+        budget = sum(sizes) // 2 | 1
+        oracle = ValuationOracle(
+            BudgetSystem(sizes=tuple(map(F, sizes)), budget=F(budget)),
+            tuple(map(F, values)))
+        started = time.perf_counter()
+        value = oracle.exact_value(range(25))
+        spent += time.perf_counter() - started
+        assert value == _capacity_dp_value(values, sizes, budget), trial
+    assert spent < 10, spent
 
 def test_adversarial_wrapper_sits_on_the_contract_boundary():
     rng = random.Random(31)
