@@ -15,7 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from mmsalloc.adapters import solve_budget_adapter, solve_intervals_adapter
+from mmsalloc.adapters import (
+    solve_budget_adapter,
+    solve_conflicts_adapter,
+    solve_intervals_adapter,
+)
 from mmsalloc.core import (
     BudgetSystem,
     EntitledSpec,
@@ -24,10 +28,15 @@ from mmsalloc.core import (
     validate_instance,
 )
 from mmsalloc.divider import trace_to_dicts
-from mmsalloc.driver import solve_alpha, solve_entitled, solve_two_fifths
+from mmsalloc.driver import (
+    solve_alpha,
+    solve_entitled,
+    solve_existence,
+    solve_two_fifths,
+)
 from mmsalloc.generators import gen_random_hereditary
 
-from conftest import rand_interval_instance, rand_values
+from conftest import rand_conflict_instance, rand_interval_instance, rand_values
 
 F = Fraction
 
@@ -87,6 +96,17 @@ def _cases():
                lambda inst=inst: solve_budget_adapter(inst))
     inst = gen_random_hereditary(m=40, n=6, seed=20)
     yield "two_fifths_m40-20", inst, lambda inst=inst: solve_two_fifths(inst)
+    # Existence allocations slice exact MMS witnesses, so these pin the
+    # brute-force partition search's visiting order.
+    for seed, m, n in ((21, 8, 3), (22, 9, 2), (23, 10, 4)):
+        inst = gen_random_hereditary(m=m, n=n, family_density=0.6, seed=seed)
+        yield f"existence-{seed}", inst, lambda inst=inst: solve_existence(inst)
+    inst = _budget_instance(24, 9, 3)
+    yield "existence_budget-24", inst, lambda inst=inst: solve_existence(inst)
+    for seed in (25, 26):
+        inst = rand_conflict_instance(random.Random(seed), m=9)
+        yield (f"conflicts-{seed}", inst,
+               lambda inst=inst: solve_conflicts_adapter(inst))
 
 
 def _golden_doc(inst, solved) -> dict:
@@ -153,6 +173,18 @@ GOLDEN = {
         "32f5f13cda66a7462e5e267f1ff87c55c7adaaea2150991a9d50288b4b101272",
     "two_fifths_m40-20":
         "c104da63db348a790f684869454d9906eecf37e1b7f708796d33a1b0fd3cabba",
+    "existence-21":
+        "f39a063e097e1689b23f61e454c35e77732fdd77400cf4e5eebbe5d33c307724",
+    "existence-22":
+        "4549311110509badf768ede696bbe38b5440c6a24299bcb18a033e25dead586d",
+    "existence-23":
+        "785827a137d9ab64505ecd22e425c299d65328bc8abcefcf30cdff5aafe52cca",
+    "existence_budget-24":
+        "df0d89efadc112e5044fab752577ca359af2627997268add53e63ce23d9c45f0",
+    "conflicts-25":
+        "14814288deb0d4f4521f1b49ba8cc68df6f44e3d5b8fd8dc1293de8783a609da",
+    "conflicts-26":
+        "ded6791764eaff16d5769a7a41451fbc8038f438a1d956bf91f738bd007b4a4d",
 }
 
 

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from mmsalloc.core import Allocation, BruteForceGateExceeded, FreeSystem, Instance
+from mmsalloc.core import (
+    Allocation,
+    AsymmetricSpec,
+    BruteForceGateExceeded,
+    FreeSystem,
+    Instance,
+    validate_instance,
+)
 from mmsalloc.generators import (
     gen_asymmetric_half,
     gen_random_hereditary,
@@ -21,7 +29,7 @@ from mmsalloc.mms_oracle import (
 )
 from mmsalloc.valuation import oracle_for
 
-from conftest import brute_mms
+from conftest import brute_mms, brute_value, rand_budget_instance, rand_values
 
 F = Fraction
 
@@ -140,6 +148,54 @@ def test_exhaustive_allocation_search_on_gadget():
     assert best == 2
     union = frozenset().union(*witness)
     assert union == inst.all_items()
+
+
+def _repeated_rows_instance(rng, seed):
+    """Agents drawn from two value rows and, per agent, two families, so the
+    interchangeable-agent groups have several members and several groups."""
+    m = rng.randint(2, 7)
+    n = rng.choice((2, 3))
+    rows = rand_values(rng, 2, m)
+    values = tuple(rng.choice(rows) for _ in range(n))
+    if rng.random() < 0.5:
+        system = gen_random_hereditary(m=m, n=1, family_density=0.6,
+                                       seed=seed).system
+    else:
+        families = [gen_random_hereditary(m=m, n=1, family_density=0.6,
+                                          seed=seed + k).system
+                    for k in range(2)]
+        system = AsymmetricSpec(
+            systems=tuple(rng.choice(families) for _ in range(n)))
+    return validate_instance(Instance(n=n, m=m, values=values, system=system))
+
+
+def test_max_min_allocation_matches_enumeration():
+    rng = random.Random(31)
+    for trial in range(40):
+        if trial % 4 == 3:
+            inst = rand_budget_instance(rng, m=rng.randint(2, 7))
+        else:
+            inst = _repeated_rows_instance(rng, 3000 + trial)
+        n, m = inst.n, inst.m
+        seen: dict = {}
+
+        def value(agent, bundle):
+            key = (agent, bundle)
+            if key not in seen:
+                seen[key] = brute_value(inst.system_for(agent),
+                                        inst.values[agent], bundle)
+            return seen[key]
+
+        expected = max(
+            min(value(i, frozenset(j for j in range(m) if labels[j] == i))
+                for i in range(n))
+            for labels in itertools.product(range(n), repeat=m))
+        best, witness = max_min_allocation_value(inst)
+        assert best == expected
+        assert len(witness) == n
+        assert sum(len(b) for b in witness) == m
+        assert frozenset().union(*witness) == inst.all_items()
+        assert min(value(i, witness[i]) for i in range(n)) == best
 
 
 def test_bounds_trivial_cases():
