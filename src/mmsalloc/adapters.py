@@ -9,6 +9,7 @@ against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -210,49 +211,22 @@ def constrained_mms(instance: Instance, agent: int, *,
     def additive(items: Items) -> Fraction:
         return sum((weights[j] for j in items), ZERO)
 
-    feasible_cache: dict[int, bool] = {}
-
     if isinstance(system, BudgetSystem):
-        def feasible_mask(mask: int) -> bool:
-            known = feasible_cache.get(mask)
-            if known is None:
-                total = ZERO
-                j, rest = 0, mask
-                while rest:
-                    if rest & 1:
-                        total += system.sizes[j]
-                    rest >>= 1
-                    j += 1
-                known = total <= system.budget
-                feasible_cache[mask] = known
-            return known
+        feasible = functools.partial(budget_feasible, instance, agent)
         allow_discard = True
     elif isinstance(system, ConflictSystem):
-        def feasible_mask(mask: int) -> bool:
-            known = feasible_cache.get(mask)
-            if known is None:
-                known = not any(mask >> a & 1 and mask >> b & 1
-                                for a, b in system.edges)
-                feasible_cache[mask] = known
-            return known
+        def feasible(items: Items) -> bool:
+            return not any(a in items and b in items for a, b in system.edges)
         allow_discard = False
     elif isinstance(system, IntervalSystem):
-        probe = oracle_for(instance, agent, gate=instance.m)
-
-        def feasible_mask(mask: int) -> bool:
-            known = feasible_cache.get(mask)
-            if known is None:
-                items = frozenset(j for j in range(instance.m) if mask >> j & 1)
-                known = probe.is_independent(items)
-                feasible_cache[mask] = known
-            return known
+        feasible = oracle_for(instance, agent, gate=instance.m).is_independent
         allow_discard = True
     else:
         raise UnsupportedSystem(
             f"no constraint-aware brute force for {system.kind} systems")
 
     found = maximin_partition(order, instance.n, additive, weights,
-                              feasible_fn=feasible_mask,
+                              feasible_fn=feasible,
                               allow_discard=allow_discard)
     if found is None:
         return ZERO

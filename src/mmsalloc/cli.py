@@ -88,6 +88,9 @@ def _cmd_gen(args) -> int:
 
 def _solve(instance, mode: str, epsilon: Fraction | None, gate: int):
     """Route to the solver or adapter matching the mode and system kind."""
+    if epsilon is not None and mode in ("existence", "two_fifths"):
+        raise InstanceError(f"the {mode} mode takes no oracle error bound; "
+                            "drop epsilon or use --mode alpha or entitled")
     system = instance.system
     if isinstance(system, ConflictSystem):
         if mode != "existence":

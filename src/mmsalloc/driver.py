@@ -165,8 +165,7 @@ def _divide_shared(instance, thresholds, maker, oracles, epsilon, agents):
 
 
 def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
-                      epsilon_for, divide, *, exact_pairs: bool = False,
-                      shrink_factor=_two_fifths_shrink,
+                      epsilon_for, divide, *, shrink_factor=_two_fifths_shrink,
                       count_bound=_two_fifths_cap,
                       oracle_factory=None) -> SolveResult:
     """Estimate each agent's MMS from singleton values, then run the lone
@@ -175,7 +174,8 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
 
     ``epsilon_for(k)`` gives the oracle error for k active agents and may
     raise when the mode cannot serve them (each oracle also rejects an error
-    its system kind cannot meet); ``shrink_factor(k)`` the
+    its system kind cannot meet); an error above 1/3 switches the phase-two
+    pair test to exact independence queries.  ``shrink_factor(k)`` gives the
     multiplicative estimate adjustment; ``count_bound(k, m)`` the proven cap
     on adjustments per agent.  ``divide(instance, thresholds, maker, oracles,
     epsilon, agents)`` runs one lone divider.
@@ -208,7 +208,8 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
         def maker(agent: int, items: Items, count: int):
             return make_bundles_alpha(BundleRequest(
                 oracle=oracles[agent], items=items, count=count,
-                mu_star=estimates[agent], alpha=alpha, exact_pairs=exact_pairs))
+                mu_star=estimates[agent], alpha=alpha,
+                exact_pairs=epsilon > Fraction(1, 3)))
 
         outcome = divide(instance, thresholds, maker, oracles, epsilon, active)
         runs.append(outcome)
@@ -248,10 +249,10 @@ def solve_alpha(instance: Instance, epsilon: Fraction, *,
     independence queries.  Epsilon 0 is the 2/5 mode, bundle for bundle.
     """
     alpha = alpha_for_error(epsilon)
+    _reject_asymmetric(instance, "the alpha mode")
     if epsilon == 0:
         return replace(solve_two_fifths(instance, oracle_factory=oracle_factory),
                        mode="alpha")
-    _reject_asymmetric(instance, "the alpha mode")
     if instance.is_entitled:
         raise UnsupportedSystem(
             "per-agent families take solve_entitled, not the alpha mode")
@@ -264,7 +265,7 @@ def solve_alpha(instance: Instance, epsilon: Fraction, *,
 
     return _solve_polynomial(
         instance, "alpha", alpha, lambda k: epsilon, _divide_shared,
-        exact_pairs=epsilon > Fraction(1, 3), shrink_factor=shrink_factor,
+        shrink_factor=shrink_factor,
         count_bound=lambda count, m: float(delta) * (5 * count + 3) * math.log(m),
         oracle_factory=oracle_factory)
 

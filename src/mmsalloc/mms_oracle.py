@@ -8,6 +8,7 @@ computation at desk scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,90 +82,108 @@ def _mask_items(mask: int) -> Items:
     return frozenset(items)
 
 
+def _on_masks(fn):
+    """``fn`` on item sets as a memoized function on item bitmasks."""
+    return functools.cache(lambda mask: fn(_mask_items(mask)))
+
+
+def _best_min_assignment(order, groups, group_of, *, feasible=None,
+                         allow_discard=False):
+    """Maximise the minimum holder value over assignments of items to holders.
+
+    Holder h values what it holds by ``groups[group_of[h]]``, a pair of a value
+    function on item sets and per-item weights that upper-bound each item's
+    marginal contribution to that value (they drive the bound pruning).
+    Holders of one group are interchangeable, so an item, placed in the given
+    ``order``, may only start the lowest-index empty holder of each group.
+    ``feasible`` (on item sets) restricts holdings hereditarily;
+    ``allow_discard`` lets an item go to no holder.
+
+    Returns (best min value, holder masks) or None when no assignment
+    satisfies the feasibility predicate.
+    """
+    k = len(order)
+    suffixes = []
+    for _, weights in groups:
+        suffix = [ZERO] * (k + 1)
+        for t in reversed(range(k)):
+            suffix[t] = suffix[t + 1] + weights[order[t]]
+        suffixes.append(suffix)
+    value_fns = [_on_masks(value_fn) for value_fn, _ in groups]
+    fits = None if feasible is None else _on_masks(feasible)
+    holders = range(len(group_of))
+    suffix_of = [suffixes[g] for g in group_of]
+    weight_of = [groups[g][1] for g in group_of]
+    value_of = [value_fns[g] for g in group_of]
+    # The previous holder of the same group: while it is empty, so is h.
+    previous, last = [], {}
+    for h, g in enumerate(group_of):
+        previous.append(last.get(g))
+        last[g] = h
+
+    best_value: Fraction | None = None
+    best_masks: list[int] | None = None
+    masks = [0] * len(group_of)
+    held = [ZERO] * len(group_of)
+
+    def descend(t: int) -> None:
+        nonlocal best_value, best_masks
+        if t == k:
+            value = ZERO if 0 in masks else min(
+                value_of[h](masks[h]) for h in holders)
+            if best_value is None or value > best_value:
+                best_value = value
+                best_masks = list(masks)
+            return
+        if best_value is not None:
+            if min(held[h] + suffix_of[h][t] for h in holders) <= best_value:
+                return
+        j = order[t]
+        bit = 1 << j
+        for h in holders:
+            if masks[h] == 0 and previous[h] is not None \
+                    and masks[previous[h]] == 0:
+                continue
+            new_mask = masks[h] | bit
+            if fits is not None and not fits(new_mask):
+                continue
+            masks[h] = new_mask
+            held[h] += weight_of[h][j]
+            descend(t + 1)
+            masks[h] ^= bit
+            held[h] -= weight_of[h][j]
+        if allow_discard:
+            descend(t + 1)
+
+    descend(0)
+    if best_masks is None:
+        return None
+    return best_value, best_masks
+
+
 def maximin_partition(item_order, parts, value_fn, weights, *,
                       feasible_fn=None, allow_discard=False):
-    """Maximise the minimum block value over partitions into ``parts`` blocks.
-
-    Blocks are interchangeable, so the search assigns items (in the given
-    order) only to already-used blocks plus one fresh block.  ``weights`` must
-    upper-bound each item's marginal contribution to any block value, which
-    drives the bound pruning.  ``feasible_fn`` (on bitmasks over item ids)
-    restricts blocks hereditarily; ``allow_discard`` adds an unconstrained
-    spill block that never counts towards the minimum.
-
-    Returns (best min value, block masks) or None when no assignment satisfies
-    the feasibility predicate.
-    """
-    k = len(item_order)
-    suffix = [ZERO] * (k + 1)
-    for t in reversed(range(k)):
-        suffix[t] = suffix[t + 1] + weights[item_order[t]]
-
-    value_cache: dict[int, Fraction] = {0: ZERO}
-
-    def block_value(mask: int) -> Fraction:
-        cached = value_cache.get(mask)
-        if cached is None:
-            cached = value_fn(_mask_items(mask))
-            value_cache[mask] = cached
-        return cached
-
-    best_mu: Fraction | None = None
-    best_blocks: list[int] | None = None
-    block_masks = [0] * parts
-    block_weight = [ZERO] * parts
-
-    def descend(t: int, used: int) -> None:
-        nonlocal best_mu, best_blocks
-        if t == k:
-            if used < parts:
-                mu = ZERO
-            else:
-                mu = min(block_value(mask) for mask in block_masks)
-            if best_mu is None or mu > best_mu:
-                best_mu = mu
-                best_blocks = list(block_masks)
-            return
-        if best_mu is not None:
-            rem = suffix[t]
-            if min(w + rem for w in block_weight) <= best_mu:
-                return
-        j = item_order[t]
-        bit = 1 << j
-        for b in range(min(used + 1, parts)):
-            new_mask = block_masks[b] | bit
-            if feasible_fn is not None and not feasible_fn(new_mask):
-                continue
-            block_masks[b] = new_mask
-            block_weight[b] += weights[j]
-            descend(t + 1, max(used, b + 1))
-            block_masks[b] ^= bit
-            block_weight[b] -= weights[j]
-        if allow_discard:
-            descend(t + 1, used)
-
-    descend(0, 0)
-    if best_blocks is None:
-        return None
-    return best_mu, best_blocks
+    """Best min block value over partitions into ``parts`` blocks: an
+    assignment to ``parts`` holders that share one valuation."""
+    return _best_min_assignment(item_order, [(value_fn, weights)],
+                                [0] * parts, feasible=feasible_fn,
+                                allow_discard=allow_discard)
 
 
-def compute_mms_exact(instance: Instance, agent: int, parts: int | None = None,
-                      *, gate: int = DEFAULT_MMS_GATE,
+def compute_mms_exact(instance: Instance, agent: int, *,
+                      gate: int = DEFAULT_MMS_GATE,
                       oracle: ValuationOracle | None = None) -> MmsRecord:
-    """Exact maximin share of ``agent`` over ``parts`` blocks, with witness."""
+    """Exact maximin share of ``agent`` over n blocks, with witness."""
     if instance.m > gate:
         raise BruteForceGateExceeded(
             f"{instance.m} items exceed the brute-force gate {gate}")
-    if parts is None:
-        parts = instance.n
-    if parts < 1:
+    if instance.n < 1:
         raise ValueError("the maximin share needs at least one block")
     if oracle is None:
         oracle = oracle_for(instance, agent)
     weights = [oracle.singleton_value(j) for j in range(instance.m)]
     order = sorted(range(instance.m), key=lambda j: (-weights[j], j))
-    result = maximin_partition(order, parts, oracle.exact_value, weights)
+    result = maximin_partition(order, instance.n, oracle.exact_value, weights)
     assert result is not None
     mu, blocks = result
     witness = tuple(_mask_items(mask) for mask in blocks)
@@ -228,9 +247,8 @@ def max_min_allocation_value(instance: Instance, *,
                              gate: int = DEFAULT_MMS_GATE):
     """Exhaustive best min bundle value over all complete allocations.
 
-    Agents with identical valuations are interchangeable, so within each such
-    group an item may only start the lowest-indexed still-empty agent.
-    Returns (best min value, witness bundles).
+    Agents with identical valuations form one group of interchangeable
+    holders.  Returns (best min value, witness bundles).
     """
     if instance.m > gate:
         raise BruteForceGateExceeded(
@@ -238,68 +256,13 @@ def max_min_allocation_value(instance: Instance, *,
     n, m = instance.n, instance.m
     if n == 0:
         return ZERO, ()
-    oracles = [oracle_for(instance, i) for i in range(n)]
-    weights = [[oracles[i].singleton_value(j) for j in range(m)]
-               for i in range(n)]
-
-    signature = [(instance.values[i], instance.system_for(i)) for i in range(n)]
-    group_of: dict = {}
-    groups: list[list[int]] = []
-    group_index = [0] * n
-    for i in range(n):
-        g = group_of.get(signature[i])
-        if g is None:
-            g = len(groups)
-            group_of[signature[i]] = g
-            groups.append([])
-        groups[g].append(i)
-        group_index[i] = g
-
+    index: dict = {}
+    group_of = [index.setdefault((instance.values[i], instance.system_for(i)),
+                                 len(index)) for i in range(n)]
+    oracles = [oracle_for(instance, group_of.index(g)) for g in range(len(index))]
+    groups = [(o.exact_value, [o.singleton_value(j) for j in range(m)])
+              for o in oracles]
     order = sorted(range(m),
-                   key=lambda j: (-max(weights[i][j] for i in range(n)), j))
-    suffix = [[ZERO] * (m + 1) for _ in range(n)]
-    for i in range(n):
-        for t in reversed(range(m)):
-            suffix[i][t] = suffix[i][t + 1] + weights[i][order[t]]
-
-    masks = [0] * n
-    held_weight = [ZERO] * n
-    best_value: Fraction | None = None
-    best_masks: list[int] | None = None
-    caches: list[dict[int, Fraction]] = [{0: ZERO} for _ in range(n)]
-
-    def agent_value(i: int, mask: int) -> Fraction:
-        cached = caches[i].get(mask)
-        if cached is None:
-            cached = oracles[i].exact_value(_mask_items(mask))
-            caches[i][mask] = cached
-        return cached
-
-    def descend(t: int) -> None:
-        nonlocal best_value, best_masks
-        if t == m:
-            value = min(agent_value(i, masks[i]) for i in range(n))
-            if best_value is None or value > best_value:
-                best_value = value
-                best_masks = list(masks)
-            return
-        if best_value is not None:
-            if min(held_weight[i] + suffix[i][t] for i in range(n)) <= best_value:
-                return
-        j = order[t]
-        bit = 1 << j
-        for i in range(n):
-            if masks[i] == 0:
-                g = group_index[i]
-                first_empty = next(a for a in groups[g] if masks[a] == 0)
-                if i != first_empty:
-                    continue
-            masks[i] |= bit
-            held_weight[i] += weights[i][j]
-            descend(t + 1)
-            masks[i] ^= bit
-            held_weight[i] -= weights[i][j]
-
-    descend(0)
-    assert best_value is not None and best_masks is not None
+                   key=lambda j: (-max(weights[j] for _, weights in groups), j))
+    best_value, best_masks = _best_min_assignment(order, groups, group_of)
     return best_value, tuple(_mask_items(mask) for mask in best_masks)

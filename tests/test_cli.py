@@ -168,6 +168,51 @@ def test_unservable_instance_is_an_input_error(tmp_path, capsys, doc, argv):
     assert "Traceback" not in err
 
 
+_BUDGETS = {"n": 2, "m": 4, "values": [["1"] * 4] * 2,
+            "system": {"kind": "budget", "sizes": ["1"] * 4,
+                       "budgets": ["2", "3"]}}
+
+
+@pytest.mark.parametrize("doc, argv, config, mode", [
+    (_BUDGETS, ("--mode", "two_fifths", "--epsilon", "9/10"), None,
+     "two_fifths"),
+    (None, ("--mode", "two_fifths", "--epsilon", "9/10"), None, "two_fifths"),
+    (None, ("--mode", "existence", "--epsilon", "9/10"), None, "existence"),
+    (None, (), {"mode": "existence", "epsilon": "1/2"}, "existence"),
+    (None, ("--mode", "two_fifths"), {"epsilon": "1/10"}, "two_fifths"),
+], ids=["budget-two-fifths-flag", "explicit-two-fifths-flag",
+        "explicit-existence-flag", "existence-config", "two-fifths-config"])
+def test_epsilon_under_a_mode_without_one_is_an_input_error(
+        tmp_path, capsys, doc, argv, config, mode):
+    instance_path = tmp_path / "inst.json"
+    if doc is None:
+        run_cli("gen", "random", "--m", "6", "--n", "2", "--seed", "3",
+                "--out", str(instance_path))
+    else:
+        instance_path.write_text(json.dumps(doc))
+    if config is not None:
+        config_path = tmp_path / "solver.json"
+        config_path.write_text(json.dumps(config))
+        argv = (*argv, "--config", str(config_path))
+    capsys.readouterr()
+    assert run_cli("solve", str(instance_path), *argv,
+                   "--out", str(tmp_path / "alloc.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"the {mode} mode" in err
+
+
+def test_alpha_mode_rejects_asymmetric_input_in_its_own_name(tmp_path, capsys):
+    instance_path = tmp_path / "asym.json"
+    run_cli("gen", "asym-half", "--n", "2", "--out", str(instance_path))
+    capsys.readouterr()
+    assert run_cli("solve", str(instance_path), "--mode", "alpha",
+                   "--out", str(tmp_path / "alloc.json")) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "the alpha mode" in err and "2/5" not in err
+
+
 def test_conflict_edge_that_is_not_a_pair_is_named(tmp_path, capsys):
     instance_path = tmp_path / "inst.json"
     instance_path.write_text(json.dumps(
