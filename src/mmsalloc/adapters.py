@@ -26,7 +26,7 @@ from .core import (
     UnsupportedSystem,
 )
 from .driver import SolveResult, solve_alpha, solve_entitled, solve_existence
-from .mms_oracle import DEFAULT_MMS_GATE, maximin_partition
+from .mms_oracle import DEFAULT_MMS_GATE, _best_min_assignment
 from .valuation import oracle_for
 
 HALF = Fraction(1, 2)
@@ -205,29 +205,22 @@ def constrained_mms(instance: Instance, agent: int, *,
         raise BruteForceGateExceeded(
             f"{instance.m} items exceed the brute-force gate {gate}")
     system = instance.system_for(agent)
-    weights = list(instance.values[agent])
-    order = sorted(range(instance.m), key=lambda j: (-weights[j], j))
-
-    def additive(items: Items) -> Fraction:
-        return sum((weights[j] for j in items), ZERO)
-
+    oracle = oracle_for(instance, agent, gate=instance.m)
+    # Budget and conflict feasibility stay on item sets, apart from the oracle.
     if isinstance(system, BudgetSystem):
         feasible = functools.partial(budget_feasible, instance, agent)
-        allow_discard = True
     elif isinstance(system, ConflictSystem):
         def feasible(items: Items) -> bool:
             return not any(a in items and b in items for a, b in system.edges)
-        allow_discard = False
     elif isinstance(system, IntervalSystem):
-        feasible = oracle_for(instance, agent, gate=instance.m).is_independent
-        allow_discard = True
+        feasible = oracle.is_independent
     else:
         raise UnsupportedSystem(
             f"no constraint-aware brute force for {system.kind} systems")
-
-    found = maximin_partition(order, instance.n, additive, weights,
-                              feasible_fn=feasible,
-                              allow_discard=allow_discard)
-    if found is None:
-        return ZERO
-    return found[0]
+    weights = oracle.values
+    order = sorted(range(instance.m), key=lambda j: (-weights[j], j))
+    found = _best_min_assignment(
+        order, [(oracle.additive_value, weights)], [0] * instance.n,
+        oracle.scale, feasible=feasible,
+        allow_discard=not isinstance(system, ConflictSystem))
+    return ZERO if found is None else found[0]

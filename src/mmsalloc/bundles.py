@@ -78,19 +78,23 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     from .matching import max_general_matching  # local import, no cycle at module load
 
     oracle = request.oracle
-    threshold = request.alpha * request.mu_star
-    half_threshold = threshold / 2
-    singleton = {j: oracle.singleton_value(j) for j in sorted(request.items)}
+    weight_of = oracle.additive_weight
+    # On the oracle's integer scale the threshold alpha * mu_star is
+    # t_num / t_den, so a weight w reaches it when w * t_den >= t_num.
+    alpha, mu_star = request.alpha, request.mu_star
+    t_num = alpha.numerator * mu_star.numerator * oracle.scale
+    t_den = alpha.denominator * mu_star.denominator
+    singleton = {j: oracle.singleton_weight(j) * t_den
+                 for j in sorted(request.items)}
 
-    high = [j for j, value in singleton.items() if value > half_threshold]
-    low = {j for j, value in singleton.items() if value <= half_threshold}
-    built: list[IndependentBundle] = []
+    high = [j for j, scaled in singleton.items() if 2 * scaled > t_num]
+    low = {j for j, scaled in singleton.items() if 2 * scaled <= t_num}
+    built: list[tuple[Items, int]] = []  # (bundle, its weight)
 
     # Phase one, singletons: high items already meeting the threshold.
     for j in list(high):
-        if singleton[j] >= threshold:
-            built.append(IndependentBundle(items=frozenset((j,)),
-                                           value=singleton[j]))
+        if singleton[j] >= t_num:
+            built.append((frozenset((j,)), oracle.weights[j]))
             high.remove(j)
 
     # Phase one, carving: one high item plus low items, minimised.
@@ -99,19 +103,19 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
         progress = False
         for j in high:
             candidate = oracle.approx_value_subset(low | {j})
-            if candidate.value < threshold:
+            weight = weight_of(candidate.items)
+            if weight * t_den < t_num:
                 continue
             bundle = set(candidate.items)
-            value = candidate.value
             for removable in sorted(candidate.items):
-                slimmer = value - oracle.values[removable]
-                if slimmer >= threshold:
+                slimmer = weight - oracle.weights[removable]
+                if slimmer * t_den >= t_num:
                     bundle.discard(removable)
-                    value = slimmer
+                    weight = slimmer
             kept = frozenset(bundle)
-            assert len(kept) == 1 or value < 3 * half_threshold, \
+            assert len(kept) == 1 or 2 * weight * t_den < 3 * t_num, \
                 "phase-one bundle exceeds its value cap"
-            built.append(IndependentBundle(items=kept, value=value))
+            built.append((kept, weight))
             high = [h for h in high if h not in kept]
             low -= kept
             progress = True
@@ -124,25 +128,24 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
         for j2 in high[a_pos + 1:]:
             if request.exact_pairs:
                 qualifies = (oracle.pair_independent(j1, j2)
-                             and singleton[j1] + singleton[j2] >= threshold)
+                             and singleton[j1] + singleton[j2] >= t_num)
             else:
                 answer = oracle.approx_value_subset(frozenset((j1, j2)))
-                qualifies = answer.value >= threshold
+                qualifies = weight_of(answer.items) * t_den >= t_num
             if qualifies:
                 edges.append((index_of[j1], index_of[j2]))
     for a_pos, b_pos in max_general_matching(len(high), edges):
         pair = frozenset((high[a_pos], high[b_pos]))
-        built.append(IndependentBundle(items=pair,
-                                       value=oracle.additive_value(pair)))
+        built.append((pair, weight_of(pair)))
 
-    for bundle in built:
-        assert oracle.is_independent(bundle.items)
-        assert bundle.value >= threshold
     claimed: set[int] = set()
-    for bundle in built:
-        assert claimed.isdisjoint(bundle.items)
-        claimed.update(bundle.items)
+    for items, weight in built:
+        assert oracle.is_independent(items)
+        assert weight * t_den >= t_num
+        assert claimed.isdisjoint(items)
+        claimed.update(items)
 
     if len(built) < request.count:
         return None
-    return built[:request.count]
+    return [IndependentBundle(items=items, value=Fraction(weight, oracle.scale))
+            for items, weight in built[:request.count]]

@@ -1,13 +1,15 @@
 """Domain types, exact arithmetic policy, and instance validation.
 
-Every quantity that enters a threshold comparison is a `fractions.Fraction`;
-no floats appear anywhere in the solving pipeline.  Items and agents are
-0-based internally and 1-based in every file format and CLI surface.
+Threshold comparisons are exact, on `fractions.Fraction` or on integer weights
+over one scale per agent (`scaled_weights`).  Items and agents are 0-based
+internally and 1-based in every file format and CLI surface.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -102,6 +104,13 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def scaled_weights(values) -> tuple[int, tuple[int, ...]]:
+    """The least common multiple of the values' denominators, and each value
+    times it: exact integer weights with value = weight / scale."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +264,11 @@ class Instance:
 
     def all_items(self) -> Items:
         return frozenset(range(self.m))
+
+    @functools.cached_property
+    def scaled_values(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Each agent's ``scaled_weights``, computed once per instance."""
+        return tuple(scaled_weights(values) for values in self.values)
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,6 @@ class DividerOutcome:
         return self.allocation is not None
 
 
-def _item_sum(instance: Instance, agent: int, items: Items) -> Fraction:
-    return sum((instance.values[agent][j] for j in items), Fraction(0))
-
-
 def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
                 offers_for, agents, ordering: tuple[int, ...] | None
                 ) -> DividerOutcome:
@@ -136,8 +132,9 @@ def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker, *,
     def additive(divider, remaining, bundles):
         return {(agent, idx): IndependentBundle(
                     items=bundle.items,
-                    value=_item_sum(instance, agent, bundle.items))
+                    value=Fraction(sum(weights[j] for j in bundle.items), scale))
                 for agent in remaining if agent != divider
+                for scale, weights in (instance.scaled_values[agent],)
                 for idx, bundle in enumerate(bundles)}
 
     return _run_rounds(instance, thresholds, maker, additive, agents, ordering)
@@ -163,9 +160,11 @@ def lone_divider_entitled(instance: Instance, thresholds: dict[int, Fraction],
         for agent in remaining:
             if agent == divider:
                 continue
+            weight_of = oracles[agent].additive_weight
             for idx, bundle in enumerate(bundles):
                 subset = oracles[agent].approx_value_subset(bundle.items)
-                if subset.value < shrink * _item_sum(instance, agent, bundle.items):
+                if (weight_of(subset.items) * shrink.denominator
+                        < shrink.numerator * weight_of(bundle.items)):
                     # The bundle is independent for the current divider but
                     # not for this agent, so her family is strictly smaller.
                     return agent

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bundles import (
+    TWO_FIFTHS,
     BundleRequest,
     bundles_from_mms_partition,
     make_bundles_alpha,
@@ -37,8 +38,6 @@ from .core import (
 from .divider import DividerOutcome, lone_divider, lone_divider_entitled
 from .mms_oracle import DEFAULT_MMS_GATE, MmsRecord, compute_mms_exact
 from .valuation import IndependentBundle, oracle_for
-
-TWO_FIFTHS = Fraction(2, 5)
 
 
 @dataclass(frozen=True)
@@ -130,26 +129,24 @@ def solve_existence(instance: Instance, *,
 # The polynomial pipeline behind the 2/5, alpha and entitled modes
 # ---------------------------------------------------------------------------
 
-def _singleton_values(instance: Instance, agent: int) -> list[Fraction]:
+def _ranked_singletons(instance: Instance, agent: int) -> list[Fraction]:
+    """The agent's singleton oracle values, best first."""
     probe = oracle_for(instance, agent)
-    return [probe.singleton_value(j) for j in range(instance.m)]
+    weights = sorted((probe.singleton_weight(j) for j in range(instance.m)),
+                     reverse=True)
+    return [Fraction(w, probe.scale) for w in weights]
 
 
-def _active_agents(instance: Instance, singletons) -> list[int]:
+def _active_agents(instance: Instance, ranked) -> list[int]:
     """Agents with a positive MMS: the n-th best singleton value is positive."""
     n, m = instance.n, instance.m
-    active = []
-    for i in range(n):
-        if m >= n and sorted(singletons[i], reverse=True)[n - 1] > 0:
-            active.append(i)
-    return active
+    return [i for i in range(n) if m >= n and ranked[i][n - 1] > 0]
 
 
-def _initial_estimates(instance, active, singletons) -> dict[int, Fraction]:
+def _initial_estimates(instance, active, ranked) -> dict[int, Fraction]:
     """m times the k-th best singleton value, k the count of active agents."""
     k = len(active)
-    return {i: instance.m * sorted(singletons[i], reverse=True)[k - 1]
-            for i in active}
+    return {i: instance.m * ranked[i][k - 1] for i in active}
 
 
 def _two_fifths_shrink(count: int) -> Fraction:
@@ -182,8 +179,8 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     """
     if instance.n == 0:
         return _empty_result(instance, mode, alpha)
-    singletons = [_singleton_values(instance, i) for i in range(instance.n)]
-    active = _active_agents(instance, singletons)
+    ranked = [_ranked_singletons(instance, i) for i in range(instance.n)]
+    active = _active_agents(instance, ranked)
     if not active:
         return _empty_result(instance, mode, alpha)
     k = len(active)
@@ -198,7 +195,7 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
         return _assemble(instance, mode, alpha, {active[0]: granted}, active,
                          {}, {}, {active[0]: 0}, [])
 
-    estimates = _initial_estimates(instance, active, singletons)
+    estimates = _initial_estimates(instance, active, ranked)
     adjustments = {i: 0 for i in active}
     cap = count_bound(k, instance.m)
     runs: list[DividerOutcome] = []

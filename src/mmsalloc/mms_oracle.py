@@ -9,6 +9,7 @@ computation at desk scale.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,14 +73,7 @@ class VerificationReport:
 
 
 def _mask_items(mask: int) -> Items:
-    items = set()
-    j = 0
-    while mask:
-        if mask & 1:
-            items.add(j)
-        mask >>= 1
-        j += 1
-    return frozenset(items)
+    return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 def _on_masks(fn):
@@ -87,13 +81,14 @@ def _on_masks(fn):
     return functools.cache(lambda mask: fn(_mask_items(mask)))
 
 
-def _best_min_assignment(order, groups, group_of, *, feasible=None,
+def _best_min_assignment(order, groups, group_of, scale, *, feasible=None,
                          allow_discard=False):
     """Maximise the minimum holder value over assignments of items to holders.
 
     Holder h values what it holds by ``groups[group_of[h]]``, a pair of a value
     function on item sets and per-item weights that upper-bound each item's
-    marginal contribution to that value (they drive the bound pruning).
+    marginal contribution to that value (they drive the bound pruning); the
+    search runs on them times ``scale``, which makes each an integer.
     Holders of one group are interchangeable, so an item, placed in the given
     ``order``, may only start the lowest-index empty holder of each group.
     ``feasible`` (on item sets) restricts holdings hereditarily;
@@ -102,18 +97,23 @@ def _best_min_assignment(order, groups, group_of, *, feasible=None,
     Returns (best min value, holder masks) or None when no assignment
     satisfies the feasibility predicate.
     """
+    def on_scale(value: Fraction) -> int:
+        return value.numerator * (scale // value.denominator)
+
     k = len(order)
+    int_weights = [[on_scale(w) for w in weights] for _, weights in groups]
     suffixes = []
-    for _, weights in groups:
-        suffix = [ZERO] * (k + 1)
+    for weights in int_weights:
+        suffix = [0] * (k + 1)
         for t in reversed(range(k)):
             suffix[t] = suffix[t + 1] + weights[order[t]]
         suffixes.append(suffix)
-    value_fns = [_on_masks(value_fn) for value_fn, _ in groups]
+    value_fns = [_on_masks(lambda items, fn=value_fn: on_scale(fn(items)))
+                 for value_fn, _ in groups]
     fits = None if feasible is None else _on_masks(feasible)
     holders = range(len(group_of))
     suffix_of = [suffixes[g] for g in group_of]
-    weight_of = [groups[g][1] for g in group_of]
+    weight_of = [int_weights[g] for g in group_of]
     value_of = [value_fns[g] for g in group_of]
     # The previous holder of the same group: while it is empty, so is h.
     previous, last = [], {}
@@ -121,15 +121,15 @@ def _best_min_assignment(order, groups, group_of, *, feasible=None,
         previous.append(last.get(g))
         last[g] = h
 
-    best_value: Fraction | None = None
+    best_value: int | None = None
     best_masks: list[int] | None = None
     masks = [0] * len(group_of)
-    held = [ZERO] * len(group_of)
+    held = [0] * len(group_of)
 
     def descend(t: int) -> None:
         nonlocal best_value, best_masks
         if t == k:
-            value = ZERO if 0 in masks else min(
+            value = 0 if 0 in masks else min(
                 value_of[h](masks[h]) for h in holders)
             if best_value is None or value > best_value:
                 best_value = value
@@ -158,16 +158,7 @@ def _best_min_assignment(order, groups, group_of, *, feasible=None,
     descend(0)
     if best_masks is None:
         return None
-    return best_value, best_masks
-
-
-def maximin_partition(item_order, parts, value_fn, weights, *,
-                      feasible_fn=None, allow_discard=False):
-    """Best min block value over partitions into ``parts`` blocks: an
-    assignment to ``parts`` holders that share one valuation."""
-    return _best_min_assignment(item_order, [(value_fn, weights)],
-                                [0] * parts, feasible=feasible_fn,
-                                allow_discard=allow_discard)
+    return Fraction(best_value, scale), best_masks
 
 
 def compute_mms_exact(instance: Instance, agent: int, *,
@@ -183,7 +174,9 @@ def compute_mms_exact(instance: Instance, agent: int, *,
         oracle = oracle_for(instance, agent)
     weights = [oracle.singleton_value(j) for j in range(instance.m)]
     order = sorted(range(instance.m), key=lambda j: (-weights[j], j))
-    result = maximin_partition(order, instance.n, oracle.exact_value, weights)
+    # A maximin partition: an assignment to n holders sharing one valuation.
+    result = _best_min_assignment(order, [(oracle.exact_value, weights)],
+                                  [0] * instance.n, oracle.scale)
     assert result is not None
     mu, blocks = result
     witness = tuple(_mask_items(mask) for mask in blocks)
@@ -264,5 +257,6 @@ def max_min_allocation_value(instance: Instance, *,
               for o in oracles]
     order = sorted(range(m),
                    key=lambda j: (-max(weights[j] for _, weights in groups), j))
-    best_value, best_masks = _best_min_assignment(order, groups, group_of)
+    scale = math.lcm(*(o.scale for o in oracles))
+    best_value, best_masks = _best_min_assignment(order, groups, group_of, scale)
     return best_value, tuple(_mask_items(mask) for mask in best_masks)

@@ -25,6 +25,7 @@ from .core import (
     IntervalSystem,
     Items,
     SetSystem,
+    scaled_weights,
 )
 
 DEFAULT_GATES = {"budget": 25, "conflict": 30, "interval": 16}
@@ -57,6 +58,7 @@ class ValuationOracle:
                                     f"(gated exact) or >= 1/2, not {epsilon}")
         self.system = system
         self.values = tuple(values)
+        self.scale, self.weights = scaled_weights(self.values)
         self.epsilon = epsilon
         self.gate = gate if gate is not None else DEFAULT_GATES.get(system.kind)
         self._value_cache: dict[Items, Fraction] = {}
@@ -68,21 +70,22 @@ class ValuationOracle:
                 self._adj.setdefault(a, set()).add(b)
                 self._adj.setdefault(b, set()).add(a)
 
-    # -- additive arithmetic ------------------------------------------------
+    # -- additive arithmetic, on integer weights: value = weight / scale ----
+
+    def additive_weight(self, bundle) -> int:
+        return sum(map(self.weights.__getitem__, bundle))
 
     def additive_value(self, bundle) -> Fraction:
-        return sum((self.values[j] for j in bundle), ZERO)
+        return Fraction(self.additive_weight(bundle), self.scale)
 
     # -- independence -------------------------------------------------------
 
     def is_independent(self, bundle) -> bool:
         items = frozenset(bundle)
         cached = self._indep_cache.get(items)
-        if cached is not None:
-            return cached
-        result = self._is_independent(items)
-        self._indep_cache[items] = result
-        return result
+        if cached is None:
+            cached = self._indep_cache[items] = self._is_independent(items)
+        return cached
 
     def _is_independent(self, items: Items) -> bool:
         system = self.system
@@ -120,11 +123,14 @@ class ValuationOracle:
             return j2 not in self._adj.get(j1, ())
         return self._is_independent(frozenset((j1, j2)))
 
+    def singleton_weight(self, j: int) -> int:
+        """Weight of {j}: the item weight if {j} is independent, else 0."""
+        w = self.weights[j]
+        return w if w and self.is_independent(frozenset((j,))) else 0
+
     def singleton_value(self, j: int) -> Fraction:
         """Oracle value of {j}: the item value if {j} is independent, else 0."""
-        if self.values[j] == 0:
-            return ZERO
-        return self.values[j] if self.is_independent(frozenset((j,))) else ZERO
+        return self.values[j] if self.singleton_weight(j) else ZERO
 
     # -- exact values -------------------------------------------------------
 
@@ -138,35 +144,32 @@ class ValuationOracle:
         """Max additive value over independent subsets of the bundle."""
         items = frozenset(bundle)
         cached = self._value_cache.get(items)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._value_cache[items] = Fraction(
+                self._exact_weight(items), self.scale)
+        return cached
+
+    def _exact_weight(self, items: Items) -> int:
         system = self.system
         if isinstance(system, ExplicitSystem):
-            value = ZERO
-            for s in system.maximal_sets:
-                value = max(value, self.additive_value(items & s))
-        elif self._is_independent(items):
-            value = self.additive_value(items)
-        elif isinstance(system, BudgetSystem):
-            self._check_gate(items)
-            chosen = _knapsack(sorted(items), self.values, system.sizes,
-                               system.budget, ZERO)
-            value = self.additive_value(chosen)
-        elif isinstance(system, ConflictSystem):
-            self._check_gate(items)
-            chosen = _mwis_exact(sorted(items), self.values, self._adj)
-            value = self.additive_value(chosen)
-        elif isinstance(system, IntervalSystem):
-            self._check_gate(items)
+            return max((self.additive_weight(items & s)
+                        for s in system.maximal_sets), default=0)
+        if self._is_independent(items):
+            return self.additive_weight(items)
+        self._check_gate(items)
+        if isinstance(system, BudgetSystem):
+            return self.additive_weight(_knapsack(
+                sorted(items), self.weights, system.sizes, system.budget, ZERO))
+        if isinstance(system, ConflictSystem):
+            return self.additive_weight(
+                _mwis_exact(sorted(items), self.weights, self._adj))
+        if isinstance(system, IntervalSystem):
             ordered = sorted(items)
             finish, _ = _interval_table(system, ordered)
-            value = max(self.additive_value(j for t, j in enumerate(ordered)
+            return max(self.additive_weight(j for t, j in enumerate(ordered)
                                             if mask >> t & 1)
-                        for mask, end in enumerate(finish) if end is not None)
-        else:
-            raise TypeError(f"unknown system variant: {system!r}")
-        self._value_cache[items] = value
-        return value
+                       for mask, end in enumerate(finish) if end is not None)
+        raise TypeError(f"unknown system variant: {system!r}")
 
     def reduce_to_independent(self, bundle) -> IndependentBundle:
         """Shrink a bundle to an independent one of equal value.
@@ -191,19 +194,18 @@ class ValuationOracle:
 
         Keeps one running sum per maximal set: the value of the bundle's
         items inside it.  The bundle's value is the largest sum, and dropping
-        j lowers the sums of the sets that contain j by v_j.
+        j lowers the sums of the sets that contain j by j's weight.
         """
-        values = self.values
         sets = self.system.maximal_sets
-        sums = [sum((values[j] for j in items & s), ZERO) for s in sets]
-        value = max(sums, default=ZERO)
+        sums = [self.additive_weight(items & s) for s in sets]
+        value = max(sums, default=0)
         for j in sorted(items):
-            v = values[j]
-            lowered = [t - v if j in s else t for t, s in zip(sums, sets)]
-            if max(lowered, default=ZERO) == value:
+            w = self.weights[j]
+            lowered = [t - w if j in s else t for t, s in zip(sums, sets)]
+            if max(lowered, default=0) == value:
                 items = items - {j}
                 sums = lowered
-        return IndependentBundle(items=items, value=value)
+        return IndependentBundle(items=items, value=Fraction(value, self.scale))
 
     # -- approximate subset queries ------------------------------------------
 
@@ -224,15 +226,14 @@ class ValuationOracle:
             return IndependentBundle(items=items, value=self.additive_value(items))
         system = self.system
         if isinstance(system, BudgetSystem) and self.epsilon > 0:
-            chosen = _knapsack(sorted(items), self.values, system.sizes,
+            chosen = _knapsack(sorted(items), self.weights, system.sizes,
                                system.budget, self.epsilon)
-            return IndependentBundle(items=frozenset(chosen),
-                                     value=self.additive_value(chosen))
-        if isinstance(system, IntervalSystem) and self.epsilon > 0:
-            chosen, _ = _interval_local_ratio(system, self.values, sorted(items))
-            return IndependentBundle(items=frozenset(chosen),
-                                     value=self.additive_value(chosen))
-        return self.reduce_to_independent(items)
+        elif isinstance(system, IntervalSystem) and self.epsilon > 0:
+            chosen, _ = _interval_local_ratio(system, self.weights, sorted(items))
+        else:
+            return self.reduce_to_independent(items)
+        return IndependentBundle(items=frozenset(chosen),
+                                 value=self.additive_value(chosen))
 
     def schedule_witness(self, bundle) -> dict[int, int]:
         """Start times proving an interval bundle schedulable (gated)."""
@@ -297,31 +298,29 @@ def oracle_for(instance: Instance, agent: int, *, epsilon: Fraction = ZERO,
 # Knapsack by value scaling: approximate above error 0, exact at 0
 # ---------------------------------------------------------------------------
 
-def _knapsack(items, values, sizes, budget, eps):
+def _knapsack(items, weights, sizes, budget, eps):
     """Feasible subset with value at least (1 - eps) times the optimum.
 
-    Classic value scaling: item values are floored to multiples of a unit,
-    and a min-size DP over scaled totals picks the best reachable total.
-    Above error 0 the unit is eps * vmax / k, so the additive loss is at most
-    eps * vmax <= eps * OPT; at error 0 it is one over the least common
-    multiple of the value denominators, so every scaled value is exact.
+    Classic value scaling on integer weights: each is floored to a multiple
+    of the unit eps * wmax / k, so the additive loss is at most
+    eps * wmax <= eps * OPT, and a min-size DP over scaled totals picks the
+    best reachable total; at error 0 the weights are exact totals already.
     Sizes and the budget are scaled by the least common multiple of their
     denominators, so the DP compares integers; each entry links its last
     item to the entry it grew from instead of copying the chosen tuple.
     """
-    usable = [j for j in items if sizes[j] <= budget and values[j] > 0]
+    usable = [j for j in items if sizes[j] <= budget and weights[j] > 0]
     if not usable:
         return []
-    if eps:
-        unit = eps * max(values[j] for j in usable) / len(usable)
-    else:
-        unit = Fraction(1, math.lcm(*(values[j].denominator for j in usable)))
+    # floor(w / unit) = w * k // (eps * wmax), in integers
+    numer = len(usable) * eps.denominator
+    denom = eps.numerator * max(weights[j] for j in usable)
     scale = math.lcm(budget.denominator, *(sizes[j].denominator for j in usable))
     capacity = budget.numerator * (scale // budget.denominator)
     # dp: scaled total -> (min combined scaled size, (last item, rest) link)
     dp: dict[int, tuple[int, tuple | None]] = {0: (0, None)}
     for j in usable:
-        w = int(values[j] / unit)
+        w = weights[j] * numer // denom if eps else weights[j]
         size_j = sizes[j].numerator * (scale // sizes[j].denominator)
         updates: dict[int, tuple[int, tuple | None]] = {}
         for total, (size, chosen) in dp.items():
@@ -355,11 +354,11 @@ def _knapsack(items, values, sizes, budget, eps):
 # Exact maximum-weight independent set by branch and bound
 # ---------------------------------------------------------------------------
 
-def _mwis_exact(items, values, adjacency):
-    vertices = [j for j in items if values[j] > 0]
+def _mwis_exact(items, weights, adjacency):
+    vertices = [j for j in items if weights[j] > 0]
     neighbours = {j: (adjacency.get(j, set()) & set(vertices))
                   for j in vertices}
-    best_value = ZERO
+    best_value = 0
     best_set: list[int] = []
 
     def explore(active, value, chosen):
@@ -369,17 +368,17 @@ def _mwis_exact(items, values, adjacency):
             best_set = list(chosen)
         if not active:
             return
-        if value + sum(values[j] for j in active) <= best_value:
+        if value + sum(weights[j] for j in active) <= best_value:
             return
         # Branch on the highest-degree remaining vertex.
         pivot = max(active, key=lambda j: (len(neighbours[j] & active), -j))
         rest = active - {pivot}
         chosen.append(pivot)
-        explore(rest - neighbours[pivot], value + values[pivot], chosen)
+        explore(rest - neighbours[pivot], value + weights[pivot], chosen)
         chosen.pop()
         explore(rest, value, chosen)
 
-    explore(frozenset(vertices), ZERO, [])
+    explore(frozenset(vertices), 0, [])
     return sorted(best_set)
 
 
@@ -433,7 +432,7 @@ def _interval_table(system, items):
 _PLACEMENT_CAP = 500_000
 
 
-def _interval_local_ratio(system, values, items):
+def _interval_local_ratio(system, weights, items):
     """Greedy local-ratio schedule with at least half the optimal weight.
 
     Expands every feasible placement of every job, repeatedly pushes the
@@ -450,7 +449,7 @@ def _interval_local_ratio(system, values, items):
         raise ExactnessGateExceeded(
             f"{len(placements)} interval placements exceed the cap {_PLACEMENT_CAP}")
     placements.sort()
-    residual = {pl: values[pl[2]] for pl in placements}
+    residual = {pl: weights[pl[2]] for pl in placements}
     stack = []
     for pl in placements:
         if residual[pl] <= 0:

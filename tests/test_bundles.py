@@ -15,8 +15,11 @@ from mmsalloc.bundles import (
 )
 from mmsalloc.core import InsufficientBundles
 from mmsalloc.generators import gen_random_hereditary, gen_two_thirds_bound
+from mmsalloc.matching import max_general_matching
 from mmsalloc.mms_oracle import compute_mms_exact
-from mmsalloc.valuation import AdversarialOracle, oracle_for
+from mmsalloc.valuation import AdversarialOracle, IndependentBundle, oracle_for
+
+from conftest import rand_budget_instance, rand_conflict_instance
 
 F = Fraction
 
@@ -179,3 +182,110 @@ def test_success_contract_under_adversarial_oracle():
         assert got is not None, (trial, n, m, mu, mu_star, ell)
         _disjoint_independent(oracle, got, F(2, 5) * mu_star)
     assert qualifying >= 150
+
+
+def _reference_make_bundles(request):
+    """The two-phase construction with every threshold test on Fraction
+    values: the same scan order as the library, none of its integer kernel."""
+    oracle = request.oracle
+    threshold = request.alpha * request.mu_star
+    half_threshold = threshold / 2
+    singleton = {j: oracle.singleton_value(j) for j in sorted(request.items)}
+    high = [j for j, value in singleton.items() if value > half_threshold]
+    low = {j for j, value in singleton.items() if value <= half_threshold}
+    built = []
+    for j in list(high):
+        if singleton[j] >= threshold:
+            built.append(IndependentBundle(items=frozenset((j,)),
+                                           value=singleton[j]))
+            high.remove(j)
+    progress = True
+    while progress:
+        progress = False
+        for j in high:
+            candidate = oracle.approx_value_subset(low | {j})
+            if candidate.value < threshold:
+                continue
+            bundle, value = set(candidate.items), candidate.value
+            for removable in sorted(candidate.items):
+                if value - oracle.values[removable] >= threshold:
+                    bundle.discard(removable)
+                    value -= oracle.values[removable]
+            kept = frozenset(bundle)
+            assert len(kept) == 1 or value < 3 * half_threshold
+            built.append(IndependentBundle(items=kept, value=value))
+            high = [h for h in high if h not in kept]
+            low -= kept
+            progress = True
+            break
+    edges = []
+    for a_pos, j1 in enumerate(high):
+        for b_pos in range(a_pos + 1, len(high)):
+            j2 = high[b_pos]
+            if request.exact_pairs:
+                qualifies = (oracle.pair_independent(j1, j2)
+                             and singleton[j1] + singleton[j2] >= threshold)
+            else:
+                qualifies = oracle.approx_value_subset(
+                    frozenset((j1, j2))).value >= threshold
+            if qualifies:
+                edges.append((a_pos, b_pos))
+    for a_pos, b_pos in max_general_matching(len(high), edges):
+        pair = frozenset((high[a_pos], high[b_pos]))
+        built.append(IndependentBundle(items=pair,
+                                       value=oracle.additive_value(pair)))
+    return None if len(built) < request.count else built[:request.count]
+
+
+def _tie_requests(rng, trials):
+    """Requests whose threshold, or half of it, equals the value of a random
+    singleton, pair or triple, so the tests at the threshold meet ties."""
+    for trial in range(trials):
+        kind = trial % 3
+        if kind == 0:
+            inst = gen_random_hereditary(m=rng.randint(3, 10), n=2,
+                                         family_density=rng.uniform(0.3, 1),
+                                         seed=9000 + trial)
+        elif kind == 1:
+            inst = rand_budget_instance(rng, entitled=False)
+        else:
+            inst = rand_conflict_instance(rng)
+        epsilon = rng.choice((F(0), F(1, 3), F(1, 2)))
+        if kind == 1 and epsilon:
+            # the oracle answers subset queries by the knapsack FPTAS
+            make = lambda: oracle_for(inst, 0, epsilon=epsilon)  # noqa: E731
+        elif trial % 4 == 3:
+            make = lambda: AdversarialOracle(  # noqa: E731
+                inst.system, inst.values[0], epsilon=epsilon)
+        else:
+            make = lambda: oracle_for(inst, 0)  # noqa: E731
+        positive = [j for j in range(inst.m) if inst.values[0][j] > 0]
+        if not positive:
+            continue
+        tied = rng.sample(positive, min(len(positive), rng.randint(1, 3)))
+        alpha = rng.choice((F(2, 5), F(1, 3), F(2, 7)))
+        total = sum((inst.values[0][j] for j in tied), F(0))
+        mu_star = total / alpha * rng.choice((1, 2))  # threshold or its half
+        items = frozenset(j for j in range(inst.m) if rng.random() < 0.85)
+        count, exact_pairs = rng.randint(1, 3), rng.random() < 0.3
+        yield [BundleRequest(oracle=make(), items=items, count=count,
+                             mu_star=mu_star, alpha=alpha,
+                             exact_pairs=exact_pairs)
+               for _ in range(2)]
+
+
+def test_integer_thresholds_match_the_fraction_reference_at_ties():
+    rng = random.Random(2025)
+    compared = at_threshold = at_half = carved_or_paired = 0
+    for ours, reference in _tie_requests(rng, 480):
+        expected = _reference_make_bundles(reference)
+        assert make_bundles_alpha(ours) == expected, ours
+        compared += 1
+        threshold = ours.alpha * ours.mu_star
+        tied = [b for b in expected or () if b.value == threshold]
+        at_threshold += bool(tied)
+        carved_or_paired += any(len(b.items) > 1 for b in tied)
+        at_half += any(2 * ours.oracle.singleton_value(j) == threshold
+                       for j in ours.items)
+    assert compared >= 400
+    assert at_threshold >= 60 and carved_or_paired >= 20 and at_half >= 60

@@ -36,6 +36,27 @@ class CountingOracle(ValuationOracle):
         return super().exact_value(bundle)
 
 
+def test_weights_hold_the_values_on_one_integer_scale():
+    rng = random.Random(97)
+    vectors = [(), (F(0), F(0)), (F(3), F(0), F(7)),
+               (F(1, 97), F(1, 89), F(5, 6), F(0))]
+    for _ in range(200):
+        vectors.append(tuple(
+            F(rng.randint(0, 12), rng.choice((1, 1, 2, 3, 7, 89, 97)))
+            for _ in range(rng.randint(1, 9))))
+    for values in vectors:
+        oracle = ValuationOracle(FreeSystem(), values)
+        assert all(type(w) is int for w in oracle.weights)
+        assert [F(w, oracle.scale) for w in oracle.weights] == list(values)
+        for _ in range(6):
+            bundle = [j for j in range(len(values)) if rng.random() < 0.5]
+            assert oracle.additive_value(bundle) == \
+                sum((values[j] for j in bundle), F(0))
+    assert ValuationOracle(FreeSystem(), vectors[0]).scale == 1
+    assert ValuationOracle(FreeSystem(), vectors[2]).scale == 1
+    assert ValuationOracle(FreeSystem(), vectors[3]).scale == 97 * 89 * 6
+
+
 def test_free_system_values_are_additive():
     oracle = ValuationOracle(FreeSystem(), (F(3), F(4)))
     assert oracle.exact_value(frozenset({0, 1})) == 7
