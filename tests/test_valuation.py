@@ -395,3 +395,53 @@ def test_interval_exact_matches_brute_force():
             with pytest.raises(ValueError):
                 oracle.schedule_witness(bundle)
     assert fits_seen == {True, False}
+
+
+def _earliest_deadline_fits(jobs):
+    """Jackson's list schedule: when free, run the released job due first."""
+    pending = sorted(jobs, key=lambda job: job[1])
+    finish = 0
+    while pending:
+        start = max(finish + 1, min(r for _, r, _ in pending))
+        job = min((job for job in pending if job[1] <= start),
+                  key=lambda job: job[2])
+        pending.remove(job)
+        finish = start + job[0] - 1
+        if finish > job[2]:
+            return False
+    return True
+
+
+def test_interval_independence_matches_the_subset_table():
+    rng = random.Random(85)
+    corpus = [
+        # The earliest-deadline schedule starts the long job at slot 1 and
+        # misses the short one; idling for one slot fits all three.
+        [(3, 1, 10), (1, 2, 2), (1, 6, 20)],
+        [(4, 1, 12), (2, 3, 4), (1, 8, 9), (1, 2, 12)],
+        [(1, 1, 100)] * 16,
+        [(1, 1, 15)] * 16,
+    ]
+    for trial in range(300):
+        k = rng.randint(12, 16) if trial >= 290 else rng.randint(3, 11)
+        spread = 1 + trial % 2
+        jobs = []
+        for _ in range(k):
+            p, r = rng.randint(1, 4), rng.randint(1, 3 * k)
+            jobs.append((p, r, r + p - 1 + rng.randint(0, spread * k)))
+        corpus.append(jobs)
+    answers = []
+    for jobs in corpus:
+        system = IntervalSystem(jobs=tuple(jobs))
+        oracle = ValuationOracle(system, tuple(F(1) for _ in jobs))
+        items = range(len(jobs))
+        table = mmsalloc.valuation._interval_table(system, items)[0][-1]
+        answer = oracle.is_independent(items)
+        assert answer == (table is not None), jobs
+        answers.append((answer, _earliest_deadline_fits(jobs)))
+    assert answers[:4] == [(True, False), (True, False),
+                           (True, True), (False, False)]
+    tally = {kind: answers.count(kind) for kind in set(answers)}
+    assert tally[True, True] >= 40 and tally[False, False] >= 40, tally
+    assert tally[True, False] >= 10, tally
+    assert (False, True) not in tally
