@@ -84,7 +84,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     alpha, mu_star = request.alpha, request.mu_star
     t_num = alpha.numerator * mu_star.numerator * oracle.scale
     t_den = alpha.denominator * mu_star.denominator
-    singleton = {j: oracle.singleton_weight(j) * t_den
+    singleton = {j: oracle.singleton_weights[j] * t_den
                  for j in sorted(request.items)}
 
     high = [j for j, scaled in singleton.items() if 2 * scaled > t_num]

@@ -132,8 +132,7 @@ def solve_existence(instance: Instance, *,
 def _ranked_singletons(instance: Instance, agent: int) -> list[Fraction]:
     """The agent's singleton oracle values, best first."""
     probe = oracle_for(instance, agent)
-    weights = sorted((probe.singleton_weight(j) for j in range(instance.m)),
-                     reverse=True)
+    weights = sorted(probe.singleton_weights, reverse=True)
     return [Fraction(w, probe.scale) for w in weights]
 
 

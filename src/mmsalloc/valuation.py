@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     ZERO,
@@ -108,7 +109,7 @@ class ValuationOracle:
                 j1, j2 = sorted(items)
                 return self.pair_independent(j1, j2)
             self._check_gate(items)
-            return _interval_table(system, sorted(items))[0][-1] is not None
+            return _interval_schedulable([system.jobs[j] for j in items])
         raise TypeError(f"unknown system variant: {system!r}")
 
     def pair_independent(self, j1: int, j2: int) -> bool:
@@ -123,14 +124,15 @@ class ValuationOracle:
             return j2 not in self._adj.get(j1, ())
         return self._is_independent(frozenset((j1, j2)))
 
-    def singleton_weight(self, j: int) -> int:
-        """Weight of {j}: the item weight if {j} is independent, else 0."""
-        w = self.weights[j]
-        return w if w and self.is_independent(frozenset((j,))) else 0
+    @cached_property
+    def singleton_weights(self) -> tuple[int, ...]:
+        """Weight of each {j}: the item weight if {j} is independent, else 0."""
+        return tuple(w if w and self.is_independent(frozenset((j,))) else 0
+                     for j, w in enumerate(self.weights))
 
     def singleton_value(self, j: int) -> Fraction:
         """Oracle value of {j}: the item value if {j} is independent, else 0."""
-        return self.values[j] if self.singleton_weight(j) else ZERO
+        return self.values[j] if self.singleton_weights[j] else ZERO
 
     # -- exact values -------------------------------------------------------
 
@@ -429,6 +431,64 @@ def _interval_table(system, items):
     return finish, last
 
 
+def _interval_schedulable(jobs):
+    """Whether the (p, r, d) jobs all fit, one at a time, in their windows.
+
+    Jackson's earliest-deadline list schedule (1955) settles most yes
+    answers: when the machine is free, it starts the released job due first.
+    When that misses a deadline, the recurrence of ``_interval_table`` runs
+    forwards over sequence prefixes, keeping each prefix mask's least finish
+    slot, and drops a prefix once the jobs outside it cannot all run after
+    that slot: the work due by some deadline b exceeds b - finish (a job
+    that no longer fits its window fails this at its own deadline).  Nor
+    does it append a job released after another pending job could finish,
+    since running that one in the gap first delays nothing.  So from every
+    prefix whose outside jobs fit after its finish, a schedule of them that
+    the search follows exists, and the answer is exact.
+    """
+    pending = sorted(jobs, key=lambda job: job[1])
+    finish = 0
+    while pending:
+        start = max(finish + 1, pending[0][1])
+        job = min((job for job in pending if job[1] <= start),
+                  key=lambda job: job[2])
+        pending.remove(job)
+        finish = start + job[0] - 1
+        if finish > job[2]:
+            break
+    else:
+        return True
+
+    by_deadline = sorted(range(len(jobs)), key=lambda t: jobs[t][2])
+
+    def rest_fits(mask, finish):
+        work = 0
+        for t in by_deadline:
+            if not mask >> t & 1:
+                p, _, d = jobs[t]
+                work += p
+                if work > d - finish:
+                    return False
+        return True
+
+    layer = {0: 0}
+    for _ in jobs:
+        grown: dict[int, int] = {}
+        for mask, finish in layer.items():
+            ends = {t: max(r, finish + 1) + p - 1
+                    for t, (p, r, _) in enumerate(jobs) if not mask >> t & 1}
+            soonest = min(ends.values())
+            for t, end in ends.items():
+                _, r, d = jobs[t]
+                longer = mask | 1 << t
+                if r <= soonest and end <= d \
+                        and end < grown.get(longer, end + 1):
+                    grown[longer] = end
+        layer = {mask: finish for mask, finish in grown.items()
+                 if rest_fits(mask, finish)}
+    return bool(layer)
+
+
 _PLACEMENT_CAP = 500_000
 
 
@@ -440,14 +500,15 @@ def _interval_local_ratio(system, weights, items):
     weight to everything it conflicts with (same job or overlapping in time),
     then unwinds the stack keeping whatever still fits.
     """
+    jobs = [system.jobs[j] for j in items]
+    count = sum(d - p - r + 2 for p, r, d in jobs)
+    if count > _PLACEMENT_CAP:  # checked before a single placement is built
+        raise ExactnessGateExceeded(
+            f"{count} interval placements exceed the cap {_PLACEMENT_CAP}")
     placements = []  # (end, start, job)
-    for j in items:
-        p, r, d = system.jobs[j]
+    for j, (p, r, d) in zip(items, jobs):
         for start in range(r, d - p + 2):
             placements.append((start + p - 1, start, j))
-    if len(placements) > _PLACEMENT_CAP:
-        raise ExactnessGateExceeded(
-            f"{len(placements)} interval placements exceed the cap {_PLACEMENT_CAP}")
     placements.sort()
     residual = {pl: weights[pl[2]] for pl in placements}
     stack = []

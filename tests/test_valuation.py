@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from mmsalloc.core import (
     BudgetSystem,
     ConflictSystem,
     EpsilonOutOfRange,
+    ExactnessGateExceeded,
     ExplicitSystem,
     FreeSystem,
     IntervalSystem,
@@ -355,6 +357,22 @@ def test_adversarial_wrapper_sits_on_the_contract_boundary():
                 value = sum((values[j] for j in comb), F(0))
                 if brute_member(system, comb) and value >= (1 - eps) * truth:
                     assert answer.value <= value
+
+
+def test_placement_cap_trips_before_placements_are_built():
+    # Three jobs due in slot 1 make the bundle dependent, so the scheduler
+    # runs; the fourth job alone has two million placements.
+    system = IntervalSystem(jobs=((1, 1, 1),) * 3 + ((1, 1, 2_000_000),))
+    oracle = ValuationOracle(system, (F(3), F(3), F(1), F(1)), epsilon=F(1, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExactnessGateExceeded,
+                           match="2000003 interval placements exceed"):
+            oracle.approx_value_subset(range(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 def test_schedule_witness_is_a_real_schedule():
