@@ -118,8 +118,7 @@ class ValuationOracle:
             return self.is_independent(frozenset((j1,)))
         system = self.system
         if isinstance(system, IntervalSystem):
-            return (_pair_schedulable(system, j1, j2)
-                    or _pair_schedulable(system, j2, j1))
+            return _interval_schedulable([system.jobs[j1], system.jobs[j2]])
         if isinstance(system, ConflictSystem):
             return j2 not in self._adj.get(j1, ())
         return self._is_independent(frozenset((j1, j2)))
@@ -385,20 +384,9 @@ def _mwis_exact(items, weights, adjacency):
 
 
 # ---------------------------------------------------------------------------
-# Interval jobs: subset DP for exact values, local ratio for approximation
+# Interval jobs: a pruned prefix search for independence, subset DP for
+# exact values, local ratio for approximation
 # ---------------------------------------------------------------------------
-
-def _job_fits(system, j, start):
-    p, r, d = system.jobs[j]
-    return start >= r and start + p - 1 <= d
-
-
-def _pair_schedulable(system, first, second):
-    p1, r1, d1 = system.jobs[first]
-    p2, r2, _ = system.jobs[second]
-    start2 = max(r2, r1 + p1)
-    return _job_fits(system, first, r1) and _job_fits(system, second, start2)
-
 
 def _interval_table(system, items):
     """DP over subsets: the least last-occupied slot per schedulable subset.
