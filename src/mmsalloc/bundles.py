@@ -28,7 +28,6 @@ class BundleRequest:
     count: int
     mu_star: Fraction
     alpha: Fraction = TWO_FIFTHS
-    exact_pairs: bool = False
 
     def __post_init__(self):
         if self.count < 0:
@@ -86,6 +85,8 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     t_den = alpha.denominator * mu_star.denominator
     singleton = {j: oracle.singleton_weights[j] * t_den
                  for j in sorted(request.items)}
+    # Above error 1/3 the pair test asks exact independence instead.
+    exact_pairs = oracle.epsilon > Fraction(1, 3)
 
     high = [j for j, scaled in singleton.items() if 2 * scaled > t_num]
     low = {j for j, scaled in singleton.items() if 2 * scaled <= t_num}
@@ -126,7 +127,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     edges = []
     for a_pos, j1 in enumerate(high):
         for j2 in high[a_pos + 1:]:
-            if request.exact_pairs:
+            if exact_pairs:
                 qualifies = (oracle.pair_independent(j1, j2)
                              and singleton[j1] + singleton[j2] >= t_num)
             else:

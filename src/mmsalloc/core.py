@@ -420,9 +420,16 @@ def _system_to_payload(system: SetSystem) -> dict:
     raise InstanceError(f"unknown system variant: {system!r}")
 
 
+def _json_list(value, what: str) -> list:
+    """The value, if a JSON list: a string would be read char by char."""
+    if not isinstance(value, list):
+        raise InstanceError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
 def _zero_based(numbers, what: str) -> list:
     """Shift 1-based numbers from a file to indices; JSON true is not 1."""
-    numbers = list(numbers)
+    numbers = _json_list(numbers, what)
     if any(isinstance(j, bool) for j in numbers):
         raise InstanceError(f"{what}: {numbers!r} holds a boolean, not a number")
     return [j - 1 for j in numbers]
@@ -435,13 +442,14 @@ def _system_from_payload(payload: dict, n: int) -> SetSystem | EntitledSpec:
     if kind == "free":
         return FreeSystem()
     if kind == "explicit":
-        sets = [frozenset(_zero_based(s, "explicit family"))
-                for s in payload["maximal_sets"]]
+        sets = [frozenset(_zero_based(s, "maximal set"))
+                for s in _json_list(payload["maximal_sets"], "maximal sets")]
         return ExplicitSystem.normalize(sets)
     if kind == "budget":
-        sizes = tuple(parse_rational(s) for s in payload["sizes"])
+        sizes = tuple(map(parse_rational, _json_list(payload["sizes"], "sizes")))
         if "budgets" in payload:
-            budgets = [parse_rational(b) for b in payload["budgets"]]
+            budgets = list(map(parse_rational,
+                               _json_list(payload["budgets"], "budgets")))
             if len(budgets) != n:
                 raise InstanceError(
                     f"budget system has {len(budgets)} budgets for {n} agents")
@@ -450,14 +458,16 @@ def _system_from_payload(payload: dict, n: int) -> SetSystem | EntitledSpec:
             return EntitledSpec(systems=systems, ordering=order)
         return BudgetSystem(sizes=sizes, budget=parse_rational(payload["budget"]))
     if kind == "conflict":
-        edges = [_zero_based(edge, "conflict edge") for edge in payload["edges"]]
+        edges = [_zero_based(edge, "conflict edge")
+                 for edge in _json_list(payload["edges"], "conflict edges")]
         for edge in edges:
             if len(edge) != 2:
                 raise InstanceError(
                     f"conflict edge {[j + 1 for j in edge]} does not join two items")
         return ConflictSystem.normalize(edges)
     if kind == "interval":
-        jobs = tuple((job["p"], job["r"], job["d"]) for job in payload["jobs"])
+        jobs = tuple((job["p"], job["r"], job["d"])
+                     for job in _json_list(payload["jobs"], "interval jobs"))
         return IntervalSystem(jobs=jobs)
     raise InstanceError(f"unknown system kind: {kind!r}")
 
@@ -495,8 +505,8 @@ def instance_from_json(text: str) -> Instance:
     try:
         n = doc["n"]
         m = doc["m"]
-        values = tuple(tuple(parse_rational(v) for v in row)
-                       for row in doc["values"])
+        values = tuple(tuple(map(parse_rational, _json_list(row, "value row")))
+                       for row in _json_list(doc["values"], "value matrix"))
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"malformed instance JSON: {exc}") from exc
 
@@ -511,7 +521,8 @@ def instance_from_json(text: str) -> Instance:
         if has_order:
             ordering = tuple(_zero_based(doc["entitled"], "entitled ordering"))
         if has_asym:
-            systems = tuple(_system_from_payload(p, n) for p in doc["asymmetric"])
+            systems = tuple(_system_from_payload(p, n) for p in
+                            _json_list(doc["asymmetric"], "asymmetric block"))
             if any(isinstance(s, EntitledSpec) for s in systems):
                 raise InstanceError("per-agent system payloads must be plain systems")
             if has_order:
@@ -559,6 +570,9 @@ def allocation_from_json(instance: Instance, text: str) -> Allocation:
         if not isinstance(b, list) or not all(
                 isinstance(j, int) and not isinstance(j, bool) for j in b):
             raise InstanceError(f"allocation bundle {b!r} is not a list of item numbers")
+    complete = doc.get("complete", False)
+    if not isinstance(complete, bool):
+        raise InstanceError(f"allocation complete flag {complete!r} is not a boolean")
     bundles = tuple(frozenset(j - 1 for j in b) for b in doc["bundles"])
-    allocation = Allocation(bundles=bundles, complete=bool(doc.get("complete")))
+    allocation = Allocation(bundles=bundles, complete=complete)
     return validate_allocation(instance, allocation)

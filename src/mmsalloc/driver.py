@@ -60,15 +60,6 @@ def alpha_for_error(epsilon: Fraction) -> Fraction:
     return (ONE - epsilon) / (ONE + Fraction(3, 2) * (ONE - epsilon))
 
 
-def _empty_result(instance: Instance, mode: str, alpha: Fraction) -> SolveResult:
-    bundles = tuple(frozenset() for _ in range(instance.n))
-    return SolveResult(mode=mode, alpha=alpha,
-                       allocation=Allocation(bundles=bundles,
-                                             complete=instance.m == 0),
-                       awarded={}, active_agents=(), thresholds={},
-                       estimates={}, adjustments={}, runs=())
-
-
 def _assemble(instance, mode, alpha, awarded, active, thresholds, estimates,
               adjustments, runs) -> SolveResult:
     bundles = tuple(awarded[i].items if i in awarded else frozenset()
@@ -104,7 +95,7 @@ def solve_existence(instance: Instance, *,
     n = instance.n
     ratio = Fraction(n, 2 * n - 1) if n >= 1 else ONE
     if n == 0:
-        return _empty_result(instance, "existence", ratio)
+        return _assemble(instance, "existence", ratio, {}, (), {}, {}, {}, ())
 
     oracles = {i: oracle_for(instance, i) for i in range(n)}
     records: dict[int, MmsRecord] = {
@@ -170,18 +161,16 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
 
     ``epsilon_for(k)`` gives the oracle error for k active agents and may
     raise when the mode cannot serve them (each oracle also rejects an error
-    its system kind cannot meet); an error above 1/3 switches the phase-two
-    pair test to exact independence queries.  ``shrink_factor(k)`` gives the
-    multiplicative estimate adjustment; ``count_bound(k, m)`` the proven cap
-    on adjustments per agent.  ``divide(instance, thresholds, maker, oracles,
-    epsilon, agents)`` runs one lone divider.
+    its system kind cannot meet); above error 1/3 the bundle maker's
+    phase-two pair test asks exact independence.  ``shrink_factor(k)`` gives
+    the multiplicative estimate adjustment; ``count_bound(k, m)`` the proven
+    cap on adjustments per agent.  ``divide(instance, thresholds, maker,
+    oracles, epsilon, agents)`` runs one lone divider.
     """
-    if instance.n == 0:
-        return _empty_result(instance, mode, alpha)
     ranked = [_ranked_singletons(instance, i) for i in range(instance.n)]
     active = _active_agents(instance, ranked)
     if not active:
-        return _empty_result(instance, mode, alpha)
+        return _assemble(instance, mode, alpha, {}, (), {}, {}, {}, ())
     k = len(active)
     epsilon = epsilon_for(k)
     if oracle_factory is None:
@@ -204,8 +193,7 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
         def maker(agent: int, items: Items, count: int):
             return make_bundles_alpha(BundleRequest(
                 oracle=oracles[agent], items=items, count=count,
-                mu_star=estimates[agent], alpha=alpha,
-                exact_pairs=epsilon > Fraction(1, 3)))
+                mu_star=estimates[agent], alpha=alpha))
 
         outcome = divide(instance, thresholds, maker, oracles, epsilon, active)
         runs.append(outcome)

@@ -105,23 +105,14 @@ class ValuationOracle:
         if isinstance(system, IntervalSystem):
             if len(items) == 1:
                 return True  # d >= r + p - 1 is validated at construction
-            if len(items) == 2:
-                j1, j2 = sorted(items)
-                return self.pair_independent(j1, j2)
-            self._check_gate(items)
-            return _interval_schedulable([system.jobs[j] for j in items])
+            if len(items) > 2:
+                self._check_gate(items)
+            return _interval_schedule([system.jobs[j] for j in items]) is not None
         raise TypeError(f"unknown system variant: {system!r}")
 
     def pair_independent(self, j1: int, j2: int) -> bool:
         """Decide whether {j1, j2} is independent, exactly and in poly time."""
-        if j1 == j2:
-            return self.is_independent(frozenset((j1,)))
-        system = self.system
-        if isinstance(system, IntervalSystem):
-            return _interval_schedulable([system.jobs[j1], system.jobs[j2]])
-        if isinstance(system, ConflictSystem):
-            return j2 not in self._adj.get(j1, ())
-        return self._is_independent(frozenset((j1, j2)))
+        return self.is_independent(frozenset((j1, j2)))
 
     @cached_property
     def singleton_weights(self) -> tuple[int, ...]:
@@ -166,7 +157,7 @@ class ValuationOracle:
                 _mwis_exact(sorted(items), self.weights, self._adj))
         if isinstance(system, IntervalSystem):
             ordered = sorted(items)
-            finish, _ = _interval_table(system, ordered)
+            finish = _interval_table(system, ordered)
             return max(self.additive_weight(j for t, j in enumerate(ordered)
                                             if mask >> t & 1)
                        for mask, end in enumerate(finish) if end is not None)
@@ -242,19 +233,11 @@ class ValuationOracle:
         if not isinstance(system, IntervalSystem):
             raise TypeError("schedule witnesses only exist for interval systems")
         items = sorted(bundle)
-        if not items:
-            return {}
         self._check_gate(items)
-        finish, last = _interval_table(system, items)
-        if finish[-1] is None:
+        starts = _interval_schedule([system.jobs[j] for j in items])
+        if starts is None:
             raise ValueError(f"bundle {items} is not schedulable")
-        starts: dict[int, int] = {}
-        mask = len(finish) - 1
-        while mask:
-            t = last[mask]
-            starts[items[t]] = finish[mask] - system.jobs[items[t]][0] + 1
-            mask ^= 1 << t
-        return starts
+        return dict(zip(items, starts))
 
 
 class AdversarialOracle(ValuationOracle):
@@ -384,8 +367,8 @@ def _mwis_exact(items, weights, adjacency):
 
 
 # ---------------------------------------------------------------------------
-# Interval jobs: a pruned prefix search for independence, subset DP for
-# exact values, local ratio for approximation
+# Interval jobs: a pruned prefix search that returns its schedule, subset DP
+# for exact values, local ratio for approximation
 # ---------------------------------------------------------------------------
 
 def _interval_table(system, items):
@@ -393,17 +376,14 @@ def _interval_table(system, items):
 
     Scheduling the remaining job after an earliest-completion schedule of the
     rest is always optimal, so the recurrence over "last job" is exact.
-    Returns two lists indexed by bitmask over ``items``: the finish slot
-    (None marks infeasible) and the position of the job that runs last, the
-    lowest position reaching the least finish.
+    Returns the finish slot per bitmask over ``items``, None if infeasible.
     """
     jobs = [system.jobs[j] for j in items]
     k = len(items)
     finish: list[int | None] = [None] * (1 << k)
-    last: list[int | None] = [None] * (1 << k)
     finish[0] = 0
     for mask in range(1, 1 << k):
-        best = best_t = None
+        best = None
         for t in range(k):
             if not mask >> t & 1:
                 continue
@@ -413,14 +393,14 @@ def _interval_table(system, items):
             p, r, d = jobs[t]
             end = max(r, prev + 1) + p - 1
             if end <= d and (best is None or end < best):
-                best, best_t = end, t
+                best = end
         finish[mask] = best
-        last[mask] = best_t
-    return finish, last
+    return finish
 
 
-def _interval_schedulable(jobs):
-    """Whether the (p, r, d) jobs all fit, one at a time, in their windows.
+def _interval_schedule(jobs):
+    """Start slots fitting the (p, r, d) jobs, one at a time, in their
+    windows, listed in the order of ``jobs``; None when no schedule exists.
 
     Jackson's earliest-deadline list schedule (1955) settles most yes
     answers: when the machine is free, it starts the released job due first.
@@ -432,20 +412,25 @@ def _interval_schedulable(jobs):
     does it append a job released after another pending job could finish,
     since running that one in the gap first delays nothing.  So from every
     prefix whose outside jobs fit after its finish, a schedule of them that
-    the search follows exists, and the answer is exact.
+    the search follows exists, and the answer is exact.  A schedule is read
+    back from the full mask through the kept layers: each entry's finish is
+    reached by appending one of its jobs to an entry of the layer before.
     """
-    pending = sorted(jobs, key=lambda job: job[1])
+    # (r, position, d, p): pending jobs by release, ties in input order
+    pending = sorted((r, t, d, p) for t, (p, r, d) in enumerate(jobs))
+    starts = [0] * len(jobs)
     finish = 0
     while pending:
-        start = max(finish + 1, pending[0][1])
-        job = min((job for job in pending if job[1] <= start),
+        start = max(finish + 1, pending[0][0])
+        job = min((job for job in pending if job[0] <= start),
                   key=lambda job: job[2])
         pending.remove(job)
-        finish = start + job[0] - 1
+        starts[job[1]] = start
+        finish = start + job[3] - 1
         if finish > job[2]:
             break
     else:
-        return True
+        return starts
 
     by_deadline = sorted(range(len(jobs)), key=lambda t: jobs[t][2])
 
@@ -459,10 +444,10 @@ def _interval_schedulable(jobs):
                     return False
         return True
 
-    layer = {0: 0}
+    layers = [{0: 0}]
     for _ in jobs:
         grown: dict[int, int] = {}
-        for mask, finish in layer.items():
+        for mask, finish in layers[-1].items():
             ends = {t: max(r, finish + 1) + p - 1
                     for t, (p, r, _) in enumerate(jobs) if not mask >> t & 1}
             soonest = min(ends.values())
@@ -472,9 +457,19 @@ def _interval_schedulable(jobs):
                 if r <= soonest and end <= d \
                         and end < grown.get(longer, end + 1):
                     grown[longer] = end
-        layer = {mask: finish for mask, finish in grown.items()
-                 if rest_fits(mask, finish)}
-    return bool(layer)
+        layers.append({mask: finish for mask, finish in grown.items()
+                       if rest_fits(mask, finish)})
+    if not layers[-1]:
+        return None
+    [(mask, finish)] = layers[-1].items()
+    for before in reversed(layers[:-1]):
+        for t, (p, r, d) in enumerate(jobs):
+            prev = before.get(mask ^ 1 << t)  # None unless t is in mask
+            if prev is not None and max(r, prev + 1) + p - 1 == finish <= d:
+                starts[t] = finish - p + 1
+                mask, finish = mask ^ 1 << t, prev
+                break
+    return starts
 
 
 _PLACEMENT_CAP = 500_000

@@ -218,11 +218,11 @@ def _reference_make_bundles(request):
             low -= kept
             progress = True
             break
-    edges = []
+    edges, exact_pairs = [], oracle.epsilon > F(1, 3)
     for a_pos, j1 in enumerate(high):
         for b_pos in range(a_pos + 1, len(high)):
             j2 = high[b_pos]
-            if request.exact_pairs:
+            if exact_pairs:
                 qualifies = (oracle.pair_independent(j1, j2)
                              and singleton[j1] + singleton[j2] >= threshold)
             else:
@@ -267,10 +267,11 @@ def _tie_requests(rng, trials):
         total = sum((inst.values[0][j] for j in tied), F(0))
         mu_star = total / alpha * rng.choice((1, 2))  # threshold or its half
         items = frozenset(j for j in range(inst.m) if rng.random() < 0.85)
-        count, exact_pairs = rng.randint(1, 3), rng.random() < 0.3
+        # The second draw is unused, but dropping it would reseed every
+        # later request; the oracle's own error picks the pair test.
+        count, _ = rng.randint(1, 3), rng.random()
         yield [BundleRequest(oracle=make(), items=items, count=count,
-                             mu_star=mu_star, alpha=alpha,
-                             exact_pairs=exact_pairs)
+                             mu_star=mu_star, alpha=alpha)
                for _ in range(2)]
 
 

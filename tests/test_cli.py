@@ -125,6 +125,23 @@ def test_verify_failure_exit_code(tmp_path):
     {"system": 5},
     {"system": {"kind": "budget", "sizes": ["1", "1"], "budgets": ["1", "2"]},
      "entitled": ["x", 2]},
+    # A string where the format wants a list must not be read one character
+    # at a time, nor an object by its keys.
+    pytest.param({"values": ["12", "21"], "system": {"kind": "free"}},
+                 id="value-row-a-string"),
+    pytest.param({"m": 1, "values": "12", "system": {"kind": "free"}},
+                 id="value-matrix-a-string"),
+    pytest.param({"system": {"kind": "budget", "sizes": "11", "budget": "2"}},
+                 id="sizes-a-string"),
+    pytest.param({"system": {"kind": "budget", "sizes": ["1", "1"],
+                             "budgets": "12"}}, id="budgets-a-string"),
+    pytest.param({"system": {"kind": "explicit", "maximal_sets": {}}},
+                 id="maximal-sets-an-object"),
+    pytest.param({"system": {"kind": "explicit", "maximal_sets": [""]}},
+                 id="maximal-set-a-string"),
+    pytest.param({"n": 0, "m": 0, "values": [],
+                  "system": {"kind": "budget", "sizes": [], "budgets": []},
+                  "entitled": {}}, id="entitled-ordering-an-object"),
 ])
 def test_malformed_instance_is_an_input_error(tmp_path, capsys, fields):
     instance_path = tmp_path / "bad.json"
@@ -155,9 +172,17 @@ _INTERVALS = {"kind": "interval", "jobs": [{"p": 1, "r": 1, "d": 2}] * 4}
     ({"n": 2, "m": 4, "values": [["1"] * 4] * 2,
       "asymmetric": [_INTERVALS, _INTERVALS], "entitled": [1, 2]},
      ("--mode", "entitled")),
+    ({**_TWO_BY_TWO, "system": {"kind": "conflict", "edges": ""}},
+     ("--mode", "existence")),
+    ({"n": 2, "m": 0, "values": [[], []],
+      "system": {"kind": "interval", "jobs": {}}},
+     ("--mode", "alpha", "--epsilon", "1/2")),
+    ({"n": 0, "m": 0, "values": [], "asymmetric": "", "entitled": []},
+     ("--mode", "entitled")),
 ], ids=["boolean-in-maximal-set", "boolean-in-edge", "boolean-in-ordering",
         "boolean-agent-count", "interval-error-below-half",
-        "entitled-interval-families"])
+        "entitled-interval-families", "edges-a-string", "jobs-an-object",
+        "asymmetric-block-a-string"])
 def test_unservable_instance_is_an_input_error(tmp_path, capsys, doc, argv):
     instance_path = tmp_path / "inst.json"
     instance_path.write_text(json.dumps(doc))
@@ -255,8 +280,10 @@ def test_solve_flags_reach_the_solver(tmp_path, doc, argv, code, keys):
     ("verify", '{"bundles": 5}'),
     ("verify", '[]'),
     ("solve", '[1]'),
+    ("verify", '{"bundles": [[1, 2, 3, 4], [5, 6, 7, 8]], "complete": "no"}'),
+    ("verify", '{"bundles": [[], []], "complete": 0}'),
 ], ids=["bundle-entry", "bundles-not-a-list", "allocation-not-an-object",
-        "config-not-an-object"])
+        "config-not-an-object", "complete-a-string", "complete-a-number"])
 def test_malformed_allocation_or_config_is_an_input_error(tmp_path, capsys,
                                                           command, text):
     instance_path = tmp_path / "inst.json"

@@ -225,6 +225,20 @@ def test_pair_independence_examples():
                                (F(1), F(1)))
     assert not conflict.pair_independent(0, 1)
 
+    # One pair of each kind: the pair test and the set test agree.
+    ones = (F(1), F(1), F(1))
+    kinds = [
+        (FreeSystem(), (0, 1), True),
+        (ExplicitSystem.normalize([{0, 1}, {2}]), (0, 2), False),
+        (BudgetSystem(sizes=(F(2), F(3), F(1)), budget=F(4)), (0, 2), True),
+        (ConflictSystem.normalize([(1, 2)]), (1, 2), False),
+        (IntervalSystem(jobs=((2, 1, 3), (1, 1, 3), (2, 2, 3))), (0, 1), True),
+    ]
+    for system, (j1, j2), expected in kinds:
+        pair = ValuationOracle(system, ones).pair_independent(j1, j2)
+        whole = ValuationOracle(system, ones).is_independent({j1, j2})
+        assert pair == whole == expected, system
+
 
 def test_interval_oracle_rejects_sub_half_epsilon():
     system = IntervalSystem(jobs=((1, 1, 1),))
@@ -453,9 +467,12 @@ def test_interval_independence_matches_the_subset_table():
         system = IntervalSystem(jobs=tuple(jobs))
         oracle = ValuationOracle(system, tuple(F(1) for _ in jobs))
         items = range(len(jobs))
-        table = mmsalloc.valuation._interval_table(system, items)[0][-1]
+        table = mmsalloc.valuation._interval_table(system, items)[-1]
         answer = oracle.is_independent(items)
         assert answer == (table is not None), jobs
+        if answer:
+            witness = oracle.schedule_witness(items)
+            assert _schedule_is_valid(system, frozenset(items), witness), jobs
         answers.append((answer, _earliest_deadline_fits(jobs)))
     assert answers[:4] == [(True, False), (True, False),
                            (True, True), (False, False)]
