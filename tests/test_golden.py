@@ -148,7 +148,7 @@ GOLDEN = {
     "intervals-6":
         "73b2e28f69c7156bdc0da0555510468828c456994b921581f8f448fdd51aaf82",
     "intervals-7":
-        "3918639d8dc645445ad4cb660b9b32cf6e94d6f54dfeff37d311821956252ba1",
+        "1ae38e9de67b008d2a19f498b4230d01ecace07d13df4e2af4edec5a62ba39fd",
     "intervals-8":
         "ab624f1d1d75c7500ecd4a3affc1bd55812fd2c8f16082f8e18c314ba15b4866",
     "entitled-swap_detect-9":
