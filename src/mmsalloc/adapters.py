@@ -9,7 +9,6 @@ against.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,26 +46,6 @@ class ConstraintReport:
         return all(self.feasible)
 
 
-def _budget_system_for(instance: Instance, agent: int) -> BudgetSystem:
-    system = instance.system_for(agent)
-    if not isinstance(system, BudgetSystem):
-        raise UnsupportedSystem("expected budget systems for every agent")
-    return system
-
-
-def budget_feasible(instance: Instance, agent: int, items) -> bool:
-    system = _budget_system_for(instance, agent)
-    return sum((system.sizes[j] for j in items), ZERO) <= system.budget
-
-
-def conflict_feasible(instance: Instance, items) -> bool:
-    system = instance.system
-    if not isinstance(system, ConflictSystem):
-        raise UnsupportedSystem("expected a shared conflict graph")
-    bundle = set(items)
-    return not any(a in bundle and b in bundle for a, b in system.edges)
-
-
 # ---------------------------------------------------------------------------
 # Budget constraints
 # ---------------------------------------------------------------------------
@@ -79,12 +58,12 @@ def solve_budget_adapter(instance: Instance, *,
     solver applies at oracle error ``epsilon`` (1/(n+1) when None); its
     oracle-subset awards are affordable by construction.
     """
-    if not all(isinstance(instance.system_for(i), BudgetSystem)
-               for i in range(instance.n)):
+    systems = [instance.system_for(i) for i in range(instance.n)]
+    if not all(isinstance(system, BudgetSystem) for system in systems):
         raise UnsupportedSystem("budget adapter needs budget systems")
     result = solve_entitled(instance, epsilon)
-    feasible = tuple(budget_feasible(instance, i, result.allocation.bundles[i])
-                     for i in range(instance.n))
+    feasible = tuple(system.independent(bundle) for system, bundle
+                     in zip(systems, result.allocation.bundles))
     assert all(feasible)
     return ConstraintReport(result=result, allocation=result.allocation,
                             feasible=feasible)
@@ -93,14 +72,6 @@ def solve_budget_adapter(instance: Instance, *,
 # ---------------------------------------------------------------------------
 # Conflicting items
 # ---------------------------------------------------------------------------
-
-def _max_degree(system: ConflictSystem, m: int) -> int:
-    degree = [0] * m
-    for a, b in system.edges:
-        degree[a] += 1
-        degree[b] += 1
-    return max(degree, default=0)
-
 
 def solve_conflicts_adapter(instance: Instance, *,
                             gate: int = DEFAULT_MMS_GATE) -> ConstraintReport:
@@ -115,30 +86,27 @@ def solve_conflicts_adapter(instance: Instance, *,
         raise UnsupportedSystem("conflicts adapter needs a shared conflict graph")
     if instance.n == 0:
         raise DegreeTooHigh("completion needs at least one agent")
-    delta = _max_degree(system, instance.m)
+    neighbours = system.neighbours
+    delta = max(map(len, neighbours.values()), default=0)
     if instance.n <= delta:
         raise DegreeTooHigh(
             f"{instance.n} agents but the conflict graph has degree {delta}")
 
     result = solve_existence(instance, gate=gate)
     bundles = [set(b) for b in result.allocation.bundles]
-    neighbours: dict[int, set[int]] = {j: set() for j in range(instance.m)}
-    for a, b in system.edges:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-
     taken = set().union(*bundles) if bundles else set()
     completion = []
     for item in sorted(set(range(instance.m)) - taken):
+        adjacent = neighbours.get(item, set())
         receiver = next(i for i in range(instance.n)
-                        if not bundles[i] & neighbours[item])
-        assert not bundles[receiver] & neighbours[item]
+                        if not bundles[i] & adjacent)
+        assert not bundles[receiver] & adjacent
         bundles[receiver].add(item)
         completion.append((receiver, item))
 
     allocation = Allocation(bundles=tuple(frozenset(b) for b in bundles),
                             complete=True)
-    feasible = tuple(conflict_feasible(instance, b) for b in bundles)
+    feasible = tuple(map(system.independent, bundles))
     assert all(feasible)
     return ConstraintReport(result=result, allocation=allocation,
                             feasible=feasible, completion=tuple(completion))
@@ -206,12 +174,9 @@ def constrained_mms(instance: Instance, agent: int, *,
             f"{instance.m} items exceed the brute-force gate {gate}")
     system = instance.system_for(agent)
     oracle = oracle_for(instance, agent, gate=instance.m)
-    # Budget and conflict feasibility stay on item sets, apart from the oracle.
-    if isinstance(system, BudgetSystem):
-        feasible = functools.partial(budget_feasible, instance, agent)
-    elif isinstance(system, ConflictSystem):
-        def feasible(items: Items) -> bool:
-            return not any(a in items and b in items for a, b in system.edges)
+    # Interval membership is the oracle's, behind its gate (here m).
+    if isinstance(system, (BudgetSystem, ConflictSystem)):
+        feasible = system.independent
     elif isinstance(system, IntervalSystem):
         feasible = oracle.is_independent
     else:

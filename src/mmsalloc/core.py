@@ -123,6 +123,9 @@ class FreeSystem:
 
     kind = "free"
 
+    def independent(self, items: Items) -> bool:
+        return True
+
 
 @dataclass(frozen=True)
 class ExplicitSystem:
@@ -144,6 +147,9 @@ class ExplicitSystem:
         maximal.sort(key=lambda s: (len(s), sorted(s)))
         return ExplicitSystem(maximal_sets=tuple(maximal))
 
+    def independent(self, items: Items) -> bool:
+        return not items or any(items <= s for s in self.maximal_sets)
+
 
 @dataclass(frozen=True)
 class BudgetSystem:
@@ -152,6 +158,9 @@ class BudgetSystem:
     kind = "budget"
     sizes: tuple[Fraction, ...] = ()
     budget: Fraction = ZERO
+
+    def independent(self, items: Items) -> bool:
+        return sum((self.sizes[j] for j in items), ZERO) <= self.budget
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,23 @@ class ConflictSystem:
     def normalize(edges) -> "ConflictSystem":
         canon = sorted({(min(a, b), max(a, b)) for a, b in edges})
         return ConflictSystem(edges=tuple(canon))
+
+    @functools.cached_property
+    def neighbours(self) -> dict[int, set[int]]:
+        """The items each item conflicts with, for items on some edge."""
+        adjacent: dict[int, set[int]] = {}
+        for a, b in self.edges:
+            adjacent.setdefault(a, set()).add(b)
+            adjacent.setdefault(b, set()).add(a)
+        return adjacent
+
+    def independent(self, items: Items) -> bool:
+        neighbours = self.neighbours
+        for a in items:
+            adjacent = neighbours.get(a)
+            if adjacent and any(b in adjacent and b > a for b in items):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -206,16 +232,6 @@ class AsymmetricSpec:
 SystemSpec = Union[SetSystem, EntitledSpec, AsymmetricSpec]
 
 
-def system_contains_all(system: SetSystem, m: int) -> bool:
-    """True when the full item set is independent."""
-    if isinstance(system, FreeSystem):
-        return True
-    if isinstance(system, ExplicitSystem):
-        full = frozenset(range(m))
-        return m == 0 or any(full <= s for s in system.maximal_sets)
-    return False
-
-
 def system_subseteq(a: SetSystem, b: SetSystem, m: int) -> bool:
     """Decide whether every independent set of ``a`` is independent in ``b``.
 
@@ -224,11 +240,11 @@ def system_subseteq(a: SetSystem, b: SetSystem, m: int) -> bool:
     """
     if a == b:
         return True
-    if system_contains_all(b, m):
+    if isinstance(b, (FreeSystem, ExplicitSystem)) \
+            and b.independent(frozenset(range(m))):
         return True
     if isinstance(a, ExplicitSystem) and isinstance(b, ExplicitSystem):
-        return all(any(s <= t for t in b.maximal_sets) or not s
-                   for s in a.maximal_sets)
+        return all(map(b.independent, a.maximal_sets))
     if (isinstance(a, BudgetSystem) and isinstance(b, BudgetSystem)
             and a.sizes == b.sizes):
         return a.budget <= b.budget

@@ -183,8 +183,7 @@ def compute_mms_exact(instance: Instance, agent: int, *,
     return MmsRecord(agent=agent, mu=mu, witness=witness)
 
 
-def mms_bounds(instance: Instance, agent: int, *,
-               oracle: ValuationOracle | None = None) -> MmsBounds:
+def mms_bounds(instance: Instance, agent: int) -> MmsBounds:
     """Bracket the maximin share from the n-th most valuable item.
 
     The n-th largest singleton oracle value w satisfies w <= mu <= m * w.
@@ -192,8 +191,7 @@ def mms_bounds(instance: Instance, agent: int, *,
     n, m = instance.n, instance.m
     if m < n:
         return MmsBounds(ZERO, ZERO, fewer_items_than_agents=True)
-    if oracle is None:
-        oracle = oracle_for(instance, agent)
+    oracle = oracle_for(instance, agent)
     singleton_values = sorted(
         (oracle.singleton_value(j) for j in range(m)), reverse=True)
     pivot = singleton_values[n - 1]

@@ -21,7 +21,6 @@ from .core import (
     EpsilonOutOfRange,
     ExactnessGateExceeded,
     ExplicitSystem,
-    FreeSystem,
     Instance,
     IntervalSystem,
     Items,
@@ -65,11 +64,6 @@ class ValuationOracle:
         self._value_cache: dict[Items, Fraction] = {}
         self._indep_cache: dict[Items, bool] = {}
         self._subset_cache: dict[Items, IndependentBundle] = {}
-        if isinstance(system, ConflictSystem):
-            self._adj: dict[int, set[int]] = {}
-            for a, b in system.edges:
-                self._adj.setdefault(a, set()).add(b)
-                self._adj.setdefault(b, set()).add(a)
 
     # -- additive arithmetic, on integer weights: value = weight / scale ----
 
@@ -89,26 +83,16 @@ class ValuationOracle:
         return cached
 
     def _is_independent(self, items: Items) -> bool:
+        """Each system decides membership, apart from interval scheduling:
+        its exact test is exponential, so the oracle gates it."""
         system = self.system
-        if not items or isinstance(system, FreeSystem):
-            return True
-        if isinstance(system, ExplicitSystem):
-            return any(items <= s for s in system.maximal_sets)
-        if isinstance(system, BudgetSystem):
-            return sum((system.sizes[j] for j in items), ZERO) <= system.budget
-        if isinstance(system, ConflictSystem):
-            for a in items:
-                neighbours = self._adj.get(a)
-                if neighbours and any(b in neighbours and b > a for b in items):
-                    return False
-            return True
-        if isinstance(system, IntervalSystem):
-            if len(items) == 1:
-                return True  # d >= r + p - 1 is validated at construction
-            if len(items) > 2:
-                self._check_gate(items)
-            return _interval_schedule([system.jobs[j] for j in items]) is not None
-        raise TypeError(f"unknown system variant: {system!r}")
+        if not isinstance(system, IntervalSystem):
+            return system.independent(items)
+        if len(items) <= 1:
+            return True  # d >= r + p - 1 is validated at construction
+        if len(items) > 2:
+            self._check_gate(items)
+        return _interval_schedule([system.jobs[j] for j in items]) is not None
 
     def pair_independent(self, j1: int, j2: int) -> bool:
         """Decide whether {j1, j2} is independent, exactly and in poly time."""
@@ -154,7 +138,7 @@ class ValuationOracle:
                 sorted(items), self.weights, system.sizes, system.budget, ZERO))
         if isinstance(system, ConflictSystem):
             return self.additive_weight(
-                _mwis_exact(sorted(items), self.weights, self._adj))
+                _mwis_exact(sorted(items), self.weights, system.neighbours))
         if isinstance(system, IntervalSystem):
             ordered = sorted(items)
             finish = _interval_table(system, ordered)

@@ -8,8 +8,6 @@ from fractions import Fraction
 import pytest
 
 from mmsalloc.adapters import (
-    budget_feasible,
-    conflict_feasible,
     constrained_mms,
     solve_budget_adapter,
     solve_conflicts_adapter,
@@ -29,6 +27,7 @@ from mmsalloc.driver import solve_two_fifths
 from mmsalloc.mms_oracle import compute_mms_exact
 
 from conftest import (
+    brute_member,
     brute_schedulable,
     rand_budget_instance,
     rand_conflict_instance,
@@ -93,7 +92,7 @@ def test_budget_adapter_ratios_on_randoms():
         report = solve_budget_adapter(inst)
         assert report.all_feasible
         for i in range(inst.n):
-            assert budget_feasible(inst, i, report.allocation.bundles[i])
+            assert brute_member(inst.system_for(i), report.allocation.bundles[i])
             mu = constrained_mms(inst, i)
             if mu > 0:
                 assert _additive(inst, i, report.allocation.bundles[i]) \
@@ -127,6 +126,18 @@ def test_conflicts_degree_guard():
         solve_conflicts_adapter(inst)
 
 
+@pytest.mark.parametrize("edges", [((0, 1), (0, 1)), ((0, 1), (1, 0))])
+def test_conflicts_degree_guard_counts_distinct_neighbours(edges):
+    """A repeated edge is one conflict: one edge has degree 1, so two agents
+    suffice for the completion."""
+    inst = validate_instance(Instance(
+        n=2, m=3, values=((F(1),) * 3,) * 2, system=ConflictSystem(edges=edges)))
+    report = solve_conflicts_adapter(inst)
+    assert report.allocation.complete and report.all_feasible
+    for i in range(2):
+        assert brute_member(inst.system, report.allocation.bundles[i])
+
+
 def test_conflicts_completion_is_conflict_free_and_logged():
     rng = random.Random(13)
     for trial in range(40):
@@ -147,7 +158,7 @@ def test_conflicts_completion_is_conflict_free_and_logged():
         assert tuple(frozenset(partial[i]) for i in range(inst.n)) == \
             report.allocation.bundles
         for i in range(inst.n):
-            assert conflict_feasible(inst, report.allocation.bundles[i])
+            assert brute_member(inst.system_for(i), report.allocation.bundles[i])
             mu = constrained_mms(inst, i)
             if mu > 0:
                 assert _additive(inst, i, report.allocation.bundles[i]) \

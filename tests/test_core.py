@@ -32,7 +32,7 @@ from mmsalloc.core import (
     validate_instance,
 )
 from mmsalloc.generators import gen_random_hereditary
-from mmsalloc.valuation import oracle_for
+from mmsalloc.valuation import ValuationOracle, oracle_for
 
 from conftest import brute_member
 
@@ -210,3 +210,34 @@ def test_membership_downward_closed_exhaustively_at_eight_items():
             assert all(brute_member(system, combo - {j}) for j in combo)
         for j in combo:
             assert oracle.exact_value(combo - {j}) <= oracle.exact_value(combo)
+
+
+def test_system_membership_matches_the_definition():
+    """Each system's own membership test, and the oracle that asks it, agree
+    with the definition on every subset of seven items."""
+    rng = random.Random(29)
+    m = 7
+
+    def sizes(zeros):
+        return tuple(F(rng.choice(zeros + (1, 2, 3)), rng.choice((1, 2, 3)))
+                     for _ in range(m))
+
+    systems = [
+        FreeSystem(),
+        ExplicitSystem(),
+        gen_random_hereditary(m=m, n=1, family_density=0.5, seed=29).system,
+        BudgetSystem(sizes=sizes((0, 0, 0)), budget=F(0)),
+        BudgetSystem(sizes=sizes((0,)), budget=F(7, 3)),
+        BudgetSystem(sizes=sizes(()), budget=F(9, 2)),
+        ConflictSystem(edges=((0, 1), (1, 0), (0, 1), (2, 4), (2, 4))),
+        ConflictSystem.normalize((a, b) for a in range(m)
+                                 for b in range(a + 1, m)
+                                 if rng.random() < 0.3),
+    ]
+    for system in systems:
+        oracle = ValuationOracle(system, (F(1),) * m)
+        for mask in range(1 << m):
+            items = frozenset(j for j in range(m) if mask >> j & 1)
+            expected = brute_member(system, items)
+            assert system.independent(items) == expected, (system, items)
+            assert oracle.is_independent(items) == expected, (system, items)
