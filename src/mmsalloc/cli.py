@@ -91,22 +91,14 @@ def _solve(instance, mode: str, epsilon: Fraction | None, gate: int):
     if epsilon is not None and mode in ("existence", "two_fifths"):
         raise InstanceError(f"the {mode} mode takes no oracle error bound; "
                             "drop epsilon or use --mode alpha or entitled")
-    system = instance.system
-    if isinstance(system, ConflictSystem):
-        if mode != "existence":
-            raise InstanceError(
-                "conflict-graph instances are only supported in existence mode")
+    if isinstance(instance.system, ConflictSystem) and mode == "existence":
         return solve_conflicts_adapter(instance, gate=gate)
-    if isinstance(system, IntervalSystem) and mode in ("alpha", "two_fifths"):
-        if mode == "two_fifths":
-            raise InstanceError(
-                "interval instances need --mode alpha (oracle error is 1/2)")
+    if isinstance(instance.system, IntervalSystem) and mode == "alpha":
         return solve_intervals_adapter(instance, epsilon=epsilon)
     if (mode in ("two_fifths", "entitled") and instance.n > 0
             and all(isinstance(instance.system_for(i), BudgetSystem)
                     for i in range(instance.n))):
-        return solve_budget_adapter(
-            instance, epsilon=epsilon if mode == "entitled" else None)
+        return solve_budget_adapter(instance, epsilon=epsilon)
     if mode == "existence":
         return solve_existence(instance, gate=gate)
     if mode == "two_fifths":

@@ -37,7 +37,7 @@ from .core import (
 )
 from .divider import DividerOutcome, lone_divider, lone_divider_entitled
 from .mms_oracle import DEFAULT_MMS_GATE, MmsRecord, compute_mms_exact
-from .valuation import IndependentBundle, oracle_for
+from .valuation import APPROXIMATE_ERRORS, DEFAULT_GATES, IndependentBundle, oracle_for
 
 
 @dataclass(frozen=True)
@@ -159,13 +159,14 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     divider, shaving a failing agent's estimate each time, until a run
     succeeds.
 
-    ``epsilon_for(k)`` gives the oracle error for k active agents and may
-    raise when the mode cannot serve them (each oracle also rejects an error
-    its system kind cannot meet); above error 1/3 the bundle maker's
-    phase-two pair test asks exact independence.  ``shrink_factor(k)`` gives
-    the multiplicative estimate adjustment; ``count_bound(k, m)`` the proven
-    cap on adjustments per agent.  ``divide(instance, thresholds, maker,
-    oracles, epsilon, agents)`` runs one lone divider.
+    ``epsilon_for(k)`` gives the oracle error for k active agents, or raises.
+    A gated kind with no approximation at that error is refused here, before
+    any oracle work; each oracle also rejects an error below its kind's least.
+    Above 1/3 the bundle maker's phase-two pair test asks exact independence.
+    ``shrink_factor(k)`` gives the multiplicative estimate adjustment;
+    ``count_bound(k, m)`` the proven cap on adjustments per agent.
+    ``divide(instance, thresholds, maker, oracles, epsilon, agents)`` runs
+    one lone divider.
     """
     ranked = [_ranked_singletons(instance, i) for i in range(instance.n)]
     active = _active_agents(instance, ranked)
@@ -173,6 +174,11 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
         return _assemble(instance, mode, alpha, {}, (), {}, {}, {}, ())
     k = len(active)
     epsilon = epsilon_for(k)
+    for i in active:
+        kind = instance.system_for(i).kind
+        if kind in DEFAULT_GATES and not (epsilon and kind in APPROXIMATE_ERRORS):
+            raise UnsupportedSystem(f"agent {i + 1}: the {mode} mode has no "
+                                    f"polynomial {kind} oracle at error {epsilon}")
     if oracle_factory is None:
         oracles = {i: oracle_for(instance, i, epsilon=epsilon) for i in active}
     else:
@@ -212,9 +218,9 @@ def solve_two_fifths(instance: Instance, *, oracle_factory=None) -> SolveResult:
     """Polynomial 2/5-approximate solver for shared hereditary systems.
 
     Oracle error is capped at 1/(n+1): budget systems use the knapsack value
-    scaling at exactly that error, interval systems are rejected by their
-    oracle (its polynomial path loses a factor 2; use solve_alpha at
-    epsilon 1/2).
+    scaling at exactly that error, conflict graphs are refused, and interval
+    systems are rejected by their oracle unless one agent is active (its
+    polynomial path loses a factor 2; use solve_alpha at epsilon 1/2).
     """
     _reject_asymmetric(instance, "the 2/5 mode")
     if instance.is_entitled:

@@ -29,6 +29,9 @@ from .core import (
 )
 
 DEFAULT_GATES = {"budget": 25, "conflict": 30, "interval": 16}
+# Gated kinds whose subset query approximates in polynomial time above error
+# 0, with the least error met (0: any positive error, the knapsack FPTAS).
+APPROXIMATE_ERRORS = {"budget": ZERO, "interval": Fraction(1, 2)}
 
 
 @dataclass(frozen=True)
@@ -50,12 +53,10 @@ class ValuationOracle:
 
     def __init__(self, system: SetSystem, values: tuple[Fraction, ...], *,
                  epsilon: Fraction = ZERO, gate: int | None = None):
-        if not ZERO <= epsilon < ONE:
-            raise EpsilonOutOfRange(f"error bound {epsilon} not in [0, 1)")
-        if (isinstance(system, IntervalSystem)
-                and ZERO < epsilon < Fraction(1, 2)):
-            raise EpsilonOutOfRange("interval oracles support error bound 0 "
-                                    f"(gated exact) or >= 1/2, not {epsilon}")
+        least = APPROXIMATE_ERRORS.get(system.kind, ZERO)
+        if not (epsilon == 0 or least <= epsilon < ONE):
+            raise EpsilonOutOfRange(f"{system.kind} oracles support error bound "
+                                    f"0 or one in [{least}, 1), not {epsilon}")
         self.system = system
         self.values = tuple(values)
         self.scale, self.weights = scaled_weights(self.values)
@@ -201,13 +202,13 @@ class ValuationOracle:
         if self.is_independent(items):
             return IndependentBundle(items=items, value=self.additive_value(items))
         system = self.system
-        if isinstance(system, BudgetSystem) and self.epsilon > 0:
+        if not self.epsilon or system.kind not in APPROXIMATE_ERRORS:
+            return self.reduce_to_independent(items)
+        if isinstance(system, BudgetSystem):
             chosen = _knapsack(sorted(items), self.weights, system.sizes,
                                system.budget, self.epsilon)
-        elif isinstance(system, IntervalSystem) and self.epsilon > 0:
-            chosen, _ = _interval_local_ratio(system, self.weights, sorted(items))
         else:
-            return self.reduce_to_independent(items)
+            chosen, _ = _interval_local_ratio(system, self.weights, sorted(items))
         return IndependentBundle(items=frozenset(chosen),
                                  value=self.additive_value(chosen))
 

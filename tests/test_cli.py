@@ -155,6 +155,10 @@ def test_malformed_instance_is_an_input_error(tmp_path, capsys, fields):
 
 _TWO_BY_TWO = {"n": 2, "m": 2, "values": [["1", "1"], ["1", "1"]]}
 _INTERVALS = {"kind": "interval", "jobs": [{"p": 1, "r": 1, "d": 2}] * 4}
+_CONFLICTS = {**_TWO_BY_TWO, "system": {"kind": "conflict", "edges": [[1, 2]]}}
+_BUDGETS = {"n": 2, "m": 4, "values": [["1"] * 4] * 2,
+            "system": {"kind": "budget", "sizes": ["1"] * 4,
+                       "budgets": ["2", "3"]}}
 
 
 @pytest.mark.parametrize("doc, argv", [
@@ -179,10 +183,17 @@ _INTERVALS = {"kind": "interval", "jobs": [{"p": 1, "r": 1, "d": 2}] * 4}
      ("--mode", "alpha", "--epsilon", "1/2")),
     ({"n": 0, "m": 0, "values": [], "asymmetric": "", "entitled": []},
      ("--mode", "entitled")),
+    (_CONFLICTS, ("--mode", "two_fifths")),
+    (_CONFLICTS, ("--mode", "alpha")),
+    (_CONFLICTS, ("--mode", "entitled")),
+    ({"n": 2, "m": 4, "values": [["1"] * 4] * 2, "system": _INTERVALS},
+     ("--mode", "two_fifths")),
+    (_BUDGETS, ("--mode", "entitled", "--epsilon", "0")),
 ], ids=["boolean-in-maximal-set", "boolean-in-edge", "boolean-in-ordering",
         "boolean-agent-count", "interval-error-below-half",
         "entitled-interval-families", "edges-a-string", "jobs-an-object",
-        "asymmetric-block-a-string"])
+        "asymmetric-block-a-string", "conflict-two-fifths", "conflict-alpha",
+        "conflict-entitled", "interval-two-fifths", "budgets-entitled-error-0"])
 def test_unservable_instance_is_an_input_error(tmp_path, capsys, doc, argv):
     instance_path = tmp_path / "inst.json"
     instance_path.write_text(json.dumps(doc))
@@ -191,11 +202,6 @@ def test_unservable_instance_is_an_input_error(tmp_path, capsys, doc, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-
-
-_BUDGETS = {"n": 2, "m": 4, "values": [["1"] * 4] * 2,
-            "system": {"kind": "budget", "sizes": ["1"] * 4,
-                       "budgets": ["2", "3"]}}
 
 
 @pytest.mark.parametrize("doc, argv, config, mode", [

@@ -32,7 +32,12 @@ from mmsalloc.generators import (
 from mmsalloc.mms_oracle import compute_mms_exact, verify_allocation
 from mmsalloc.valuation import AdversarialOracle, oracle_for
 
-from conftest import rand_budget_instance, rand_interval_instance
+from conftest import (
+    rand_budget_instance,
+    rand_conflict_instance,
+    rand_interval_instance,
+    rand_values,
+)
 
 F = Fraction
 
@@ -188,6 +193,58 @@ def test_two_fifths_rejects_intervals():
     inst = rand_interval_instance(rng, m=5, n=2)
     with pytest.raises(EpsilonOutOfRange):
         solve_two_fifths(inst)
+
+
+def _instances_at_forty_items():
+    rng = random.Random(83)
+    return {
+        "free": validate_instance(Instance(
+            n=4, m=40, values=rand_values(rng, 4, 40), system=FreeSystem())),
+        "explicit": gen_random_hereditary(m=40, n=4, seed=83),
+        "budget": rand_budget_instance(rng, m=40, n=3),
+        "interval": rand_interval_instance(rng, m=40, n=2),
+        "conflict": rand_conflict_instance(rng, m=40),
+    }
+
+
+_MODES = {
+    "two_fifths": solve_two_fifths,
+    "alpha-1/3": lambda inst: solve_alpha(inst, F(1, 3)),
+    "alpha-1/2": lambda inst: solve_alpha(inst, F(1, 2)),
+    "entitled": solve_entitled,
+    "entitled-0": lambda inst: solve_entitled(inst, F(0)),
+}
+
+# What each polynomial mode does with each kind at 40 items: solve (None) or
+# refuse, never trip an exactness gate.  Per-agent budgets take no alpha
+# mode; the budget FPTAS needs an error above 0; the interval scheduler needs
+# 1/2 (interval alpha at 1/2 still trips the 16-job gate at this size); no
+# conflict-graph oracle is polynomial at any error.
+_OUTCOMES = {
+    "free": dict.fromkeys(_MODES),
+    "explicit": dict.fromkeys(_MODES),
+    "budget": {"two_fifths": None, "alpha-1/3": UnsupportedSystem,
+               "alpha-1/2": UnsupportedSystem, "entitled": None,
+               "entitled-0": UnsupportedSystem},
+    "interval": {"two_fifths": EpsilonOutOfRange,
+                 "alpha-1/3": EpsilonOutOfRange,
+                 "entitled": EpsilonOutOfRange,
+                 "entitled-0": UnsupportedSystem},
+    "conflict": dict.fromkeys(_MODES, UnsupportedSystem),
+}
+
+
+@pytest.mark.parametrize("kind", list(_OUTCOMES))
+def test_polynomial_modes_solve_or_refuse_each_kind_at_forty_items(kind):
+    inst = _instances_at_forty_items()[kind]
+    for mode, expected in _OUTCOMES[kind].items():
+        if expected is None:
+            bundles = _MODES[mode](inst).allocation.bundles
+            assert all(inst.system_for(i).independent(bundle)
+                       for i, bundle in enumerate(bundles)), (kind, mode)
+        else:
+            with pytest.raises(expected):
+                _MODES[mode](inst)
 
 
 def test_entitled_identical_budgets_match_shared_solve():
