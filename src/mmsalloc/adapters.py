@@ -26,7 +26,7 @@ from .core import (
 )
 from .driver import SolveResult, solve_alpha, solve_entitled, solve_existence
 from .mms_oracle import DEFAULT_MMS_GATE, _best_min_assignment
-from .valuation import oracle_for
+from .valuation import DEFAULT_GATES, oracle_for
 
 HALF = Fraction(1, 2)
 
@@ -173,19 +173,15 @@ def constrained_mms(instance: Instance, agent: int, *,
         raise BruteForceGateExceeded(
             f"{instance.m} items exceed the brute-force gate {gate}")
     system = instance.system_for(agent)
-    oracle = oracle_for(instance, agent, gate=instance.m)
-    # Interval membership is the oracle's, behind its gate (here m).
-    if isinstance(system, (BudgetSystem, ConflictSystem)):
-        feasible = system.independent
-    elif isinstance(system, IntervalSystem):
-        feasible = oracle.is_independent
-    else:
+    if system.kind not in DEFAULT_GATES:
         raise UnsupportedSystem(
             f"no constraint-aware brute force for {system.kind} systems")
+    # Interval membership sits behind the oracle's gate, here m.
+    oracle = oracle_for(instance, agent, gate=instance.m)
     weights = oracle.values
     order = sorted(range(instance.m), key=lambda j: (-weights[j], j))
     found = _best_min_assignment(
         order, [(oracle.additive_value, weights)], [0] * instance.n,
-        oracle.scale, feasible=feasible,
+        oracle.scale, feasible=oracle.is_independent,
         allow_discard=not isinstance(system, ConflictSystem))
     return ZERO if found is None else found[0]

@@ -165,15 +165,19 @@ class BudgetSystem:
 
 @dataclass(frozen=True)
 class ConflictSystem:
-    """A bundle is independent if it induces no edge of the conflict graph."""
+    """A bundle is independent if it induces no edge of the conflict graph;
+    edges are sorted distinct (min, max) pairs, so equal graphs compare equal."""
 
     kind = "conflict"
     edges: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "edges", tuple(sorted(
+            {(min(a, b), max(a, b)) for a, b in self.edges})))
+
     @staticmethod
     def normalize(edges) -> "ConflictSystem":
-        canon = sorted({(min(a, b), max(a, b)) for a, b in edges})
-        return ConflictSystem(edges=tuple(canon))
+        return ConflictSystem(edges=edges)
 
     @functools.cached_property
     def neighbours(self) -> dict[int, set[int]]:

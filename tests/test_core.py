@@ -17,6 +17,7 @@ from mmsalloc.core import (
     ExplicitSystem,
     FreeSystem,
     Instance,
+    InstanceError,
     IntervalSystem,
     InvalidInterval,
     NegativeValue,
@@ -74,6 +75,13 @@ def test_validate_rejects_bad_interval():
     system = IntervalSystem(jobs=((2, 3, 3),))  # needs d >= r + p - 1 = 4
     inst = Instance(n=1, m=1, values=((F(1),),), system=system)
     with pytest.raises(InvalidInterval):
+        validate_instance(inst)
+
+
+def test_validate_rejects_conflict_self_loop():
+    inst = Instance(n=1, m=2, values=((F(1), F(1)),),
+                    system=ConflictSystem(edges=((0, 1), (1, 1))))
+    with pytest.raises(InstanceError, match="self-loop on item 1"):
         validate_instance(inst)
 
 
@@ -137,11 +145,14 @@ _SIZES = (F(3, 2), F(0), F(2), F(1, 3))
                           BudgetSystem(sizes=_SIZES, budget=F(5, 2))),
                  ordering=(0, 1)),
     ConflictSystem.normalize([(0, 1), (3, 2)]),
+    ConflictSystem(edges=((2, 3), (0, 1), (2, 3))),
+    ConflictSystem(edges=((0, 1), (1, 0))),
     IntervalSystem(jobs=((1, 1, 2), (2, 1, 4), (1, 3, 3), (3, 2, 6))),
     AsymmetricSpec(systems=(ExplicitSystem.normalize([{0, 3}]),
                             BudgetSystem(sizes=_SIZES, budget=F(1)))),
 ], ids=["free", "explicit", "shared-budget", "per-agent-budgets", "conflict",
-        "interval", "asymmetric"])
+        "conflict-repeated-edge", "conflict-reversed-edge", "interval",
+        "asymmetric"])
 def test_every_system_kind_survives_a_json_round_trip(spec):
     inst = validate_instance(Instance(
         n=2, m=4, values=((F(1), F(3, 2), F(0), F(2)),
