@@ -9,6 +9,7 @@ pipeline only ever touches sums of item values.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -167,22 +168,29 @@ class ValuationOracle:
         return IndependentBundle(items=items, value=value)
 
     def _reduce_explicit(self, items: Items) -> IndependentBundle:
-        """The ascending scan of ``reduce_to_independent`` in one pass.
+        """The ascending scan of ``reduce_to_independent`` over the optimal
+        sets only.
 
-        Keeps one running sum per maximal set: the value of the bundle's
-        items inside it.  The bundle's value is the largest sum, and dropping
-        j lowers the sums of the sets that contain j by j's weight.
+        The bundle's value is the largest weight of its items inside one
+        maximal set.  Dropping an item never raises a set's weight, so a set
+        below the value never regains it: j goes when it weighs nothing or
+        some set still at the value lacks it, and then only those sets stay.
         """
         sets = self.system.maximal_sets
+        if not sets:
+            return IndependentBundle(items=frozenset(), value=ZERO)
         sums = [self.additive_weight(items & s) for s in sets]
-        value = max(sums, default=0)
+        value = max(sums)
+        best = [s for s, t in zip(sets, sums) if t == value]
+        kept = []
         for j in sorted(items):
-            w = self.weights[j]
-            lowered = [t - w if j in s else t for t, s in zip(sums, sets)]
-            if max(lowered, default=0) == value:
-                items = items - {j}
-                sums = lowered
-        return IndependentBundle(items=items, value=Fraction(value, self.scale))
+            lacking = [s for s in best if j not in s] if self.weights[j] else best
+            if lacking:
+                best = lacking
+            else:
+                kept.append(j)
+        return IndependentBundle(items=frozenset(kept),
+                                 value=Fraction(value, self.scale))
 
     # -- approximate subset queries ------------------------------------------
 
@@ -478,18 +486,23 @@ def _interval_local_ratio(system, weights, items):
         for start in range(r, d - p + 2):
             placements.append((start + p - 1, start, j))
     placements.sort()
-    residual = {pl: weights[pl[2]] for pl in placements}
+    # Pushes come in end order, so a placement overlaps a pushed one exactly
+    # when it starts by the pushed end: prefix sums of the charges over the
+    # pushed ends, in all and per job, give each residual by bisection.
+    ends, charged = [], [0]
+    by_job = {j: ([], [0]) for j in items}
     stack = []
     for pl in placements:
-        if residual[pl] <= 0:
-            continue
         end, start, job = pl
+        job_ends, job_charged = by_job[job]
+        residual = (weights[job] - job_charged[bisect_left(job_ends, start)]
+                    - charged[-1] + charged[bisect_left(ends, start)])
+        if residual <= 0:
+            continue
         stack.append(pl)
-        charge = residual[pl]
-        for other in placements:
-            o_end, o_start, o_job = other
-            if o_job == job or (o_start <= end and start <= o_end):
-                residual[other] -= charge
+        for pushed_ends, sums in ((ends, charged), by_job[job]):
+            pushed_ends.append(end)
+            sums.append(sums[-1] + residual)
     chosen: dict[int, int] = {}
     occupied: list[tuple[int, int]] = []
     for end, start, job in reversed(stack):

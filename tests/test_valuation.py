@@ -289,6 +289,55 @@ def test_interval_oracle_contract_on_random_instances():
         assert 2 * answer.value >= brute_value(system, values, bundle)
 
 
+def _reference_local_ratio(system, weights, items):
+    """The local-ratio scheduler with its charges applied one by one: each
+    push lowers the residual of every placement of its job or overlapping it."""
+    placements = sorted((start + p - 1, start, j)
+                        for j in items for p, r, d in (system.jobs[j],)
+                        for start in range(r, d - p + 2))
+    residual = {pl: weights[pl[2]] for pl in placements}
+    stack = []
+    for pl in placements:
+        if residual[pl] <= 0:
+            continue
+        end, start, job = pl
+        stack.append(pl)
+        charge = residual[pl]
+        for other in placements:
+            o_end, o_start, o_job = other
+            if o_job == job or (o_start <= end and start <= o_end):
+                residual[other] -= charge
+    chosen, occupied = {}, []
+    for end, start, job in reversed(stack):
+        if job not in chosen and not any(start <= o_end and o_start <= end
+                                         for o_start, o_end in occupied):
+            chosen[job] = start
+            occupied.append((start, end))
+    return sorted(chosen), chosen
+
+
+def test_interval_local_ratio_matches_the_quadratic_charge():
+    rng = random.Random(211)
+    seen = {"zero weight": 0, "zero slack": 0, "self overlap": 0}
+    for trial in range(600):
+        m = rng.randint(1, 12)
+        jobs = []
+        for _ in range(m):
+            p, r = rng.randint(1, 4), rng.randint(1, 8)
+            jobs.append((p, r, r + p - 1 + rng.choice((0, 0, 1, 2, 3, 6))))
+        system = IntervalSystem(jobs=tuple(jobs))
+        weights = [rng.choice((0, 0, 1, 2, 3, 5, 8)) for _ in range(m)]
+        items = sorted(rng.sample(range(m), rng.randint(1, m)))
+        seen["zero weight"] += any(weights[j] == 0 for j in items)
+        seen["zero slack"] += any(jobs[j][2] == jobs[j][1] + jobs[j][0] - 1
+                                  for j in items)
+        seen["self overlap"] += any(1 <= d - r - p + 1 < p
+                                    for p, r, d in (jobs[j] for j in items))
+        got = mmsalloc.valuation._interval_local_ratio(system, weights, items)
+        assert got == _reference_local_ratio(system, weights, items), trial
+    assert min(seen.values()) >= 100, seen
+
+
 def test_conflict_exact_matches_brute_force():
     rng = random.Random(12)
     for trial in range(90):
