@@ -5,8 +5,9 @@ Four modes:
 * ``solve_existence`` slices exact maximin-share witnesses (brute force, so
   desk scale only) and guarantees every agent n/(2n-1) of her MMS.
 * ``solve_two_fifths`` is the polynomial mode: estimate each agent's MMS from
-  singleton values, run the lone divider with the two-phase bundle maker, and
-  shave the failing agent's estimate by n/(n+1) until a run succeeds.
+  singleton values, shave each estimate by n/(n+1) until her two-phase bundle
+  maker builds n bundles from all items, then run the lone divider, shaving a
+  divider who fails in a later round the same way until a run succeeds.
   Guarantees 2/5 with oracle error at most 1/(n+1).
 * ``solve_alpha`` generalises to lossier oracles with error bound epsilon,
   guaranteeing (1-eps)/(1+(3/2)(1-eps)); epsilon 0 is exactly the 2/5 mode.
@@ -155,9 +156,10 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
                       epsilon_for, divide, *, shrink_factor=_two_fifths_shrink,
                       count_bound=_two_fifths_cap,
                       oracle_factory=None) -> SolveResult:
-    """Estimate each agent's MMS from singleton values, then run the lone
-    divider, shaving a failing agent's estimate each time, until a run
-    succeeds.
+    """Estimate each agent's MMS from singleton values, shrink each estimate
+    until her bundle maker builds k bundles from all items (the round-one
+    pre-pass), then run the lone divider, shrinking a divider who fails in a
+    later round, until a run succeeds.  Each shrink is one adjustment.
 
     ``epsilon_for(k)`` gives the oracle error for k active agents, or raises.
     A gated kind with no approximation at that error is refused here, before
@@ -177,8 +179,8 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     for i in active:
         kind = instance.system_for(i).kind
         if kind in DEFAULT_GATES and not (epsilon and kind in APPROXIMATE_ERRORS):
-            raise UnsupportedSystem(f"agent {i + 1}: the {mode} mode has no "
-                                    f"polynomial {kind} oracle at error {epsilon}")
+            raise UnsupportedSystem(f"agent {i + 1}: no polynomial {kind} "
+                                    f"oracle at error {epsilon}")
     if oracle_factory is None:
         oracles = {i: oracle_for(instance, i, epsilon=epsilon) for i in active}
     else:
@@ -191,27 +193,39 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
 
     estimates = _initial_estimates(instance, active, ranked)
     adjustments = {i: 0 for i in active}
-    cap = count_bound(k, instance.m)
+    cap, factor = count_bound(k, instance.m), shrink_factor(k)
+
+    def maker(agent: int, items: Items, count: int):
+        return make_bundles_alpha(BundleRequest(
+            oracle=oracles[agent], items=items, count=count,
+            mu_star=estimates[agent], alpha=alpha))
+
+    def shrink(agent: int) -> None:
+        adjustments[agent] += 1
+        if not adjustments[agent] < cap:
+            raise AssertionError(
+                f"agent {agent + 1} exceeded the adjustment bound {cap:.3f}")
+        estimates[agent] *= factor
+
+    # Round one on all items: an agent whose maker cannot build k bundles
+    # there would fail as the divider.  k bundles worth alpha * e each need
+    # k * alpha * e <= her singleton sum, so larger estimates fail unasked.
+    for i in active:
+        ceiling = sum(ranked[i]) / (k * alpha)
+        while estimates[i] > ceiling:
+            shrink(i)
+        while maker(i, instance.all_items(), k) is None:
+            shrink(i)
+
     runs: list[DividerOutcome] = []
     while True:
         thresholds = {i: alpha * estimates[i] for i in active}
-
-        def maker(agent: int, items: Items, count: int):
-            return make_bundles_alpha(BundleRequest(
-                oracle=oracles[agent], items=items, count=count,
-                mu_star=estimates[agent], alpha=alpha))
-
         outcome = divide(instance, thresholds, maker, oracles, epsilon, active)
         runs.append(outcome)
         if outcome.succeeded:
             return _assemble(instance, mode, alpha, outcome.allocation, active,
                              thresholds, dict(estimates), adjustments, runs)
-        failed = outcome.failed_agent
-        adjustments[failed] += 1
-        if not adjustments[failed] < cap:
-            raise AssertionError(
-                f"agent {failed + 1} exceeded the adjustment bound {cap:.3f}")
-        estimates[failed] *= shrink_factor(k)
+        shrink(outcome.failed_agent)
 
 
 def solve_two_fifths(instance: Instance, *, oracle_factory=None) -> SolveResult:

@@ -244,6 +244,18 @@ def test_alpha_mode_rejects_asymmetric_input_in_its_own_name(tmp_path, capsys):
     assert "the alpha mode" in err and "2/5" not in err
 
 
+def test_alpha_refusal_names_no_mode_it_delegates_to(tmp_path, capsys):
+    # At error 0 the alpha mode runs the 2/5 pipeline, whose refusal must
+    # not name the two_fifths mode that the caller never asked for.
+    instance_path = tmp_path / "conflicts.json"
+    instance_path.write_text(json.dumps(_CONFLICTS))
+    assert run_cli("solve", str(instance_path), "--mode", "alpha",
+                   "--out", str(tmp_path / "alloc.json")) == 2
+    err = capsys.readouterr().err
+    assert err == "error: agent 1: no polynomial conflict oracle at error 1/3\n"
+    assert "two_fifths" not in err
+
+
 def test_conflict_edge_that_is_not_a_pair_is_named(tmp_path, capsys):
     instance_path = tmp_path / "inst.json"
     instance_path.write_text(json.dumps(

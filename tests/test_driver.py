@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from mmsalloc.adapters import solve_budget_adapter
+from mmsalloc.bundles import TWO_FIFTHS, BundleRequest, make_bundles_alpha
 from mmsalloc.core import (
+    BudgetSystem,
     EntitledSpec,
     EpsilonOutOfRange,
     FreeSystem,
@@ -18,6 +21,7 @@ from mmsalloc.core import (
     validate_instance,
 )
 from mmsalloc.driver import (
+    _solve_polynomial,
     alpha_for_error,
     solve_alpha,
     solve_entitled,
@@ -33,6 +37,7 @@ from mmsalloc.mms_oracle import compute_mms_exact, verify_allocation
 from mmsalloc.valuation import AdversarialOracle, oracle_for
 
 from conftest import (
+    brute_member,
     rand_budget_instance,
     rand_conflict_instance,
     rand_interval_instance,
@@ -113,6 +118,75 @@ def test_estimate_soundness_and_adjustment_bounds():
             assert result.estimates[agent] >= mu
             bound = F(6, 5) * (k + 1) * math.log(inst.m)
             assert result.adjustments[agent] < bound
+
+
+def test_pre_pass_shrinks_check_the_adjustment_cap():
+    # Three agents valuing six free items alike start at estimate 6, and
+    # k * alpha * 6 = 36/5 exceeds the singleton sum 6, so agent 1 shrinks
+    # in the pre-pass before any divider run; a cap of 1 trips right there.
+    inst = validate_instance(Instance(
+        n=3, m=6, values=((F(1),) * 6,) * 3, system=FreeSystem()))
+    assert 3 * TWO_FIFTHS * inst.m > sum(inst.values[0])
+
+    def divide(*args):
+        pytest.fail("a divider ran before the pre-pass shrank")
+
+    with pytest.raises(AssertionError, match="agent 1 exceeded"):
+        _solve_polynomial(inst, "two_fifths", TWO_FIFTHS,
+                          lambda k: F(1, k + 1), divide,
+                          count_bound=lambda k, m: 1)
+
+
+def test_final_estimates_pass_round_one_on_all_items():
+    rng = random.Random(43)
+    for seed in range(12):
+        inst = gen_random_hereditary(m=rng.randint(12, 24),
+                                     n=rng.choice((3, 4, 5)),
+                                     family_density=rng.uniform(0.4, 1),
+                                     seed=4300 + seed)
+        result = solve_two_fifths(inst)
+        k = len(result.active_agents)
+        for agent, estimate in result.estimates.items():
+            bundles = make_bundles_alpha(BundleRequest(
+                oracle=oracle_for(inst, agent, epsilon=F(1, k + 1)),
+                items=inst.all_items(), count=k, mu_star=estimate))
+            assert bundles is not None and len(bundles) == k, (seed, agent)
+
+
+def _budgets_at_scale(m: int, n: int) -> Instance:
+    """Nested budgets as the benchmark draws them: sizes 1-9, budgets 10-40."""
+    rng = random.Random(1)
+    sizes = tuple(F(rng.randint(1, 9)) for _ in range(m))
+    budgets = [F(rng.randint(10, 40)) for _ in range(n)]
+    values = tuple(tuple(F(rng.randint(0, 6), rng.choice((1, 1, 2, 3)))
+                         for _ in range(m)) for _ in range(n))
+    return validate_instance(Instance(
+        n=n, m=m, values=values,
+        system=EntitledSpec(
+            systems=tuple(BudgetSystem(sizes=sizes, budget=b) for b in budgets),
+            ordering=tuple(sorted(range(n), key=lambda i: (budgets[i], i))))))
+
+
+@pytest.mark.parametrize("make, solve", [
+    (lambda: gen_random_hereditary(m=300, n=20, family_density=1, seed=1),
+     solve_two_fifths),
+    (lambda: _budgets_at_scale(m=200, n=10),
+     lambda inst: solve_budget_adapter(inst).result),
+], ids=["explicit-m300-n20", "budget-m200-n10"])
+def test_polynomial_solves_at_scale_make_one_divider_run(make, solve):
+    inst = make()
+    result = solve(inst)
+    k = len(result.active_agents)
+    assert k > 1
+    claimed = [j for bundle in result.allocation.bundles for j in bundle]
+    assert len(claimed) == len(set(claimed))
+    for i in result.active_agents:
+        bundle = result.allocation.bundles[i]
+        assert brute_member(inst.system_for(i), bundle), i
+        assert sum((inst.values[i][j] for j in bundle), F(0)) \
+            >= result.thresholds[i], i
+        assert result.adjustments[i] < F(6, 5) * (k + 1) * math.log(inst.m)
+    assert len(result.runs) == 1
 
 
 def test_two_fifths_under_adversarial_oracles():

@@ -132,47 +132,47 @@ def _digest(doc: dict) -> str:
 
 GOLDEN = {
     "two_fifths-1":
-        "d6761aa68af850ca516cadd234e900ad585d7b57f1308b50ede8c95baf03416a",
+        "159bf8798ffc78282f12e85f8747f5f8e84dcf65f03d922172b08480a2defd5e",
     "two_fifths-2":
-        "1fde02fe16b25c5f73fda6c22a82c852ef421422b05902e1133f1daef9368c93",
+        "9397c98315916db5a44ac82cf3cf7da92a49c6cfea1b1d08af86538b1507f787",
     "two_fifths-3":
-        "969a411b95e0a3de68f50c41f0efd2d5e679bcda68fd2e94fd9c79c1e2dd0491",
+        "25b58056fcdc5bc2ba744da267f67c09ab6bbfaadc93265690a7c8049b3fc31f",
     "two_fifths-4":
-        "0c36595d4c199b6f76c643d14e2e4f57de9eefce44704a6506abfe6e951da416",
+        "2f8ad3fddcd685bc454b7b334097c31744cf0306e3b711e944ca9ef18b842e17",
     "alpha0-5":
-        "4475b78fe0c8e4abc57c617412771fac6f146e96cdf3a9c3fafdd9535a290726",
+        "789d4940def9f676f4105e17215b35318c806e4e4bfa822b7b4f81c5ad741e6c",
     "alpha1_3-5":
-        "14a3044895e01b4585387f4b637ea4054f051641e429ec28082af207d0548c56",
+        "b633f843ad236bbfc370da9c5bdae01a9fda99727500c5fd20eaa37e47b6b870",
     "one_active-13":
         "bdee7126cbb26b4ea2c6edcfd1c2661f559e2721f7fa863a61ceec4975fd4968",
     "intervals-6":
-        "73b2e28f69c7156bdc0da0555510468828c456994b921581f8f448fdd51aaf82",
+        "3f3bde5e18e774cbaba3bca75b4b2949555caefeeaa575a250bc6b021f14231a",
     "intervals-7":
-        "1ae38e9de67b008d2a19f498b4230d01ecace07d13df4e2af4edec5a62ba39fd",
+        "53756ca12b0314b27e30d442092280d992fb0be9e0ffd0a183c3606ba755bb0b",
     "intervals-8":
-        "ab624f1d1d75c7500ecd4a3affc1bd55812fd2c8f16082f8e18c314ba15b4866",
+        "b3ca496e3bef7fb1baa546f36bb7b6a91bf16de6059f9f79d49b023c247c1f7b",
     "entitled-swap_detect-9":
-        "a664bc7a2fbb2f8003f3c536483bc52d101d8162bfd7fd62a820a938daf6173b",
+        "1680a2a48a5a8011ac3d96cbb785daa3562c1dc549f75d8b19d1bb3ee80e4be7",
     "entitled-most_restrictive-9":
-        "b7e55215a5ac0694a4e902b349e9e410ad739372a3177343ab4b76f0a526c6c0",
+        "e2c21743df3d75deca7c976f5c58d1c10edd0e0f0b78d7209e4dfaf81b26b375",
     "entitled-swap_detect-10":
-        "93e00d14430448b985e850137759fbfbc26b39376c8d02677a19c4729c435e34",
+        "15e6b269acbfed0eaf12a526707b0fc4806757e3fed1cb42a681ff174832cf1a",
     "entitled-most_restrictive-10":
-        "4e17671462de3f5aa6da28faedf8a7ed379f7726884833dcc1c3f8c0da1ccd78",
+        "bf086d579f569be0902d43b45808cf65be7100d967ffb708d4320841f1fa8e58",
     "entitled-swap_detect-11":
-        "eeaadea678e163ca1230e68c14ed1691e6cbf3fe21a2e5337548bbe00372a02c",
+        "bb3a249030235205d8835a3369e9ffb439d21bfdb699438eb5b1972420e18fbf",
     "entitled-most_restrictive-11":
-        "92b629e1f035885e53dac1bad8e9881394ff1dbfe721a6be30c58cb56732f189",
+        "5568167d65d4711eda1f03583db280a1347038004f06887fa8df3e60db88c0a8",
     "entitled-swap_detect-17":
-        "f113fc5deef94b7774f3bf07250bed41efa7074ff8bdec31a66e1b95da93f0d1",
+        "792c8328f703dd7d01f2d5398fd5623b2d5f486c416be344dd4bcaeda524b245",
     "entitled-most_restrictive-17":
-        "e44a4c1848856302e8240fbb2cea7c508c44d609cb38afae7edd6aeb7d6ee663",
+        "da4463304e013efbcc3bf0fd94964c79a378e40a05f578bcf5440e71337d6136",
     "budget_fractional-18":
-        "35c47a5c71e8bb80d203dc52c1d70e67b274a30732e46fdabca778c305834925",
+        "3046d871015143467067b0a79ece6c79f7997adf20842d891bd2c05715e4fd64",
     "budget_fractional-19":
-        "32f5f13cda66a7462e5e267f1ff87c55c7adaaea2150991a9d50288b4b101272",
+        "bb16e6c6fa824e7173519e7be56b5ca16f7c55276c4b5875b77b6ca7f01afae2",
     "two_fifths_m40-20":
-        "c104da63db348a790f684869454d9906eecf37e1b7f708796d33a1b0fd3cabba",
+        "ecc235f149c63acfc097f978353d186312978fb41aa64ef6ba9767885d94985f",
     "existence-21":
         "f39a063e097e1689b23f61e454c35e77732fdd77400cf4e5eebbe5d33c307724",
     "existence-22":
