@@ -21,12 +21,11 @@ from .core import (
     DegreeTooHigh,
     Instance,
     IntervalSystem,
-    Items,
     UnsupportedSystem,
 )
 from .driver import SolveResult, solve_alpha, solve_entitled, solve_existence
 from .mms_oracle import DEFAULT_MMS_GATE, _best_min_assignment
-from .valuation import DEFAULT_GATES, oracle_for
+from .valuation import DEFAULT_GATES, _schedule_is_valid, oracle_for
 
 HALF = Fraction(1, 2)
 
@@ -122,38 +121,19 @@ def solve_intervals_adapter(instance: Instance, *,
 
     Runs the lossy-oracle mode at error bound ``epsilon``; None means 1/2,
     the ratio of the greedy local-ratio scheduler, which guarantees 2/7.  Every
-    awarded bundle is schedulable and the witness start times are emitted so
-    feasibility is checkable directly.
+    awarded bundle carries the start times that proved it schedulable; they
+    are emitted so feasibility is checkable directly.
     """
     if not isinstance(instance.system, IntervalSystem):
         raise UnsupportedSystem("intervals adapter needs a shared interval system")
     result = solve_alpha(instance, HALF if epsilon is None else epsilon)
-    schedules = []
-    feasible = []
-    for i in range(instance.n):
-        bundle = result.allocation.bundles[i]
-        witness = oracle_for(instance, i).schedule_witness(bundle)
-        schedules.append(witness)
-        feasible.append(_schedule_is_valid(instance.system, bundle, witness))
+    schedules = tuple(result.awarded[i].witness if i in result.awarded else {}
+                      for i in range(instance.n))
+    feasible = tuple(_schedule_is_valid(instance.system, bundle, witness) for
+                     bundle, witness in zip(result.allocation.bundles, schedules))
     assert all(feasible)
     return ConstraintReport(result=result, allocation=result.allocation,
-                            feasible=tuple(feasible),
-                            schedules=tuple(schedules))
-
-
-def _schedule_is_valid(system: IntervalSystem, items: Items,
-                       starts: dict[int, int]) -> bool:
-    if set(starts) != set(items):
-        return False
-    busy: list[tuple[int, int]] = []
-    for j, start in starts.items():
-        p, r, d = system.jobs[j]
-        if start < r or start + p - 1 > d:
-            return False
-        busy.append((start, start + p - 1))
-    busy.sort()
-    return all(prev_end < nxt_start for (_, prev_end), (nxt_start, _)
-               in zip(busy, busy[1:]))
+                            feasible=feasible, schedules=schedules)
 
 
 # ---------------------------------------------------------------------------

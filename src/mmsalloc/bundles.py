@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import InsufficientBundles, Items
+from .core import InsufficientBundles, IntervalSystem, Items
 from .mms_oracle import MmsRecord
-from .valuation import IndependentBundle, ValuationOracle
+from .valuation import IndependentBundle, ValuationOracle, _interval_witness, _schedule_is_valid
 
 TWO_FIFTHS = Fraction(2, 5)
 
@@ -71,8 +71,10 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     Phase one greedily carves minimal bundles holding at most one high-valued
     item each; phase two pairs up the remaining high-valued items through a
     maximum matching.  Items are scanned in ascending index order throughout.
-    Returns None when fewer than the requested number of bundles exist, which
-    is the legitimate signal that the caller's estimate is too high.
+    Interval bundles carry their schedule: a carved one restricts its query's,
+    and singletons and pairs take the exact scheduler's.  Returns None when
+    fewer than the requested number of bundles exist, which is the legitimate
+    signal that the caller's estimate is too high.
     """
     from .matching import max_general_matching  # local import, no cycle at module load
 
@@ -90,12 +92,16 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
 
     high = [j for j, scaled in singleton.items() if 2 * scaled > t_num]
     low = {j for j, scaled in singleton.items() if 2 * scaled <= t_num}
-    built: list[tuple[Items, int]] = []  # (bundle, its weight)
+    built: list[tuple[Items, int, dict | None]] = []  # (bundle, weight, witness)
+
+    def schedule(items):  # a singleton's or a pair's, from the exact scheduler
+        if isinstance(oracle.system, IntervalSystem):
+            return _interval_witness(oracle.system, items)
 
     # Phase one, singletons: high items already meeting the threshold.
     for j in list(high):
         if singleton[j] >= t_num:
-            built.append((frozenset((j,)), oracle.weights[j]))
+            built.append((frozenset((j,)), oracle.weights[j], schedule((j,))))
             high.remove(j)
 
     # Phase one, carving: one high item plus low items, minimised.
@@ -116,7 +122,8 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
             kept = frozenset(bundle)
             assert len(kept) == 1 or 2 * weight * t_den < 3 * t_num, \
                 "phase-one bundle exceeds its value cap"
-            built.append((kept, weight))
+            witness = candidate.witness
+            built.append((kept, weight, witness and {j: witness[j] for j in kept}))
             high = [h for h in high if h not in kept]
             low -= kept
             progress = True
@@ -137,16 +144,17 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
                 edges.append((index_of[j1], index_of[j2]))
     for a_pos, b_pos in max_general_matching(len(high), edges):
         pair = frozenset((high[a_pos], high[b_pos]))
-        built.append((pair, weight_of(pair)))
+        built.append((pair, weight_of(pair), schedule(pair)))
 
     claimed: set[int] = set()
-    for items, weight in built:
-        assert oracle.is_independent(items)
+    for items, weight, witness in built:
+        assert (oracle.is_independent(items) if witness is None
+                else _schedule_is_valid(oracle.system, items, witness))
         assert weight * t_den >= t_num
         assert claimed.isdisjoint(items)
         claimed.update(items)
 
     if len(built) < request.count:
         return None
-    return [IndependentBundle(items=items, value=Fraction(weight, oracle.scale))
-            for items, weight in built[:request.count]]
+    return [IndependentBundle(items, Fraction(weight, oracle.scale), witness)
+            for items, weight, witness in built[:request.count]]

@@ -7,7 +7,7 @@ items leave the pool.  Envy-freeness keeps every allocated bundle cheap for
 whoever remains.
 
 The two engines differ only in what a non-divider is offered for a bundle.
-``lone_divider`` offers the whole bundle at its additive value.
+``lone_divider`` offers each bundle as built, at its additive value.
 ``lone_divider_entitled`` works through approximate oracles: it offers the
 independent subset the agent's oracle reports, and swaps the divider when a
 bundle betrays a more restrictive remaining agent.
@@ -131,7 +131,7 @@ def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker, *,
     """
     def additive(divider, remaining, bundles):
         return {(agent, idx): IndependentBundle(
-                    items=bundle.items,
+                    items=bundle.items, witness=bundle.witness,
                     value=Fraction(sum(weights[j] for j in bundle.items), scale))
                 for agent in remaining if agent != divider
                 for scale, weights in (instance.scaled_values[agent],)

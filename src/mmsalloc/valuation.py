@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -37,10 +37,11 @@ APPROXIMATE_ERRORS = {"budget": ZERO, "interval": Fraction(1, 2)}
 
 @dataclass(frozen=True)
 class IndependentBundle:
-    """An independent bundle together with its (additive) exact value."""
+    """An independent bundle, its (additive) exact value and any schedule of it."""
 
     items: Items
     value: Fraction
+    witness: dict[int, int] | None = field(default=None, compare=False)
 
 
 class ValuationOracle:
@@ -207,16 +208,21 @@ class ValuationOracle:
         return answer
 
     def _approx_value_subset(self, items: Items) -> IndependentBundle:
+        system = self.system
+        if self.epsilon and isinstance(system, IntervalSystem):
+            # The whole query when a schedule fits it (searched exactly only
+            # within the gate), else local ratio; the answer carries it.
+            witness = _interval_witness(system, items, len(items) <= self.gate)
+            if witness is None:
+                witness = _interval_local_ratio(system, self.weights, sorted(items))
+            return IndependentBundle(frozenset(witness), self.additive_value(witness),
+                                     witness)
         if self.is_independent(items):
             return IndependentBundle(items=items, value=self.additive_value(items))
-        system = self.system
         if not self.epsilon or system.kind not in APPROXIMATE_ERRORS:
             return self.reduce_to_independent(items)
-        if isinstance(system, BudgetSystem):
-            chosen = _knapsack(sorted(items), self.weights, system.sizes,
-                               system.budget, self.epsilon)
-        else:
-            chosen, _ = _interval_local_ratio(system, self.weights, sorted(items))
+        chosen = _knapsack(sorted(items), self.weights, system.sizes,
+                           system.budget, self.epsilon)
         return IndependentBundle(items=frozenset(chosen),
                                  value=self.additive_value(chosen))
 
@@ -227,10 +233,10 @@ class ValuationOracle:
             raise TypeError("schedule witnesses only exist for interval systems")
         items = sorted(bundle)
         self._check_gate(items)
-        starts = _interval_schedule([system.jobs[j] for j in items])
-        if starts is None:
+        witness = _interval_witness(system, items)
+        if witness is None:
             raise ValueError(f"bundle {items} is not schedulable")
-        return dict(zip(items, starts))
+        return witness
 
 
 class AdversarialOracle(ValuationOracle):
@@ -391,9 +397,10 @@ def _interval_table(system, items):
     return finish
 
 
-def _interval_schedule(jobs):
+def _interval_schedule(jobs, search=True):
     """Start slots fitting the (p, r, d) jobs, one at a time, in their
-    windows, listed in the order of ``jobs``; None when no schedule exists.
+    windows, listed in the order of ``jobs``; None when no schedule exists,
+    or, without ``search``, when the list schedule misses.
 
     Jackson's earliest-deadline list schedule (1955) settles most yes
     answers: when the machine is free, it starts the released job due first.
@@ -424,6 +431,8 @@ def _interval_schedule(jobs):
             break
     else:
         return starts
+    if not search:
+        return None
 
     by_deadline = sorted(range(len(jobs)), key=lambda t: jobs[t][2])
 
@@ -463,6 +472,29 @@ def _interval_schedule(jobs):
                 mask, finish = mask ^ 1 << t, prev
                 break
     return starts
+
+
+def _interval_witness(system, items, search=True):
+    """Start slot per job of ``items`` from ``_interval_schedule``, or None."""
+    items = sorted(items)
+    starts = _interval_schedule([system.jobs[j] for j in items], search)
+    return None if starts is None else dict(zip(items, starts))
+
+
+def _schedule_is_valid(system: IntervalSystem, items: Items,
+                       starts: dict[int, int]) -> bool:
+    """Whether ``starts`` runs the jobs of ``items`` in their windows, one at a time."""
+    if set(starts) != set(items):
+        return False
+    busy: list[tuple[int, int]] = []
+    for j, start in starts.items():
+        p, r, d = system.jobs[j]
+        if start < r or start + p - 1 > d:
+            return False
+        busy.append((start, start + p - 1))
+    busy.sort()
+    return all(prev_end < nxt_start for (_, prev_end), (nxt_start, _)
+               in zip(busy, busy[1:]))
 
 
 _PLACEMENT_CAP = 500_000
@@ -512,4 +544,4 @@ def _interval_local_ratio(system, weights, items):
             continue
         chosen[job] = start
         occupied.append((start, end))
-    return sorted(chosen), chosen
+    return chosen

@@ -60,6 +60,21 @@ def brute_schedulable(jobs, subset) -> bool:
     return False
 
 
+def schedule_fits(jobs, subset, starts) -> bool:
+    """Whether ``starts`` runs exactly the jobs of ``subset``, each inside its
+    window and no two in one slot, checked slot by slot."""
+    if starts is None or set(starts) != set(subset):
+        return False
+    taken: set[int] = set()
+    for j, start in starts.items():
+        p, r, d = jobs[j]
+        slots = set(range(start, start + p))
+        if start < r or start + p - 1 > d or slots & taken:
+            return False
+        taken |= slots
+    return True
+
+
 def brute_value(system, values, items) -> Fraction:
     """Max additive value over independent subsets, by full enumeration."""
     items = sorted(items)

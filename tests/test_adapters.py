@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import mmsalloc.adapters
 from mmsalloc.adapters import (
     constrained_mms,
     solve_budget_adapter,
@@ -25,6 +26,7 @@ from mmsalloc.core import (
 )
 from mmsalloc.driver import solve_two_fifths
 from mmsalloc.mms_oracle import compute_mms_exact
+from mmsalloc.valuation import ValuationOracle
 
 from conftest import (
     brute_member,
@@ -32,6 +34,7 @@ from conftest import (
     rand_budget_instance,
     rand_conflict_instance,
     rand_interval_instance,
+    schedule_fits,
 )
 
 F = Fraction
@@ -203,6 +206,26 @@ def test_intervals_adapter_emits_valid_schedules():
             mu = constrained_mms(inst, i)
             if mu > 0:
                 assert _additive(inst, i, bundle) >= F(2, 7) * mu
+
+
+def test_intervals_adapter_emits_the_carried_schedules(monkeypatch):
+    # The solve's bundles already carry their schedules, so the adapter
+    # builds no oracle and schedules nothing again.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the adapter derived a schedule again")
+
+    monkeypatch.setattr(mmsalloc.adapters, "oracle_for", refuse)
+    monkeypatch.setattr(ValuationOracle, "schedule_witness", refuse)
+    rng = random.Random(29)
+    for trial in range(30):
+        inst = rand_interval_instance(rng, m=rng.randint(3, 20))
+        report = solve_intervals_adapter(inst)
+        awarded = report.result.awarded
+        for i in range(inst.n):
+            witness = report.schedules[i]
+            assert witness is awarded[i].witness if i in awarded else not witness
+            assert schedule_fits(inst.system.jobs, report.allocation.bundles[i],
+                                 witness), trial
 
 
 def test_constrained_mms_matches_hereditary_mms_for_budget_and_intervals():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mmsalloc.adapters import solve_budget_adapter
+from mmsalloc.adapters import solve_budget_adapter, solve_intervals_adapter
 from mmsalloc.bundles import TWO_FIFTHS, BundleRequest, make_bundles_alpha
 from mmsalloc.core import (
     BudgetSystem,
@@ -42,6 +42,7 @@ from conftest import (
     rand_conflict_instance,
     rand_interval_instance,
     rand_values,
+    schedule_fits,
 )
 
 F = Fraction
@@ -189,6 +190,74 @@ def test_polynomial_solves_at_scale_make_one_divider_run(make, solve):
     assert len(result.runs) == 1
 
 
+def _intervals_at_scale(m: int, n: int) -> Instance:
+    """Jobs as the benchmark draws them: processing 1-3, release 1-2m,
+    slack 0-6."""
+    rng = random.Random(1)
+    jobs = []
+    for _ in range(m):
+        p, r = rng.randint(1, 3), rng.randint(1, 2 * m)
+        jobs.append((p, r, r + p - 1 + rng.randint(0, 6)))
+    values = tuple(tuple(F(rng.randint(0, 6), rng.choice((1, 1, 2, 3)))
+                         for _ in range(m)) for _ in range(n))
+    return validate_instance(Instance(n=n, m=m, values=values,
+                                      system=IntervalSystem(jobs=tuple(jobs))))
+
+
+@pytest.mark.parametrize("m, n", [(20, 3), (30, 3), (60, 4), (200, 8)])
+def test_interval_adapter_at_scale_makes_one_divider_run(m, n):
+    inst = _intervals_at_scale(m, n)
+    report = solve_intervals_adapter(inst)
+    result = report.result
+    k = len(result.active_agents)
+    assert k > 1
+    claimed = [j for bundle in report.allocation.bundles for j in bundle]
+    assert len(claimed) == len(set(claimed))
+    for i in range(inst.n):
+        bundle = report.allocation.bundles[i]
+        assert schedule_fits(inst.system.jobs, bundle, report.schedules[i]), i
+    # Error 1/2 makes delta = 1/(1 - 1/2) = 2 in the alpha mode's cap.
+    for i in result.active_agents:
+        bundle = report.allocation.bundles[i]
+        assert sum((inst.values[i][j] for j in bundle), F(0)) \
+            >= result.thresholds[i], i
+        assert result.adjustments[i] < 2 * (5 * k + 3) * math.log(inst.m)
+    assert len(result.runs) == 1
+
+
+def test_interval_alpha_asks_no_gated_question():
+    # Every oracle of the solve has the gate at 2 jobs, so any exact
+    # independence test, exact value or gated schedule on a larger bundle
+    # would raise; pairs and singletons stay within it.
+    inst = _intervals_at_scale(m=60, n=4)
+
+    def gated(instance, agent, epsilon):
+        return oracle_for(instance, agent, epsilon=epsilon, gate=2)
+
+    result = solve_alpha(inst, F(1, 2), oracle_factory=gated)
+    assert len(result.active_agents) > 1
+    for i, granted in result.awarded.items():
+        assert schedule_fits(inst.system.jobs, granted.items, granted.witness)
+        assert granted.value >= result.thresholds[i]
+    assert any(len(granted.items) > 2 for granted in result.awarded.values())
+
+
+def test_one_active_interval_agent_takes_a_scheduled_subset_of_every_job():
+    # The only active agent's one subset query holds all 30 jobs, past the
+    # 16-job gate; the second agent values nothing.
+    base = rand_interval_instance(random.Random(89), m=30, n=2)
+    inst = validate_instance(Instance(
+        n=2, m=30, values=(base.values[0], (F(0),) * 30), system=base.system))
+    for solve in (solve_two_fifths, solve_entitled):
+        result = solve(inst)
+        assert result.active_agents == (0,)
+        granted = result.awarded[0]
+        assert granted.items == result.allocation.bundles[0]
+        assert schedule_fits(inst.system.jobs, granted.items, granted.witness)
+        assert granted.value == sum((inst.values[0][j] for j in granted.items),
+                                    F(0)) > 0
+
+
 def test_two_fifths_under_adversarial_oracles():
     def adversarial(instance, agent, epsilon):
         return AdversarialOracle(instance.system_for(agent),
@@ -292,8 +361,7 @@ _MODES = {
 # What each polynomial mode does with each kind at 40 items: solve (None) or
 # refuse, never trip an exactness gate.  Per-agent budgets take no alpha
 # mode; the budget FPTAS needs an error above 0; the interval scheduler needs
-# 1/2 (interval alpha at 1/2 still trips the 16-job gate at this size); no
-# conflict-graph oracle is polynomial at any error.
+# 1/2; no conflict-graph oracle is polynomial at any error.
 _OUTCOMES = {
     "free": dict.fromkeys(_MODES),
     "explicit": dict.fromkeys(_MODES),
@@ -301,7 +369,7 @@ _OUTCOMES = {
                "alpha-1/2": UnsupportedSystem, "entitled": None,
                "entitled-0": UnsupportedSystem},
     "interval": {"two_fifths": EpsilonOutOfRange,
-                 "alpha-1/3": EpsilonOutOfRange,
+                 "alpha-1/3": EpsilonOutOfRange, "alpha-1/2": None,
                  "entitled": EpsilonOutOfRange,
                  "entitled-0": UnsupportedSystem},
     "conflict": dict.fromkeys(_MODES, UnsupportedSystem),
@@ -313,9 +381,17 @@ def test_polynomial_modes_solve_or_refuse_each_kind_at_forty_items(kind):
     inst = _instances_at_forty_items()[kind]
     for mode, expected in _OUTCOMES[kind].items():
         if expected is None:
-            bundles = _MODES[mode](inst).allocation.bundles
-            assert all(inst.system_for(i).independent(bundle)
-                       for i, bundle in enumerate(bundles)), (kind, mode)
+            # Interval systems have no membership test of their own; their
+            # bundles are checked by the schedule they carry.  Agents with
+            # no award hold the empty bundle.
+            result = _MODES[mode](inst)
+            for i, granted in result.awarded.items():
+                system = inst.system_for(i)
+                assert (schedule_fits(system.jobs, granted.items, granted.witness)
+                        if isinstance(system, IntervalSystem)
+                        else system.independent(granted.items)), (kind, mode)
+            if kind == "interval":
+                assert result.awarded, mode
         else:
             with pytest.raises(expected):
                 _MODES[mode](inst)

@@ -150,7 +150,7 @@ GOLDEN = {
     "intervals-7":
         "53756ca12b0314b27e30d442092280d992fb0be9e0ffd0a183c3606ba755bb0b",
     "intervals-8":
-        "b3ca496e3bef7fb1baa546f36bb7b6a91bf16de6059f9f79d49b023c247c1f7b",
+        "f10c709501f791920a494e79ff4caeccc499a45a7274d4c9caf6f4842a6e25cf",
     "entitled-swap_detect-9":
         "1680a2a48a5a8011ac3d96cbb785daa3562c1dc549f75d8b19d1bb3ee80e4be7",
     "entitled-most_restrictive-9":

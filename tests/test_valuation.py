@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 import mmsalloc.valuation
-from mmsalloc.adapters import _schedule_is_valid
 from mmsalloc.core import (
     BudgetSystem,
     ConflictSystem,
@@ -21,7 +20,12 @@ from mmsalloc.core import (
     IntervalSystem,
 )
 from mmsalloc.generators import gen_two_thirds_bound
-from mmsalloc.valuation import AdversarialOracle, ValuationOracle, oracle_for
+from mmsalloc.valuation import (
+    AdversarialOracle,
+    ValuationOracle,
+    _schedule_is_valid,
+    oracle_for,
+)
 
 from conftest import brute_member, brute_schedulable, brute_value
 
@@ -313,7 +317,7 @@ def _reference_local_ratio(system, weights, items):
                                          for o_start, o_end in occupied):
             chosen[job] = start
             occupied.append((start, end))
-    return sorted(chosen), chosen
+    return chosen
 
 
 def test_interval_local_ratio_matches_the_quadratic_charge():
@@ -436,6 +440,20 @@ def test_placement_cap_trips_before_placements_are_built():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000, peak
+
+
+def test_interval_exact_questions_keep_the_gate():
+    system = IntervalSystem(jobs=((1, 1, 100),) * 17)
+    oracle = ValuationOracle(system, (F(1),) * 17, epsilon=F(1, 2))
+    for question in (oracle.is_independent, oracle.exact_value,
+                     oracle.schedule_witness):
+        with pytest.raises(ExactnessGateExceeded,
+                           match="interval bundle of size 17 exceeds"):
+            question(range(17))
+    # The subset query above error 0 schedules the same bundle instead.
+    answer = oracle.approx_value_subset(range(17))
+    assert answer.items == frozenset(range(17))
+    assert _schedule_is_valid(system, answer.items, answer.witness)
 
 
 def test_schedule_witness_is_a_real_schedule():
