@@ -158,7 +158,7 @@ def constrained_mms(instance: Instance, agent: int, *,
             f"no constraint-aware brute force for {system.kind} systems")
     # Interval membership sits behind the oracle's gate, here m.
     oracle = oracle_for(instance, agent, gate=instance.m)
-    weights = oracle.values
+    weights = oracle.weights
     order = sorted(range(instance.m), key=lambda j: (-weights[j], j))
     found = _best_min_assignment(
         order, [(oracle.additive_value, weights)], [0] * instance.n,

@@ -55,8 +55,8 @@ def bundles_from_mms_partition(oracle: ValuationOracle, record: MmsRecord,
             break
     if len(survivors) < count:
         raise InsufficientBundles(
-            f"only {len(survivors)} of {count} witness blocks kept value "
-            f">= {threshold} on the remaining items")
+            f"agent {record.agent + 1}: only {len(survivors)} of {count} "
+            f"witness blocks kept value >= {threshold} on the remaining items")
     return survivors
 
 

@@ -38,7 +38,8 @@ from .core import (
 )
 from .divider import DividerOutcome, lone_divider, lone_divider_entitled
 from .mms_oracle import DEFAULT_MMS_GATE, MmsRecord, compute_mms_exact
-from .valuation import APPROXIMATE_ERRORS, DEFAULT_GATES, IndependentBundle, oracle_for
+from .valuation import (APPROXIMATE_ERRORS, DEFAULT_GATES, IndependentBundle,
+                        oracle_for, singleton_weights)
 
 
 @dataclass(frozen=True)
@@ -121,25 +122,6 @@ def solve_existence(instance: Instance, *,
 # The polynomial pipeline behind the 2/5, alpha and entitled modes
 # ---------------------------------------------------------------------------
 
-def _ranked_singletons(instance: Instance, agent: int) -> list[Fraction]:
-    """The agent's singleton oracle values, best first."""
-    probe = oracle_for(instance, agent)
-    weights = sorted(probe.singleton_weights, reverse=True)
-    return [Fraction(w, probe.scale) for w in weights]
-
-
-def _active_agents(instance: Instance, ranked) -> list[int]:
-    """Agents with a positive MMS: the n-th best singleton value is positive."""
-    n, m = instance.n, instance.m
-    return [i for i in range(n) if m >= n and ranked[i][n - 1] > 0]
-
-
-def _initial_estimates(instance, active, ranked) -> dict[int, Fraction]:
-    """m times the k-th best singleton value, k the count of active agents."""
-    k = len(active)
-    return {i: instance.m * ranked[i][k - 1] for i in active}
-
-
 def _two_fifths_shrink(count: int) -> Fraction:
     return Fraction(count, count + 1)
 
@@ -170,8 +152,13 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     ``divide(instance, thresholds, maker, oracles, epsilon, agents)`` runs
     one lone divider.
     """
-    ranked = [_ranked_singletons(instance, i) for i in range(instance.n)]
-    active = _active_agents(instance, ranked)
+    n, m = instance.n, instance.m
+    # Each agent's scale and singleton weights, best first; she is active
+    # (her MMS is positive) when her n-th best is positive.
+    ranked = [(scale, sorted(singleton_weights(instance.system_for(i), weights),
+                             reverse=True))
+              for i, (scale, weights) in enumerate(instance.scaled_values)]
+    active = [i for i, (_, best) in enumerate(ranked) if m >= n and best[n - 1]]
     if not active:
         return _assemble(instance, mode, alpha, {}, (), {}, {}, {}, ())
     k = len(active)
@@ -191,9 +178,10 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
         return _assemble(instance, mode, alpha, {active[0]: granted}, active,
                          {}, {}, {active[0]: 0}, [])
 
-    estimates = _initial_estimates(instance, active, ranked)
+    # m times the k-th best singleton value.
+    estimates = {i: Fraction(m * ranked[i][1][k - 1], ranked[i][0]) for i in active}
     adjustments = {i: 0 for i in active}
-    cap, factor = count_bound(k, instance.m), shrink_factor(k)
+    cap, factor = count_bound(k, m), shrink_factor(k)
 
     def maker(agent: int, items: Items, count: int):
         return make_bundles_alpha(BundleRequest(
@@ -211,7 +199,7 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     # there would fail as the divider.  k bundles worth alpha * e each need
     # k * alpha * e <= her singleton sum, so larger estimates fail unasked.
     for i in active:
-        ceiling = sum(ranked[i]) / (k * alpha)
+        ceiling = Fraction(sum(ranked[i][1]), ranked[i][0]) / (k * alpha)
         while estimates[i] > ceiling:
             shrink(i)
         while maker(i, instance.all_items(), k) is None:

@@ -20,7 +20,7 @@ from .core import (
     Instance,
     Items,
 )
-from .valuation import ValuationOracle, oracle_for
+from .valuation import ValuationOracle, oracle_for, singleton_weights
 
 DEFAULT_MMS_GATE = 12
 
@@ -86,9 +86,9 @@ def _best_min_assignment(order, groups, group_of, scale, *, feasible=None,
     """Maximise the minimum holder value over assignments of items to holders.
 
     Holder h values what it holds by ``groups[group_of[h]]``, a pair of a value
-    function on item sets and per-item weights that upper-bound each item's
-    marginal contribution to that value (they drive the bound pruning); the
-    search runs on them times ``scale``, which makes each an integer.
+    function on item sets and per-item integer weights on ``scale`` that
+    upper-bound each item's marginal contribution to that value (they drive
+    the bound pruning); the search runs on values times ``scale``.
     Holders of one group are interchangeable, so an item, placed in the given
     ``order``, may only start the lowest-index empty holder of each group.
     ``feasible`` (on item sets) restricts holdings hereditarily;
@@ -101,9 +101,8 @@ def _best_min_assignment(order, groups, group_of, scale, *, feasible=None,
         return value.numerator * (scale // value.denominator)
 
     k = len(order)
-    int_weights = [[on_scale(w) for w in weights] for _, weights in groups]
     suffixes = []
-    for weights in int_weights:
+    for _, weights in groups:
         suffix = [0] * (k + 1)
         for t in reversed(range(k)):
             suffix[t] = suffix[t + 1] + weights[order[t]]
@@ -113,7 +112,7 @@ def _best_min_assignment(order, groups, group_of, scale, *, feasible=None,
     fits = None if feasible is None else _on_masks(feasible)
     holders = range(len(group_of))
     suffix_of = [suffixes[g] for g in group_of]
-    weight_of = [int_weights[g] for g in group_of]
+    weight_of = [groups[g][1] for g in group_of]
     value_of = [value_fns[g] for g in group_of]
     # The previous holder of the same group: while it is empty, so is h.
     previous, last = [], {}
@@ -172,7 +171,7 @@ def compute_mms_exact(instance: Instance, agent: int, *,
         raise ValueError("the maximin share needs at least one block")
     if oracle is None:
         oracle = oracle_for(instance, agent)
-    weights = [oracle.singleton_value(j) for j in range(instance.m)]
+    weights = oracle.singleton_weights
     order = sorted(range(instance.m), key=lambda j: (-weights[j], j))
     # A maximin partition: an assignment to n holders sharing one valuation.
     result = _best_min_assignment(order, [(oracle.exact_value, weights)],
@@ -191,10 +190,10 @@ def mms_bounds(instance: Instance, agent: int) -> MmsBounds:
     n, m = instance.n, instance.m
     if m < n:
         return MmsBounds(ZERO, ZERO, fewer_items_than_agents=True)
-    oracle = oracle_for(instance, agent)
-    singleton_values = sorted(
-        (oracle.singleton_value(j) for j in range(m)), reverse=True)
-    pivot = singleton_values[n - 1]
+    scale, weights = instance.scaled_values[agent]
+    ranked = sorted(singleton_weights(instance.system_for(agent), weights),
+                    reverse=True)
+    pivot = Fraction(ranked[n - 1], scale)
     return MmsBounds(lower=pivot, upper=m * pivot)
 
 
@@ -251,10 +250,10 @@ def max_min_allocation_value(instance: Instance, *,
     group_of = [index.setdefault((instance.values[i], instance.system_for(i)),
                                  len(index)) for i in range(n)]
     oracles = [oracle_for(instance, group_of.index(g)) for g in range(len(index))]
-    groups = [(o.exact_value, [o.singleton_value(j) for j in range(m)])
+    scale = math.lcm(*(o.scale for o in oracles))
+    groups = [(o.exact_value, [w * (scale // o.scale) for w in o.singleton_weights])
               for o in oracles]
     order = sorted(range(m),
                    key=lambda j: (-max(weights[j] for _, weights in groups), j))
-    scale = math.lcm(*(o.scale for o in oracles))
     best_value, best_masks = _best_min_assignment(order, groups, group_of, scale)
     return best_value, tuple(_mask_items(mask) for mask in best_masks)

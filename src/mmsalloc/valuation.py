@@ -104,12 +104,7 @@ class ValuationOracle:
     @cached_property
     def singleton_weights(self) -> tuple[int, ...]:
         """Weight of each {j}: the item weight if {j} is independent, else 0."""
-        return tuple(w if w and self.is_independent(frozenset((j,))) else 0
-                     for j, w in enumerate(self.weights))
-
-    def singleton_value(self, j: int) -> Fraction:
-        """Oracle value of {j}: the item value if {j} is independent, else 0."""
-        return self.values[j] if self.singleton_weights[j] else ZERO
+        return singleton_weights(self.system, self.weights)
 
     # -- exact values -------------------------------------------------------
 
@@ -268,6 +263,15 @@ class AdversarialOracle(ValuationOracle):
                 best = key
         assert best is not None  # the reduced optimum always qualifies
         return IndependentBundle(items=frozenset(best[1]), value=best[0])
+
+
+def singleton_weights(system: SetSystem, weights) -> tuple[int, ...]:
+    """Each weight, or 0 where {j} is not independent.  Every interval job
+    fits its own window (validated at construction), so needs no test."""
+    if isinstance(system, IntervalSystem):
+        return tuple(weights)
+    return tuple(w if w and system.independent(frozenset((j,))) else 0
+                 for j, w in enumerate(weights))
 
 
 def oracle_for(instance: Instance, agent: int, *, epsilon: Fraction = ZERO,

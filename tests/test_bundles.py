@@ -64,7 +64,8 @@ def test_witness_slicing_raises_when_too_little_survives():
     inst = gen_two_thirds_bound(2)
     oracle = oracle_for(inst, 0)
     record = compute_mms_exact(inst, 0)
-    with pytest.raises(InsufficientBundles):
+    with pytest.raises(InsufficientBundles,
+                       match=r"^agent 1: only 0 of 1 witness blocks"):
         bundles_from_mms_partition(oracle, record, frozenset(), 1, F(1))
 
 
@@ -128,7 +129,7 @@ def test_multi_item_bundles_are_minimal_and_value_capped():
                 assert bundle.value - oracle.values[j] < threshold
             # Carved bundles (those holding a low-valued item) stay under
             # (3/5) mu*; pairs of two high items are exempt.
-            if any(oracle.singleton_value(j) <= threshold / 2
+            if any(F(oracle.singleton_weights[j], oracle.scale) <= threshold / 2
                    for j in bundle.items):
                 assert oracle.additive_value(bundle.items) < F(3, 5) * mu
 
@@ -190,7 +191,8 @@ def _reference_make_bundles(request):
     oracle = request.oracle
     threshold = request.alpha * request.mu_star
     half_threshold = threshold / 2
-    singleton = {j: oracle.singleton_value(j) for j in sorted(request.items)}
+    singleton = {j: F(oracle.singleton_weights[j], oracle.scale)
+                 for j in sorted(request.items)}
     high = [j for j, value in singleton.items() if value > half_threshold]
     low = {j for j, value in singleton.items() if value <= half_threshold}
     built = []
@@ -286,7 +288,7 @@ def test_integer_thresholds_match_the_fraction_reference_at_ties():
         tied = [b for b in expected or () if b.value == threshold]
         at_threshold += bool(tied)
         carved_or_paired += any(len(b.items) > 1 for b in tied)
-        at_half += any(2 * ours.oracle.singleton_value(j) == threshold
-                       for j in ours.items)
+        at_half += any(2 * F(ours.oracle.singleton_weights[j], ours.oracle.scale)
+                       == threshold for j in ours.items)
     assert compared >= 400
     assert at_threshold >= 60 and carved_or_paired >= 20 and at_half >= 60

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmsalloc.cli import main
 from mmsalloc.core import instance_from_json
@@ -345,3 +350,97 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert instance_from_json(out.read_text()).m == 8
+
+
+# Valid documents of at most six items, one per system kind, for the fuzz.
+_FUZZ_INSTANCES = [
+    {"n": 3, "m": 6, "values": [[str(1 + j % 3) for j in range(6)]] * 3,
+     "system": {"kind": "free"}},
+    {"n": 2, "m": 5, "values": [["3", "2", "2", "1", "1"],
+                                ["1", "2", "2", "3", "1/2"]],
+     "system": {"kind": "explicit", "maximal_sets": [[1, 2, 3], [3, 4, 5]]}},
+    _BUDGETS,
+    _CONFLICTS,
+    {"n": 2, "m": 4, "values": [["1", "2", "1", "2"]] * 2, "system": _INTERVALS},
+    {"n": 2, "m": 4, "values": [["1"] * 4] * 2, "entitled": [1, 2],
+     "asymmetric": [{"kind": "budget", "sizes": ["1"] * 4, "budget": "1"},
+                    {"kind": "budget", "sizes": ["1"] * 4, "budget": "2"}]},
+]
+_FUZZ_CONFIGS = [
+    {"mode": "two_fifths"},
+    {"mode": "alpha", "epsilon": "1/2", "trace": True},
+    {"mode": "entitled", "epsilon": "1/3"},
+    {"mode": "existence", "trace": True},
+]
+# Booleans, nulls and strings where numbers go, numbers where lists go, and
+# items out of range, as JSON text so that no draw shares a list.
+_ODD_VALUES = ("true", "false", "null", '""', '"x"', '"1/0"', '"-1/2"', "-1",
+               "0", "7", "2.5", "[]", "{}", "[7]", "[[0]]")
+
+
+def _paths(node, path=()):
+    if isinstance(node, dict):
+        entries = node.items()
+    elif isinstance(node, list):
+        entries = enumerate(node)
+    else:
+        return
+    for key, child in entries:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(data, doc):
+    """The document with up to three entries dropped or swapped for odd ones."""
+    doc = json.loads(json.dumps(doc))  # a copy sharing no rows
+    for _ in range(data.draw(st.integers(0, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, last = data.draw(st.sampled_from(paths))
+        holder = doc
+        for key in parents:
+            holder = holder[key]
+        if data.draw(st.booleans()):
+            del holder[last]
+        else:
+            holder[last] = json.loads(data.draw(st.sampled_from(_ODD_VALUES)))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_end_in_an_exit_code_never_a_traceback(data):
+    base = data.draw(st.sampled_from(_FUZZ_INSTANCES))
+    command = data.draw(st.sampled_from(["solve", "mms", "verify"]))
+    allocation = {"bundles": [[i + 1] for i in range(base["n"])],
+                  "complete": False}
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name, doc):
+            path = Path(tmp) / name
+            path.write_text(json.dumps(_mutated(data, doc)))
+            return str(path)
+
+        argv = [command, write("inst.json", base)]
+        if command == "solve":
+            argv += ["--certify", "--config",
+                     write("config.json", data.draw(st.sampled_from(_FUZZ_CONFIGS)))]
+        elif command == "mms":
+            argv += ["--agent", "1"]
+        else:
+            argv += [write("alloc.json", allocation), "--alpha", "2/5"]
+        report = Path(tmp) / "out.txt"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", str(report)])
+        wrote = report.exists()
+    assert code in (0, 1, 2, 3)
+    err = err.getvalue()
+    if code == 2 or err:
+        # An input error, or a gate that stops the run: one line.
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        # A verdict (1 below alpha, 3 when an MMS is past the gate) is the
+        # report itself.
+        assert wrote

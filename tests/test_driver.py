@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import mmsalloc.driver
 from mmsalloc.adapters import solve_budget_adapter, solve_intervals_adapter
 from mmsalloc.bundles import TWO_FIFTHS, BundleRequest, make_bundles_alpha
 from mmsalloc.core import (
@@ -33,8 +34,8 @@ from mmsalloc.generators import (
     gen_random_hereditary,
     gen_two_thirds_bound,
 )
-from mmsalloc.mms_oracle import compute_mms_exact, verify_allocation
-from mmsalloc.valuation import AdversarialOracle, oracle_for
+from mmsalloc.mms_oracle import compute_mms_exact, mms_bounds, verify_allocation
+from mmsalloc.valuation import AdversarialOracle, ValuationOracle, oracle_for
 
 from conftest import (
     brute_member,
@@ -187,6 +188,9 @@ def test_polynomial_solves_at_scale_make_one_divider_run(make, solve):
         assert sum((inst.values[i][j] for j in bundle), F(0)) \
             >= result.thresholds[i], i
         assert result.adjustments[i] < F(6, 5) * (k + 1) * math.log(inst.m)
+        # A round-one shrink needs alpha * e above the k-th best singleton
+        # (else k singletons serve), so no estimate drops below the n-th.
+        assert result.estimates[i] >= mms_bounds(inst, i).lower, i
     assert len(result.runs) == 1
 
 
@@ -222,7 +226,45 @@ def test_interval_adapter_at_scale_makes_one_divider_run(m, n):
         assert sum((inst.values[i][j] for j in bundle), F(0)) \
             >= result.thresholds[i], i
         assert result.adjustments[i] < 2 * (5 * k + 3) * math.log(inst.m)
+        assert result.estimates[i] >= mms_bounds(inst, i).lower, i
     assert len(result.runs) == 1
+
+
+@pytest.mark.parametrize("solve", [solve_two_fifths, solve_entitled])
+def test_polynomial_solve_builds_one_oracle_per_active_agent(monkeypatch, solve):
+    # Agent 3 values nothing, so k = 2 of n = 3 agents are active; the
+    # singletons are ranked on the instance's weights, not by probe oracles.
+    values = ((F(3), F(2), F(2), F(1), F(1), F(1)),
+              (F(1), F(2), F(3), F(1), F(2), F(1, 2)),
+              (F(0),) * 6)
+    inst = validate_instance(Instance(n=3, m=6, values=values,
+                                      system=FreeSystem()))
+    built = []
+    init = ValuationOracle.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ValuationOracle, "__init__", counting_init)
+    assert solve(inst).active_agents == (0, 1)
+    assert len(built) == 2
+
+    # With a factory, it alone builds the oracles, once per active agent.
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle_for called beside the factory")
+
+    asked = []
+
+    def factory(instance, agent, epsilon):
+        asked.append(agent)
+        return ValuationOracle(instance.system_for(agent),
+                               instance.values[agent], epsilon=epsilon)
+
+    monkeypatch.setattr(mmsalloc.driver, "oracle_for", refuse)
+    built.clear()
+    assert solve(inst, oracle_factory=factory).active_agents == (0, 1)
+    assert sorted(asked) == [0, 1] and len(built) == 2
 
 
 def test_interval_alpha_asks_no_gated_question():

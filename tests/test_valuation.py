@@ -25,6 +25,7 @@ from mmsalloc.valuation import (
     ValuationOracle,
     _schedule_is_valid,
     oracle_for,
+    singleton_weights,
 )
 
 from conftest import brute_member, brute_schedulable, brute_value
@@ -214,6 +215,28 @@ def test_singleton_independence_per_variant():
 
     budget = ValuationOracle(BudgetSystem(sizes=(F(5),), budget=F(4)), (F(1),))
     assert not budget.is_independent({0})
+
+    # The one singleton rule keeps a weight exactly where the oracle's
+    # membership test admits {j}.  Item 1 weighs nothing, item 3 lies outside
+    # every explicit set, and item 2 is larger than the budget.
+    values = (F(1), F(0), F(2), F(3, 2))
+    kinds = [
+        (FreeSystem(), ()),
+        (ExplicitSystem.normalize([{0, 1}, {1, 2}]), (3,)),
+        (BudgetSystem(sizes=(F(1), F(2), F(5), F(4)), budget=F(4)), (2,)),
+        (ConflictSystem.normalize([(0, 2), (2, 3)]), ()),
+        (IntervalSystem(jobs=((1, 1, 1), (2, 1, 3), (1, 2, 2), (3, 1, 3))), ()),
+    ]
+    for system, excluded in kinds:
+        oracle = ValuationOracle(system, values)
+        expected = tuple(w if oracle.is_independent({j}) else 0
+                         for j, w in enumerate(oracle.weights))
+        assert singleton_weights(system, oracle.weights) == expected, system
+        assert oracle.singleton_weights == expected, system
+        assert [j for j in range(4) if not oracle.is_independent({j})] \
+            == list(excluded), system
+        assert expected[1] == 0 and all(expected[j] for j in (0, 2, 3)
+                                        if j not in excluded), system
 
 
 def test_pair_independence_examples():
