@@ -159,8 +159,16 @@ class BudgetSystem:
     sizes: tuple[Fraction, ...] = ()
     budget: Fraction = ZERO
 
+    @functools.cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """The sizes as integers over the lcm of their denominators, and the
+        budget on that scale rounded down, which a fitting sum never passes."""
+        scale, sizes = scaled_weights(self.sizes)
+        return sizes, self.budget.numerator * scale // self.budget.denominator
+
     def independent(self, items: Items) -> bool:
-        return sum((self.sizes[j] for j in items), ZERO) <= self.budget
+        sizes, capacity = self.scaled
+        return sum(map(sizes.__getitem__, items)) <= capacity
 
 
 @dataclass(frozen=True)
@@ -338,15 +346,15 @@ def _validate_system(system: SetSystem, m: int) -> None:
         if len(system.jobs) != m:
             raise InstanceError(
                 f"interval system has {len(system.jobs)} jobs for {m} items")
-        for j, (p, r, d) in enumerate(system.jobs):
+        for t, (p, r, d) in enumerate(system.jobs, 1):
             if not all(isinstance(x, int) and not isinstance(x, bool)
                        for x in (p, r, d)):
-                raise InvalidInterval(f"job {j}: non-integer parameters")
+                raise InvalidInterval(f"interval job {t}: non-integer parameters")
             if p < 1 or r < 1:
-                raise InvalidInterval(f"job {j}: needs p >= 1 and r >= 1")
+                raise InvalidInterval(f"interval job {t}: needs p >= 1 and r >= 1")
             if d < r + p - 1:
-                raise InvalidInterval(
-                    f"job {j}: deadline {d} < release {r} + processing {p} - 1")
+                raise InvalidInterval(f"interval job {t}: deadline {d} < release "
+                                      f"{r} + processing {p} - 1")
         return
     raise InstanceError(f"unknown system variant: {system!r}")
 
@@ -448,10 +456,12 @@ def _json_list(value, what: str) -> list:
 
 
 def _zero_based(numbers, what: str) -> list:
-    """Shift 1-based numbers from a file to indices; JSON true is not 1."""
+    """Shift 1-based numbers from a file to indices, refusing non-integers."""
     numbers = _json_list(numbers, what)
-    if any(isinstance(j, bool) for j in numbers):
-        raise InstanceError(f"{what}: {numbers!r} holds a boolean, not a number")
+    for j in numbers:
+        if not isinstance(j, int) or isinstance(j, bool):
+            raise InstanceError(f"{what} {json.dumps(numbers)}: "
+                                f"{json.dumps(j)} is not an integer")
     return [j - 1 for j in numbers]
 
 
@@ -486,9 +496,13 @@ def _system_from_payload(payload: dict, n: int) -> SetSystem | EntitledSpec:
                     f"conflict edge {[j + 1 for j in edge]} does not join two items")
         return ConflictSystem.normalize(edges)
     if kind == "interval":
-        jobs = tuple((job["p"], job["r"], job["d"])
-                     for job in _json_list(payload["jobs"], "interval jobs"))
-        return IntervalSystem(jobs=jobs)
+        jobs = _json_list(payload["jobs"], "interval jobs")
+        for t, job in enumerate(jobs, 1):
+            if not isinstance(job, dict) or not {"p", "r", "d"} <= job.keys():
+                raise InstanceError(f"interval job {t} must be an object with "
+                                    f"keys p, r and d, got {json.dumps(job)}")
+        return IntervalSystem(jobs=tuple((job["p"], job["r"], job["d"])
+                                         for job in jobs))
     raise InstanceError(f"unknown system kind: {kind!r}")
 
 
@@ -522,22 +536,18 @@ def instance_from_json(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"malformed instance JSON: {exc}") from exc
+    spec: SystemSpec
     try:
         n = doc["n"]
         m = doc["m"]
         values = tuple(tuple(map(parse_rational, _json_list(row, "value row")))
                        for row in _json_list(doc["values"], "value matrix"))
-    except (KeyError, TypeError) as exc:
-        raise InstanceError(f"malformed instance JSON: {exc}") from exc
-
-    has_system = "system" in doc
-    has_asym = "asymmetric" in doc
-    has_order = "entitled" in doc
-    if has_system and has_asym:
-        raise InstanceError("instance declares both a shared and per-agent systems")
-
-    spec: SystemSpec
-    try:
+        has_system = "system" in doc
+        has_asym = "asymmetric" in doc
+        has_order = "entitled" in doc
+        if has_system and has_asym:
+            raise InstanceError(
+                "instance declares both a shared and per-agent systems")
         if has_order:
             ordering = tuple(_zero_based(doc["entitled"], "entitled ordering"))
         if has_asym:
@@ -560,7 +570,9 @@ def instance_from_json(text: str) -> Instance:
             spec = parsed
         else:
             raise InstanceError("instance declares no set system")
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise InstanceError(f"malformed instance JSON: missing key {exc}") from exc
+    except TypeError as exc:
         raise InstanceError(f"malformed instance JSON: {exc}") from exc
 
     return validate_instance(Instance(n=n, m=m, values=values, system=spec))
@@ -586,13 +598,10 @@ def allocation_from_json(instance: Instance, text: str) -> Allocation:
         raise InstanceError(f"malformed allocation JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("bundles"), list):
         raise InstanceError("allocation must be an object with a list of bundles")
-    for b in doc["bundles"]:
-        if not isinstance(b, list) or not all(
-                isinstance(j, int) and not isinstance(j, bool) for j in b):
-            raise InstanceError(f"allocation bundle {b!r} is not a list of item numbers")
+    bundles = tuple(frozenset(_zero_based(b, "allocation bundle"))
+                    for b in doc["bundles"])
     complete = doc.get("complete", False)
     if not isinstance(complete, bool):
         raise InstanceError(f"allocation complete flag {complete!r} is not a boolean")
-    bundles = tuple(frozenset(j - 1 for j in b) for b in doc["bundles"])
     allocation = Allocation(bundles=bundles, complete=complete)
     return validate_allocation(instance, allocation)

@@ -8,7 +8,6 @@ pipeline only ever touches sums of item values.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,8 +63,6 @@ class ValuationOracle:
         self.scale, self.weights = scaled_weights(self.values)
         self.epsilon = epsilon
         self.gate = gate if gate is not None else DEFAULT_GATES.get(system.kind)
-        self._value_cache: dict[Items, Fraction] = {}
-        self._indep_cache: dict[Items, bool] = {}
         self._subset_cache: dict[Items, IndependentBundle] = {}
 
     # -- additive arithmetic, on integer weights: value = weight / scale ----
@@ -79,15 +76,9 @@ class ValuationOracle:
     # -- independence -------------------------------------------------------
 
     def is_independent(self, bundle) -> bool:
-        items = frozenset(bundle)
-        cached = self._indep_cache.get(items)
-        if cached is None:
-            cached = self._indep_cache[items] = self._is_independent(items)
-        return cached
-
-    def _is_independent(self, items: Items) -> bool:
         """Each system decides membership, apart from interval scheduling:
         its exact test is exponential, so the oracle gates it."""
+        items = frozenset(bundle)
         system = self.system
         if not isinstance(system, IntervalSystem):
             return system.independent(items)
@@ -116,24 +107,19 @@ class ValuationOracle:
 
     def exact_value(self, bundle) -> Fraction:
         """Max additive value over independent subsets of the bundle."""
-        items = frozenset(bundle)
-        cached = self._value_cache.get(items)
-        if cached is None:
-            cached = self._value_cache[items] = Fraction(
-                self._exact_weight(items), self.scale)
-        return cached
+        return Fraction(self._exact_weight(frozenset(bundle)), self.scale)
 
     def _exact_weight(self, items: Items) -> int:
         system = self.system
         if isinstance(system, ExplicitSystem):
             return max((self.additive_weight(items & s)
                         for s in system.maximal_sets), default=0)
-        if self._is_independent(items):
+        if self.is_independent(items):
             return self.additive_weight(items)
         self._check_gate(items)
         if isinstance(system, BudgetSystem):
             return self.additive_weight(_knapsack(
-                sorted(items), self.weights, system.sizes, system.budget, ZERO))
+                sorted(items), self.weights, *system.scaled, ZERO))
         if isinstance(system, ConflictSystem):
             return self.additive_weight(
                 _mwis_exact(sorted(items), self.weights, system.neighbours))
@@ -193,8 +179,8 @@ class ValuationOracle:
     def approx_value_subset(self, bundle) -> IndependentBundle:
         """Independent subset worth at least (1 - epsilon) of the true value.
 
-        Answers are memoized for the life of the oracle: the divider reruns
-        ask the same subset queries again.
+        Answers are memoized for the life of the oracle: the round-one
+        pre-pass and later divider runs ask the same subset queries again.
         """
         items = frozenset(bundle)
         answer = self._subset_cache.get(items)
@@ -216,8 +202,8 @@ class ValuationOracle:
             return IndependentBundle(items=items, value=self.additive_value(items))
         if not self.epsilon or system.kind not in APPROXIMATE_ERRORS:
             return self.reduce_to_independent(items)
-        chosen = _knapsack(sorted(items), self.weights, system.sizes,
-                           system.budget, self.epsilon)
+        chosen = _knapsack(sorted(items), self.weights, *system.scaled,
+                           self.epsilon)
         return IndependentBundle(items=frozenset(chosen),
                                  value=self.additive_value(chosen))
 
@@ -285,30 +271,28 @@ def oracle_for(instance: Instance, agent: int, *, epsilon: Fraction = ZERO,
 # Knapsack by value scaling: approximate above error 0, exact at 0
 # ---------------------------------------------------------------------------
 
-def _knapsack(items, weights, sizes, budget, eps):
+def _knapsack(items, weights, sizes, capacity, eps):
     """Feasible subset with value at least (1 - eps) times the optimum.
 
     Classic value scaling on integer weights: each is floored to a multiple
     of the unit eps * wmax / k, so the additive loss is at most
     eps * wmax <= eps * OPT, and a min-size DP over scaled totals picks the
     best reachable total; at error 0 the weights are exact totals already.
-    Sizes and the budget are scaled by the least common multiple of their
-    denominators, so the DP compares integers; each entry links its last
-    item to the entry it grew from instead of copying the chosen tuple.
+    Sizes and the capacity are integers on one scale (``BudgetSystem.scaled``);
+    each entry links its last item to the entry it grew from instead of
+    copying the chosen tuple.
     """
-    usable = [j for j in items if sizes[j] <= budget and weights[j] > 0]
+    usable = [j for j in items if sizes[j] <= capacity and weights[j] > 0]
     if not usable:
         return []
     # floor(w / unit) = w * k // (eps * wmax), in integers
     numer = len(usable) * eps.denominator
     denom = eps.numerator * max(weights[j] for j in usable)
-    scale = math.lcm(budget.denominator, *(sizes[j].denominator for j in usable))
-    capacity = budget.numerator * (scale // budget.denominator)
     # dp: scaled total -> (min combined scaled size, (last item, rest) link)
     dp: dict[int, tuple[int, tuple | None]] = {0: (0, None)}
     for j in usable:
         w = weights[j] * numer // denom if eps else weights[j]
-        size_j = sizes[j].numerator * (scale // sizes[j].denominator)
+        size_j = sizes[j]
         updates: dict[int, tuple[int, tuple | None]] = {}
         for total, (size, chosen) in dp.items():
             grown = size + size_j
@@ -539,13 +523,16 @@ def _interval_local_ratio(system, weights, items):
         for pushed_ends, sums in ((ends, charged), by_job[job]):
             pushed_ends.append(end)
             sums.append(sums[-1] + residual)
+    # Kept placements are disjoint, so their ends follow their starts' order
+    # and a new one can overlap only its neighbours in that order.
     chosen: dict[int, int] = {}
-    occupied: list[tuple[int, int]] = []
+    kept_starts, kept_ends = [], []
     for end, start, job in reversed(stack):
-        if job in chosen:
-            continue
-        if any(start <= o_end and o_start <= end for o_start, o_end in occupied):
+        at = bisect_left(kept_starts, start)
+        if job in chosen or at and kept_ends[at - 1] >= start \
+                or at < len(kept_starts) and kept_starts[at] <= end:
             continue
         chosen[job] = start
-        occupied.append((start, end))
+        kept_starts.insert(at, start)
+        kept_ends.insert(at, end)
     return chosen

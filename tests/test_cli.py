@@ -124,37 +124,69 @@ def test_verify_failure_exit_code(tmp_path):
                    "--alpha", "0") == 0
 
 
-@pytest.mark.parametrize("fields", [
-    {"system": {"kind": "explicit", "maximal_sets": [["a"]]}},
-    {"system": {"kind": "explicit", "maximal_sets": 5}},
-    {"system": 5},
-    {"system": {"kind": "budget", "sizes": ["1", "1"], "budgets": ["1", "2"]},
-     "entitled": ["x", 2]},
+# Each case names the substring its one-line error must contain; the first
+# four keep the ids pytest generated for them before they had one.
+@pytest.mark.parametrize("fields, needle", [
+    pytest.param({"system": {"kind": "explicit", "maximal_sets": [["a"]]}},
+                 'maximal set ["a"]: "a" is not an integer', id="fields0"),
+    pytest.param({"system": {"kind": "explicit", "maximal_sets": 5}},
+                 "maximal sets must be a JSON list, got 5", id="fields1"),
+    pytest.param({"system": 5}, "system payload must be an object, got 5",
+                 id="fields2"),
+    pytest.param({"system": {"kind": "budget", "sizes": ["1", "1"],
+                             "budgets": ["1", "2"]}, "entitled": ["x", 2]},
+                 'entitled ordering ["x", 2]: "x" is not an integer',
+                 id="fields3"),
     # A string where the format wants a list must not be read one character
     # at a time, nor an object by its keys.
     pytest.param({"values": ["12", "21"], "system": {"kind": "free"}},
-                 id="value-row-a-string"),
+                 "value row must be a JSON list", id="value-row-a-string"),
     pytest.param({"m": 1, "values": "12", "system": {"kind": "free"}},
-                 id="value-matrix-a-string"),
+                 "value matrix must be a JSON list", id="value-matrix-a-string"),
     pytest.param({"system": {"kind": "budget", "sizes": "11", "budget": "2"}},
-                 id="sizes-a-string"),
+                 "sizes must be a JSON list", id="sizes-a-string"),
     pytest.param({"system": {"kind": "budget", "sizes": ["1", "1"],
-                             "budgets": "12"}}, id="budgets-a-string"),
+                             "budgets": "12"}},
+                 "budgets must be a JSON list", id="budgets-a-string"),
     pytest.param({"system": {"kind": "explicit", "maximal_sets": {}}},
-                 id="maximal-sets-an-object"),
+                 "maximal sets must be a JSON list", id="maximal-sets-an-object"),
     pytest.param({"system": {"kind": "explicit", "maximal_sets": [""]}},
-                 id="maximal-set-a-string"),
+                 "maximal set must be a JSON list", id="maximal-set-a-string"),
     pytest.param({"n": 0, "m": 0, "values": [],
                   "system": {"kind": "budget", "sizes": [], "budgets": []},
-                  "entitled": {}}, id="entitled-ordering-an-object"),
+                  "entitled": {}}, "entitled ordering must be a JSON list",
+                 id="entitled-ordering-an-object"),
+    # Entries and keys are named as the file writes them, and interval jobs
+    # by their 1-based number.
+    pytest.param({"system": {"kind": "explicit", "maximal_sets": [["x", 2]]}},
+                 'maximal set ["x", 2]: "x" is not an integer',
+                 id="string-in-maximal-set"),
+    pytest.param({"system": {"kind": "conflict", "edges": [[1, "2"]]}},
+                 'conflict edge [1, "2"]: "2" is not an integer',
+                 id="string-in-edge"),
+    pytest.param({"system": {"kind": "explicit", "maximal_sets": [[1.5, 2]]}},
+                 "maximal set [1.5, 2]: 1.5 is not an integer",
+                 id="fraction-in-maximal-set"),
+    pytest.param({"n": None, "system": {"kind": "free"}}, "missing key 'n'",
+                 id="agent-count-missing"),
+    pytest.param({"system": {"kind": "interval", "jobs": [
+        {"p": 1, "r": 1, "d": 2}, {"p": 1, "r": 1}]}},
+        "interval job 2 must be an object with keys p, r and d",
+        id="interval-job-without-deadline"),
+    pytest.param({"system": {"kind": "interval", "jobs": [
+        [1, 1, 2], {"p": 1, "r": 1, "d": 2}]}},
+        "interval job 1 must be an object with keys p, r and d, got [1, 1, 2]",
+        id="interval-job-a-list"),
 ])
-def test_malformed_instance_is_an_input_error(tmp_path, capsys, fields):
-    instance_path = tmp_path / "bad.json"
+def test_malformed_instance_is_an_input_error(tmp_path, capsys, fields, needle):
+    doc = {"n": 2, "m": 2, "values": [["1", "1"], ["1", "1"]], **fields}
+    instance_path = tmp_path / "bad.json"  # a field set to None is left out
     instance_path.write_text(json.dumps(
-        {"n": 2, "m": 2, "values": [["1", "1"], ["1", "1"]], **fields}))
+        {key: value for key, value in doc.items() if value is not None}))
     assert run_cli("solve", str(instance_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
     assert "Traceback" not in err
 
 

@@ -240,12 +240,23 @@ def test_system_membership_matches_the_definition():
         BudgetSystem(sizes=sizes((0, 0, 0)), budget=F(0)),
         BudgetSystem(sizes=sizes((0,)), budget=F(7, 3)),
         BudgetSystem(sizes=sizes(()), budget=F(9, 2)),
+        # A budget whose denominator lies outside the sizes' scale, and one
+        # that a subset of sizes with mixed denominators meets exactly.
+        BudgetSystem(sizes=tuple(F(k, 2) for k in (1, 3, 2, 4, 5, 1, 3)),
+                     budget=F(9, 4)),
+        BudgetSystem(sizes=(F(1, 3), F(1, 2), F(3, 4), F(1, 5), F(2, 3), F(1),
+                            F(5, 6)),
+                     budget=F(1, 3) + F(1, 2) + F(3, 4)),
         ConflictSystem(edges=((0, 1), (1, 0), (0, 1), (2, 4), (2, 4))),
         ConflictSystem.normalize((a, b) for a in range(m)
                                  for b in range(a + 1, m)
                                  if rng.random() < 0.3),
     ]
     for system in systems:
+        if isinstance(system, BudgetSystem):
+            scaled_sizes, capacity = system.scaled
+            assert all(type(s) is int for s in scaled_sizes)
+            assert type(capacity) is int
         oracle = ValuationOracle(system, (F(1),) * m)
         for mask in range(1 << m):
             items = frozenset(j for j in range(m) if mask >> j & 1)
