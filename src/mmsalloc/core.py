@@ -147,6 +147,13 @@ class ExplicitSystem:
         maximal.sort(key=lambda s: (len(s), sorted(s)))
         return ExplicitSystem(maximal_sets=tuple(maximal))
 
+    @functools.cached_property
+    def incidence(self) -> dict[int, tuple[int, ...]]:
+        """The positions of the maximal sets holding each item, for items in
+        some set: {j} is independent exactly when j is a key."""
+        return {j: tuple(t for t, s in enumerate(self.maximal_sets) if j in s)
+                for j in frozenset().union(*self.maximal_sets)}
+
     def independent(self, items: Items) -> bool:
         return not items or any(items <= s for s in self.maximal_sets)
 
@@ -330,11 +337,12 @@ def _validate_system(system: SetSystem, m: int) -> None:
         if len(system.sizes) != m:
             raise InstanceError(
                 f"budget system has {len(system.sizes)} sizes for {m} items")
-        for s in system.sizes:
-            if s < 0:
-                raise NegativeValue(f"negative item size {s}")
-        if system.budget < 0:
-            raise NegativeValue(f"negative budget {system.budget}")
+        for what, x in [*(("item size", s) for s in system.sizes),
+                        ("budget", system.budget)]:
+            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+                raise InstanceError(f"{what} {x!r} is not an exact rational")
+            if x < 0:
+                raise NegativeValue(f"negative {what} {x}")
         return
     if isinstance(system, ConflictSystem):
         for a, b in system.edges:

@@ -64,6 +64,7 @@ class ValuationOracle:
         self.epsilon = epsilon
         self.gate = gate if gate is not None else DEFAULT_GATES.get(system.kind)
         self._subset_cache: dict[Items, IndependentBundle] = {}
+        self._last_walk: tuple[Items, list[int]] = (frozenset(), [])
 
     # -- additive arithmetic, on integer weights: value = weight / scale ----
 
@@ -112,8 +113,7 @@ class ValuationOracle:
     def _exact_weight(self, items: Items) -> int:
         system = self.system
         if isinstance(system, ExplicitSystem):
-            return max((self.additive_weight(items & s)
-                        for s in system.maximal_sets), default=0)
+            return max(self._set_weights(items), default=0)
         if self.is_independent(items):
             return self.additive_weight(items)
         self._check_gate(items)
@@ -131,13 +131,33 @@ class ValuationOracle:
                        for mask, end in enumerate(finish) if end is not None)
         raise TypeError(f"unknown system variant: {system!r}")
 
+    def _set_weights(self, items: Items) -> list[int]:
+        """Each maximal set's weight inside ``items``, walking each item's sets
+        in the system's incidence: from the last query's weights by the items
+        that left and came in when those are fewer than ``items``, else from
+        zeros.  The list is kept for the next walk, so callers only read it."""
+        last, sums = self._last_walk
+        if len(last ^ items) < len(items):
+            moves, sums = ((last - items, -1), (items - last, 1)), sums.copy()
+        else:
+            moves, sums = ((items, 1),), [0] * len(self.system.maximal_sets)
+        holding, weights = self.system.incidence, self.weights
+        for moved, sign in moves:
+            for j in moved:
+                w = sign * weights[j]
+                for t in holding.get(j, ()):
+                    sums[t] += w
+        self._last_walk = (items, sums)
+        return sums
+
     def reduce_to_independent(self, bundle) -> IndependentBundle:
         """Shrink a bundle to an independent one of equal value.
 
         Scans items in ascending index order and drops each item whose removal
         keeps the value unchanged; with ties between equal-value independent
         subsets the result therefore depends on this order.  Uses at most
-        len(bundle) + 1 exact value queries; explicit families need none.
+        len(bundle) + 1 exact value queries; explicit families need none, as
+        one walk of the item-to-sets incidence gives every set's weight.
         """
         items = frozenset(bundle)
         if isinstance(self.system, ExplicitSystem):
@@ -153,15 +173,15 @@ class ValuationOracle:
         """The ascending scan of ``reduce_to_independent`` over the optimal
         sets only.
 
-        The bundle's value is the largest weight of its items inside one
-        maximal set.  Dropping an item never raises a set's weight, so a set
-        below the value never regains it: j goes when it weighs nothing or
-        some set still at the value lacks it, and then only those sets stay.
+        The bundle's value is the largest of its maximal sets' weights, which
+        ``_set_weights`` gives.  Dropping an item never raises a set's weight,
+        so a set below the value never regains it: j goes when it weighs
+        nothing or some set still at the value lacks it; only those then stay.
         """
         sets = self.system.maximal_sets
         if not sets:
             return IndependentBundle(items=frozenset(), value=ZERO)
-        sums = [self.additive_weight(items & s) for s in sets]
+        sums = self._set_weights(items)
         value = max(sums)
         best = [s for s, t in zip(sets, sums) if t == value]
         kept = []
@@ -256,6 +276,9 @@ def singleton_weights(system: SetSystem, weights) -> tuple[int, ...]:
     fits its own window (validated at construction), so needs no test."""
     if isinstance(system, IntervalSystem):
         return tuple(weights)
+    if isinstance(system, ExplicitSystem):  # {j} fits a set exactly when held
+        held = system.incidence
+        return tuple(w if j in held else 0 for j, w in enumerate(weights))
     return tuple(w if w and system.independent(frozenset((j,))) else 0
                  for j, w in enumerate(weights))
 

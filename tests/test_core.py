@@ -61,6 +61,25 @@ def test_validate_rejects_negative_value():
         validate_instance(inst)
 
 
+@pytest.mark.parametrize("sizes, budget, quoted", [
+    ((1.5, 1, 1), F(2), "item size 1.5"),
+    ((F(3, 2), 1, 1), 2.0, "budget 2.0"),
+    ((True, 1, 1), F(2), "item size True"),
+])
+def test_validate_rejects_inexact_budget_entries(sizes, budget, quoted):
+    inst = Instance(n=1, m=3, values=((F(1), F(1), F(1)),),
+                    system=BudgetSystem(sizes=sizes, budget=budget))
+    with pytest.raises(InstanceError, match=f"^{quoted} is not an exact rational$"):
+        validate_instance(inst)
+
+
+def test_validate_accepts_integer_budget_entries():
+    inst = Instance(n=1, m=3, values=((F(1), F(1), F(1)),),
+                    system=BudgetSystem(sizes=(F(3, 2), 1, 1), budget=2))
+    assert validate_instance(inst) is inst
+    assert inst.system.scaled == ((3, 2, 2), 4)
+
+
 def test_validate_rejects_non_nested_entitled():
     spec = EntitledSpec(
         systems=(ExplicitSystem.normalize([{0}]),

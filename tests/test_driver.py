@@ -169,13 +169,32 @@ def _budgets_at_scale(m: int, n: int) -> Instance:
             ordering=tuple(sorted(range(n), key=lambda i: (budgets[i], i))))))
 
 
-@pytest.mark.parametrize("make, solve", [
+def _two_fifths_cap(k: int, m: int) -> float:
+    return F(6, 5) * (k + 1) * math.log(m)
+
+
+def _alpha_half_cap(k: int, m: int) -> float:
+    # Error 1/2 makes delta = 1/(1 - 1/2) = 2 in the alpha mode's cap.
+    return 2 * (5 * k + 3) * math.log(m)
+
+
+@pytest.mark.parametrize("make, solve, cap", [
     (lambda: gen_random_hereditary(m=300, n=20, family_density=1, seed=1),
-     solve_two_fifths),
+     solve_two_fifths, _two_fifths_cap),
+    # Density 0.6 gives many maximal sets, so each explicit subset query
+    # walks the item-to-sets incidence.
+    (lambda: gen_random_hereditary(m=300, n=20, family_density=0.6, seed=1),
+     solve_two_fifths, _two_fifths_cap),
+    (lambda: gen_random_hereditary(m=300, n=20, family_density=0.6, seed=1),
+     lambda inst: solve_alpha(inst, F(1, 2)), _alpha_half_cap),
+    (lambda: gen_random_hereditary(m=600, n=30, family_density=0.6, seed=1),
+     solve_two_fifths, _two_fifths_cap),
     (lambda: _budgets_at_scale(m=200, n=10),
-     lambda inst: solve_budget_adapter(inst).result),
-], ids=["explicit-m300-n20", "budget-m200-n10"])
-def test_polynomial_solves_at_scale_make_one_divider_run(make, solve):
+     lambda inst: solve_budget_adapter(inst).result, _two_fifths_cap),
+], ids=["explicit-m300-n20", "explicit-sparse-m300-n20",
+        "explicit-sparse-alpha-m300-n20", "explicit-sparse-m600-n30",
+        "budget-m200-n10"])
+def test_polynomial_solves_at_scale_make_one_divider_run(make, solve, cap):
     inst = make()
     result = solve(inst)
     k = len(result.active_agents)
@@ -187,7 +206,7 @@ def test_polynomial_solves_at_scale_make_one_divider_run(make, solve):
         assert brute_member(inst.system_for(i), bundle), i
         assert sum((inst.values[i][j] for j in bundle), F(0)) \
             >= result.thresholds[i], i
-        assert result.adjustments[i] < F(6, 5) * (k + 1) * math.log(inst.m)
+        assert result.adjustments[i] < cap(k, inst.m)
         # A round-one shrink needs alpha * e above the k-th best singleton
         # (else k singletons serve), so no estimate drops below the n-th.
         assert result.estimates[i] >= mms_bounds(inst, i).lower, i

@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mmsalloc.valuation
 from mmsalloc.core import (
@@ -172,6 +173,55 @@ def test_explicit_reduce_matches_the_ascending_scan():
         reduced = ValuationOracle(system, values).reduce_to_independent(bundle)
         assert (reduced.items, reduced.value) == \
             _reference_reduce(system, values, bundle), trial
+
+
+@st.composite
+def explicit_histories(draw):
+    """An explicit family on m <= 12 items, values with zeros among them, and
+    a query sequence that either draws afresh or toggles a few items of the
+    previous query, with the empty query somewhere in it."""
+    m = draw(st.integers(1, 12))
+    item = st.integers(0, m - 1)
+    sets = draw(st.lists(st.frozensets(item), max_size=6))
+    values = tuple(draw(st.lists(
+        st.builds(F, st.integers(0, 4), st.sampled_from((1, 2, 3))),
+        min_size=m, max_size=m)))
+    queries, last = [], frozenset()
+    for toggle, drawn in draw(st.lists(st.tuples(st.booleans(), st.frozensets(item)),
+                                       max_size=12)):
+        last = last ^ drawn if toggle else drawn
+        queries.append(last)
+    queries.insert(draw(st.integers(0, len(queries))), frozenset())
+    return sets, values, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(explicit_histories())
+# The empty family; then item 2 in no set, items 0 and 3 weighing nothing,
+# and queries that move by one item at a time through the empty query.
+@example(([], (F(1), F(0)), [frozenset({0, 1}), frozenset(), frozenset({1})]))
+@example(([{0, 1}, {1, 3}], (F(0), F(2), F(5), F(0)),
+          [frozenset({0, 1, 2, 3}), frozenset({0, 1, 2}), frozenset({1, 2}),
+           frozenset({2}), frozenset(), frozenset({3}), frozenset({0, 3})]))
+def test_explicit_answers_do_not_depend_on_query_history(history):
+    sets, values, queries = history
+    system = ExplicitSystem.normalize(sets)
+    assert system.incidence == {
+        j: tuple(t for t, s in enumerate(system.maximal_sets) if j in s)
+        for j in range(len(values)) if any(j in s for s in system.maximal_sets)}
+    oracle = ValuationOracle(system, values)
+    assert oracle.singleton_weights == tuple(
+        w if system.independent(frozenset({j})) else 0
+        for j, w in enumerate(oracle.weights))
+    for q in queries:
+        assert oracle.exact_value(q) \
+            == ValuationOracle(system, values).exact_value(q) == max(
+                (sum((values[j] for j in q & s), F(0))
+                 for s in system.maximal_sets), default=0), q
+        assert oracle.reduce_to_independent(q) \
+            == ValuationOracle(system, values).reduce_to_independent(q), q
+        assert oracle.approx_value_subset(q) \
+            == ValuationOracle(system, values).approx_value_subset(q), q
 
 
 def test_interval_single_slot_forces_singleton():
