@@ -16,7 +16,6 @@ from .core import (
     ZERO,
     Allocation,
     BudgetSystem,
-    BruteForceGateExceeded,
     ConflictSystem,
     DegreeTooHigh,
     Instance,
@@ -149,19 +148,14 @@ def constrained_mms(instance: Instance, agent: int, *,
     partitions.  Bundle values are additive, since feasible bundles waste
     nothing.  Returns 0 when no feasible witness exists at all.
     """
-    if instance.m > gate:
-        raise BruteForceGateExceeded(
-            f"{instance.m} items exceed the brute-force gate {gate}")
     system = instance.system_for(agent)
     if system.kind not in DEFAULT_GATES:
         raise UnsupportedSystem(
             f"no constraint-aware brute force for {system.kind} systems")
     # Interval membership sits behind the oracle's gate, here m.
     oracle = oracle_for(instance, agent, gate=instance.m)
-    weights = oracle.weights
-    order = sorted(range(instance.m), key=lambda j: (-weights[j], j))
     found = _best_min_assignment(
-        order, [(oracle.additive_value, weights)], [0] * instance.n,
-        oracle.scale, feasible=oracle.is_independent,
+        range(instance.m), [(oracle.additive_weight, oracle.weights)],
+        [0] * instance.n, gate=gate, feasible=oracle.is_independent,
         allow_discard=not isinstance(system, ConflictSystem))
-    return ZERO if found is None else found[0]
+    return ZERO if found is None else Fraction(found[0], oracle.scale)

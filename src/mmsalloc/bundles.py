@@ -85,24 +85,26 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     alpha, mu_star = request.alpha, request.mu_star
     t_num = alpha.numerator * mu_star.numerator * oracle.scale
     t_den = alpha.denominator * mu_star.denominator
-    singleton = {j: oracle.singleton_weights[j] * t_den
-                 for j in sorted(request.items)}
+    singleton = oracle.singleton_weights
     # Above error 1/3 the pair test asks exact independence instead.
     exact_pairs = oracle.epsilon > Fraction(1, 3)
-
-    high = [j for j, scaled in singleton.items() if 2 * scaled > t_num]
-    low = {j for j, scaled in singleton.items() if 2 * scaled <= t_num}
-    built: list[tuple[Items, int, dict | None]] = []  # (bundle, weight, witness)
 
     def schedule(items):  # a singleton's or a pair's, from the exact scheduler
         if isinstance(oracle.system, IntervalSystem):
             return _interval_witness(oracle.system, items)
 
-    # Phase one, singletons: high items already meeting the threshold.
-    for j in list(high):
-        if singleton[j] >= t_num:
+    # Phase one, singletons: items already meeting the threshold are built;
+    # the rest are high (worth more than half of it) or low.
+    built: list[tuple[Items, int, dict | None]] = []  # (bundle, weight, witness)
+    high, low = [], set()
+    for j in sorted(request.items):
+        scaled = singleton[j] * t_den
+        if 2 * scaled <= t_num:
+            low.add(j)
+        elif scaled < t_num:
+            high.append(j)
+        else:
             built.append((frozenset((j,)), oracle.weights[j], schedule((j,))))
-            high.remove(j)
 
     # Phase one, carving: one high item plus low items, minimised.
     progress = True
@@ -136,7 +138,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
         for j2 in high[a_pos + 1:]:
             if exact_pairs:
                 qualifies = (oracle.pair_independent(j1, j2)
-                             and singleton[j1] + singleton[j2] >= t_num)
+                             and (singleton[j1] + singleton[j2]) * t_den >= t_num)
             else:
                 answer = oracle.approx_value_subset(frozenset((j1, j2)))
                 qualifies = weight_of(answer.items) * t_den >= t_num

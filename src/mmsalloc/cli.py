@@ -184,8 +184,8 @@ def _cmd_mms(args) -> int:
         lines.append("fewer items than agents: mu = 0")
     try:
         record = compute_mms_exact(instance, agent, gate=args.gate)
-    except BruteForceGateExceeded:
-        lines.append(f"mu: not computed ({instance.m} items exceed gate {args.gate})")
+    except BruteForceGateExceeded as exc:
+        lines.append(f"mu: not computed ({exc})")
         _emit("".join(line + "\n" for line in lines), args.out)
         return EXIT_GATE
     lines.append(f"mu = {format_rational(record.mu)}")

@@ -49,9 +49,8 @@ class DividerOutcome:
 
 
 def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
-                offers_for, agents, ordering: tuple[int, ...] | None
-                ) -> DividerOutcome:
-    """The round loop behind both engines.
+                offers_for, ordering: tuple[int, ...] | None) -> DividerOutcome:
+    """The round loop behind both engines, over the agents of ``thresholds``.
 
     Each round the most restrictive remaining agent of ``ordering`` divides,
     or the lowest-index one when there is no ordering.
@@ -62,7 +61,7 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
     the bundles.  The divider is offered her own bundles; whatever a matched
     agent receives, the whole matched bundle leaves the item pool.
     """
-    remaining = sorted(thresholds if agents is None else agents)
+    remaining = sorted(thresholds)
     items = instance.all_items()
     allocation: dict[int, IndependentBundle] = {}
     trace: list[RoundRecord] = []
@@ -118,8 +117,7 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
                           trace=tuple(trace))
 
 
-def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker, *,
-                 agents=None, ordering: tuple[int, ...] | None = None
+def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker
                  ) -> DividerOutcome:
     """Run the engine with exact additive edge values.
 
@@ -127,7 +125,8 @@ def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker, *,
     ``agent`` and worth her threshold, or None on legitimate failure.  The
     additive edge predicate is only sound when every built bundle is
     independent for every remaining agent: shared systems always, entitled
-    ones under the most-restrictive-first rule.
+    ones under the most-restrictive-first rule, so an entitled instance's
+    dividers follow its own ordering.
     """
     def additive(divider, remaining, bundles):
         return {(agent, idx): IndependentBundle(
@@ -137,12 +136,13 @@ def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker, *,
                 for scale, weights in (instance.scaled_values[agent],)
                 for idx, bundle in enumerate(bundles)}
 
-    return _run_rounds(instance, thresholds, maker, additive, agents, ordering)
+    ordering = instance.system.ordering if instance.is_entitled else None
+    return _run_rounds(instance, thresholds, maker, additive, ordering)
 
 
 def lone_divider_entitled(instance: Instance, thresholds: dict[int, Fraction],
                           maker, oracles: dict[int, ValuationOracle],
-                          epsilon: Fraction, *, agents=None,
+                          epsilon: Fraction, *,
                           ordering: tuple[int, ...] | None = None) -> DividerOutcome:
     """Engine variant for per-agent families behind approximate oracles.
 
@@ -171,7 +171,7 @@ def lone_divider_entitled(instance: Instance, thresholds: dict[int, Fraction],
                 subset_of[agent, idx] = subset
         return subset_of
 
-    return _run_rounds(instance, thresholds, maker, reported, agents, ordering)
+    return _run_rounds(instance, thresholds, maker, reported, ordering)
 
 
 def trace_to_dicts(outcome: DividerOutcome, run: int = 1) -> list[dict]:

@@ -109,8 +109,7 @@ def solve_existence(instance: Instance, *,
         return bundles_from_mms_partition(oracles[agent], records[agent],
                                           items, count, thresholds[agent])
 
-    ordering = instance.system.ordering if instance.is_entitled else None
-    outcome = lone_divider(instance, thresholds, maker, ordering=ordering)
+    outcome = lone_divider(instance, thresholds, maker)
     assert outcome.succeeded
     return _assemble(instance, "existence", ratio, outcome.allocation,
                      range(n), thresholds,
@@ -130,8 +129,8 @@ def _two_fifths_cap(count: int, m: int) -> float:
     return Fraction(6, 5) * (count + 1) * math.log(m)
 
 
-def _divide_shared(instance, thresholds, maker, oracles, epsilon, agents):
-    return lone_divider(instance, thresholds, maker, agents=agents)
+def _divide_shared(instance, thresholds, maker, oracles, epsilon):
+    return lone_divider(instance, thresholds, maker)
 
 
 def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
@@ -149,8 +148,8 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     Above 1/3 the bundle maker's phase-two pair test asks exact independence.
     ``shrink_factor(k)`` gives the multiplicative estimate adjustment;
     ``count_bound(k, m)`` the proven cap on adjustments per agent.
-    ``divide(instance, thresholds, maker, oracles, epsilon, agents)`` runs
-    one lone divider.
+    ``divide(instance, thresholds, maker, oracles, epsilon)`` runs one lone
+    divider over the agents of ``thresholds``.
     """
     n, m = instance.n, instance.m
     # Each agent's scale and singleton weights, best first; she is active
@@ -208,7 +207,7 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     runs: list[DividerOutcome] = []
     while True:
         thresholds = {i: alpha * estimates[i] for i in active}
-        outcome = divide(instance, thresholds, maker, oracles, epsilon, active)
+        outcome = divide(instance, thresholds, maker, oracles, epsilon)
         runs.append(outcome)
         if outcome.succeeded:
             return _assemble(instance, mode, alpha, outcome.allocation, active,
@@ -291,9 +290,9 @@ def solve_entitled(instance: Instance, epsilon: Fraction | None = None, *,
     if divider_rule == "most_restrictive" and instance.is_entitled:
         ordering = instance.system.ordering
 
-    def divide(instance, thresholds, maker, oracles, error, agents):
+    def divide(instance, thresholds, maker, oracles, error):
         return lone_divider_entitled(instance, thresholds, maker, oracles, error,
-                                     agents=agents, ordering=ordering)
+                                     ordering=ordering)
 
     return _solve_polynomial(instance, "entitled", TWO_FIFTHS, epsilon_for,
                              divide, oracle_factory=oracle_factory)

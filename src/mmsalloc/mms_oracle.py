@@ -23,6 +23,7 @@ from .core import (
 from .valuation import ValuationOracle, oracle_for, singleton_weights
 
 DEFAULT_MMS_GATE = 12
+SEARCH_DEPTH_LIMIT = 500
 
 
 @dataclass(frozen=True)
@@ -81,25 +82,28 @@ def _on_masks(fn):
     return functools.cache(lambda mask: fn(_mask_items(mask)))
 
 
-def _best_min_assignment(order, groups, group_of, scale, *, feasible=None,
+def _best_min_assignment(items, groups, group_of, *, gate, feasible=None,
                          allow_discard=False):
     """Maximise the minimum holder value over assignments of items to holders.
 
-    Holder h values what it holds by ``groups[group_of[h]]``, a pair of a value
-    function on item sets and per-item integer weights on ``scale`` that
+    Holder h values what it holds by ``groups[group_of[h]]``, a pair of an
+    integer value function on item sets and per-item integer weights that
     upper-bound each item's marginal contribution to that value (they drive
-    the bound pruning); the search runs on values times ``scale``.
-    Holders of one group are interchangeable, so an item, placed in the given
-    ``order``, may only start the lowest-index empty holder of each group.
-    ``feasible`` (on item sets) restricts holdings hereditarily;
-    ``allow_discard`` lets an item go to no holder.
+    the bound pruning).  Items are placed heaviest first, by their largest
+    weight over the groups, ties by index; holders of one group are
+    interchangeable, so an item may only start the lowest-index empty holder
+    of each group.  ``feasible`` (on item sets) restricts holdings
+    hereditarily; ``allow_discard`` lets an item go to no holder.
 
-    Returns (best min value, holder masks) or None when no assignment
-    satisfies the feasibility predicate.
+    The search recurses once per item, so past SEARCH_DEPTH_LIMIT items, as
+    past ``gate``, it raises BruteForceGateExceeded.  Returns (best min
+    value, holder masks) or None when no assignment is feasible.
     """
-    def on_scale(value: Fraction) -> int:
-        return value.numerator * (scale // value.denominator)
-
+    limit = min(gate, SEARCH_DEPTH_LIMIT)
+    if len(items) > limit:
+        raise BruteForceGateExceeded(
+            f"{len(items)} items exceed the brute-force gate {limit}")
+    order = sorted(items, key=lambda j: (-max(w[j] for _, w in groups), j))
     k = len(order)
     suffixes = []
     for _, weights in groups:
@@ -107,8 +111,7 @@ def _best_min_assignment(order, groups, group_of, scale, *, feasible=None,
         for t in reversed(range(k)):
             suffix[t] = suffix[t + 1] + weights[order[t]]
         suffixes.append(suffix)
-    value_fns = [_on_masks(lambda items, fn=value_fn: on_scale(fn(items)))
-                 for value_fn, _ in groups]
+    value_fns = [_on_masks(value_fn) for value_fn, _ in groups]
     fits = None if feasible is None else _on_masks(feasible)
     holders = range(len(group_of))
     suffix_of = [suffixes[g] for g in group_of]
@@ -157,29 +160,23 @@ def _best_min_assignment(order, groups, group_of, scale, *, feasible=None,
     descend(0)
     if best_masks is None:
         return None
-    return Fraction(best_value, scale), best_masks
+    return best_value, best_masks
 
 
 def compute_mms_exact(instance: Instance, agent: int, *,
                       gate: int = DEFAULT_MMS_GATE,
                       oracle: ValuationOracle | None = None) -> MmsRecord:
     """Exact maximin share of ``agent`` over n blocks, with witness."""
-    if instance.m > gate:
-        raise BruteForceGateExceeded(
-            f"{instance.m} items exceed the brute-force gate {gate}")
     if instance.n < 1:
         raise ValueError("the maximin share needs at least one block")
     if oracle is None:
         oracle = oracle_for(instance, agent)
-    weights = oracle.singleton_weights
-    order = sorted(range(instance.m), key=lambda j: (-weights[j], j))
     # A maximin partition: an assignment to n holders sharing one valuation.
-    result = _best_min_assignment(order, [(oracle.exact_value, weights)],
-                                  [0] * instance.n, oracle.scale)
-    assert result is not None
-    mu, blocks = result
+    mu, blocks = _best_min_assignment(
+        range(instance.m), [(oracle.exact_weight, oracle.singleton_weights)],
+        [0] * instance.n, gate=gate)
     witness = tuple(_mask_items(mask) for mask in blocks)
-    return MmsRecord(agent=agent, mu=mu, witness=witness)
+    return MmsRecord(agent=agent, mu=Fraction(mu, oracle.scale), witness=witness)
 
 
 def mms_bounds(instance: Instance, agent: int) -> MmsBounds:
@@ -240,20 +237,16 @@ def max_min_allocation_value(instance: Instance, *,
     Agents with identical valuations form one group of interchangeable
     holders.  Returns (best min value, witness bundles).
     """
-    if instance.m > gate:
-        raise BruteForceGateExceeded(
-            f"{instance.m} items exceed the brute-force gate {gate}")
-    n, m = instance.n, instance.m
-    if n == 0:
+    if instance.n == 0:
         return ZERO, ()
     index: dict = {}
     group_of = [index.setdefault((instance.values[i], instance.system_for(i)),
-                                 len(index)) for i in range(n)]
+                                 len(index)) for i in range(instance.n)]
     oracles = [oracle_for(instance, group_of.index(g)) for g in range(len(index))]
     scale = math.lcm(*(o.scale for o in oracles))
-    groups = [(o.exact_value, [w * (scale // o.scale) for w in o.singleton_weights])
+    groups = [(lambda items, o=o, f=scale // o.scale: o.exact_weight(items) * f,
+               [w * (scale // o.scale) for w in o.singleton_weights])
               for o in oracles]
-    order = sorted(range(m),
-                   key=lambda j: (-max(weights[j] for _, weights in groups), j))
-    best_value, best_masks = _best_min_assignment(order, groups, group_of, scale)
-    return best_value, tuple(_mask_items(mask) for mask in best_masks)
+    best, masks = _best_min_assignment(range(instance.m), groups, group_of,
+                                       gate=gate)
+    return Fraction(best, scale), tuple(_mask_items(mask) for mask in masks)

@@ -108,9 +108,10 @@ class ValuationOracle:
 
     def exact_value(self, bundle) -> Fraction:
         """Max additive value over independent subsets of the bundle."""
-        return Fraction(self._exact_weight(frozenset(bundle)), self.scale)
+        return Fraction(self.exact_weight(frozenset(bundle)), self.scale)
 
-    def _exact_weight(self, items: Items) -> int:
+    def exact_weight(self, items: Items) -> int:
+        """``exact_value`` on the integer scale, for a frozenset of items."""
         system = self.system
         if isinstance(system, ExplicitSystem):
             return max(self._set_weights(items), default=0)

@@ -302,6 +302,105 @@ def test_conflict_edge_that_is_not_a_pair_is_named(tmp_path, capsys):
         "error: conflict edge [1, 2, 2] does not join two items\n"
 
 
+_JOB = {"p": 1, "r": 1, "d": 2}
+_FREE = {**_TWO_BY_TWO, "system": {"kind": "free"}}
+_EXPLICIT = {"kind": "explicit", "maximal_sets": [[1, 2]]}
+
+
+# Input errors that no other case reaches.  The instance is a document or raw
+# text; with an allocation text the case runs verify, else solve.
+@pytest.mark.parametrize("instance, allocation, needle", [
+    pytest.param({**_TWO_BY_TWO, "system": {"kind": "interval", "jobs": [_JOB]}},
+                 None, "interval system has 1 jobs for 2 items",
+                 id="interval-job-count"),
+    pytest.param({**_TWO_BY_TWO, "system": {"kind": "interval", "jobs": [
+        _JOB, {"p": 1.5, "r": 1, "d": 3}]}}, None,
+        "interval job 2: non-integer parameters", id="interval-p-not-an-integer"),
+    pytest.param({**_TWO_BY_TWO, "system": {"kind": "interval", "jobs": [
+        _JOB, {"p": 0, "r": 1, "d": 2}]}}, None,
+        "interval job 2: needs p >= 1 and r >= 1", id="interval-p-below-1"),
+    pytest.param({**_TWO_BY_TWO, "system": {"kind": "interval", "jobs": [
+        {"p": 1, "r": 0, "d": 2}, _JOB]}}, None,
+        "interval job 1: needs p >= 1 and r >= 1", id="interval-r-below-1"),
+    pytest.param({**_TWO_BY_TWO, "system": {"kind": "budget", "sizes": ["1"],
+                                            "budget": "1"}}, None,
+                 "budget system has 1 sizes for 2 items", id="budget-size-count"),
+    pytest.param({**_TWO_BY_TWO, "system": {"kind": "budget",
+                                            "sizes": ["-1", "1"], "budget": "1"}},
+                 None, "negative item size -1", id="negative-size"),
+    pytest.param({**_TWO_BY_TWO, "system": {"kind": "budget",
+                                            "sizes": ["1", "1"], "budget": "-1"}},
+                 None, "negative budget -1", id="negative-budget"),
+    pytest.param({**_TWO_BY_TWO, "system": {"kind": "matroid"}}, None,
+                 "unknown system kind: 'matroid'", id="unknown-kind"),
+    pytest.param('{"n": 2,', None, "malformed instance JSON",
+                 id="malformed-json"),
+    pytest.param("[]", None, "malformed instance JSON", id="document-a-list"),
+    pytest.param({**_FREE, "asymmetric": [{"kind": "free"}] * 2}, None,
+                 "both a shared and per-agent systems",
+                 id="system-and-asymmetric"),
+    pytest.param({**_TWO_BY_TWO, "asymmetric": [
+        {"kind": "budget", "sizes": ["1", "1"], "budgets": ["1", "2"]}] * 2},
+        None, "per-agent system payloads must be plain systems",
+        id="budgets-inside-asymmetric"),
+    pytest.param({**_TWO_BY_TWO, "system": _EXPLICIT, "entitled": [1, 2]}, None,
+                 "an entitled ordering needs per-agent systems",
+                 id="entitled-shared-explicit"),
+    pytest.param(_TWO_BY_TWO, None, "instance declares no set system",
+                 id="no-system"),
+    pytest.param({**_TWO_BY_TWO, "asymmetric": [_EXPLICIT] * 2,
+                  "entitled": [1, 1]}, None,
+                 "is not a permutation of the agents", id="order-not-a-permutation"),
+    pytest.param({**_TWO_BY_TWO, "entitled": [1, 2], "asymmetric": [
+        {"kind": "explicit", "maximal_sets": [[1]]},
+        {"kind": "explicit", "maximal_sets": [[2]]}]}, None,
+        "agent 1's family is not contained in agent 2's", id="families-not-nested"),
+    pytest.param({**_TWO_BY_TWO, "asymmetric": [_EXPLICIT]}, None,
+                 "asymmetric spec has 1 systems for 2 agents",
+                 id="per-agent-system-count"),
+    pytest.param({**_FREE, "values": [["1"], ["1", "1"]]}, None,
+                 "agent 1: value row has 1 entries for 2 items",
+                 id="value-row-length"),
+    pytest.param(_FREE, '{"bundles": [[1], []', "malformed allocation JSON",
+                 id="verify-malformed-allocation"),
+    pytest.param(_FREE, '{"bundles": [[1], []], "complete": true}',
+                 "allocation marked complete but items are missing",
+                 id="verify-complete-with-items-missing"),
+])
+def test_each_input_error_exits_2_with_one_line(tmp_path, capsys, instance,
+                                                allocation, needle):
+    instance_path = tmp_path / "inst.json"
+    instance_path.write_text(instance if isinstance(instance, str)
+                             else json.dumps(instance))
+    alloc_path = tmp_path / "alloc.json"
+    if allocation is None:
+        argv = ("solve", str(instance_path), "--out", str(alloc_path))
+    else:
+        alloc_path.write_text(allocation)
+        argv = ("verify", str(instance_path), str(alloc_path), "--alpha", "2/5")
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+def test_search_depth_limit_exits_3_past_a_raised_gate(tmp_path, capsys):
+    # The exhaustive search recurses once per item, so past 500 items it is
+    # refused whatever --gate says, never with a RecursionError.
+    instance_path = tmp_path / "inst.json"
+    run_cli("gen", "random", "--m", "501", "--n", "1", "--density", "0.5",
+            "--out", str(instance_path))
+    reason = "501 items exceed the brute-force gate 500"
+    capsys.readouterr()
+    assert run_cli("mms", str(instance_path), "--agent", "1",
+                   "--gate", "5000") == 3
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"mu: not computed ({reason})"
+    assert run_cli("solve", str(instance_path), "--mode", "existence",
+                   "--gate", "5000") == 3
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
 _THIRTEEN = {"n": 3, "m": 13, "values": [[str(1 + j % 4) for j in range(13)]] * 3}
 
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from mmsalloc.bundles import BundleRequest, bundles_from_mms_partition, make_bundles_two_fifths
+from mmsalloc.core import BudgetSystem, EntitledSpec, Instance
 from mmsalloc.divider import lone_divider, lone_divider_entitled, trace_to_dicts
 from mmsalloc.generators import gen_random_hereditary, gen_two_thirds_bound
 from mmsalloc.mms_oracle import compute_mms_exact
@@ -99,6 +100,19 @@ def test_maker_failure_reports_the_divider():
     outcome = lone_divider(inst, {0: F(40), 1: F(40)}, maker)
     assert not outcome.succeeded
     assert outcome.failed_agent == 0  # lowest index divides first
+
+
+def test_entitled_instance_lets_its_most_restrictive_agent_divide():
+    # Agent 2's budget is the smaller, so the additive offers are sound only
+    # when she divides first; lone_divider reads that from the instance.
+    sizes = (F(1),) * 4
+    inst = Instance(n=2, m=4, values=((F(1),) * 4,) * 2, system=EntitledSpec(
+        systems=(BudgetSystem(sizes=sizes, budget=F(3)),
+                 BudgetSystem(sizes=sizes, budget=F(2))), ordering=(1, 0)))
+    thresholds, maker, _ = _existence_setup(inst, F(2, 3))
+    outcome = lone_divider(inst, thresholds, maker)
+    assert outcome.succeeded
+    assert outcome.trace[0].divider == 1
 
 
 def _entitled_setup(inst, epsilon, mu_star_scale=1):

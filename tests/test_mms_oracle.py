@@ -82,6 +82,15 @@ def test_gate_is_enforced():
         compute_mms_exact(inst, 0, gate=7)
 
 
+def test_search_runs_to_its_depth_limit_under_a_raised_gate():
+    # The search recurses once per item; 500 items stay within Python's
+    # recursion limit, and one agent's maximin share is all items' value.
+    inst = gen_random_hereditary(m=500, n=1, family_density=0.5, seed=0)
+    record = compute_mms_exact(inst, 0, gate=5000)
+    assert record.mu == oracle_for(inst, 0).exact_value(inst.all_items())
+    assert record.witness == (inst.all_items(),)
+
+
 def test_bounds_bracket_mms_and_flag_small_m():
     rng = random.Random(23)
     for trial in range(40):
