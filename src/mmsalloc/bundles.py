@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import InsufficientBundles, IntervalSystem, Items
+from .matching import max_general_matching
 from .mms_oracle import MmsRecord
 from .valuation import IndependentBundle, ValuationOracle, _interval_witness, _schedule_is_valid
 
@@ -76,8 +77,6 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     fewer than the requested number of bundles exist, which is the legitimate
     signal that the caller's estimate is too high.
     """
-    from .matching import max_general_matching  # local import, no cycle at module load
-
     oracle = request.oracle
     weight_of = oracle.additive_weight
     # On the oracle's integer scale the threshold alpha * mu_star is
@@ -137,8 +136,8 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     for a_pos, j1 in enumerate(high):
         for j2 in high[a_pos + 1:]:
             if exact_pairs:
-                qualifies = (oracle.pair_independent(j1, j2)
-                             and (singleton[j1] + singleton[j2]) * t_den >= t_num)
+                # Two high items always reach the threshold together.
+                qualifies = oracle.pair_independent(j1, j2)
             else:
                 answer = oracle.approx_value_subset(frozenset((j1, j2)))
                 qualifies = weight_of(answer.items) * t_den >= t_num

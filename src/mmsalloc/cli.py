@@ -185,6 +185,7 @@ def _cmd_mms(args) -> int:
     try:
         record = compute_mms_exact(instance, agent, gate=args.gate)
     except BruteForceGateExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
         lines.append(f"mu: not computed ({exc})")
         _emit("".join(line + "\n" for line in lines), args.out)
         return EXIT_GATE

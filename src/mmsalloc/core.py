@@ -544,6 +544,9 @@ def instance_from_json(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"malformed instance JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InstanceError(
+            f"instance must be a JSON object, got {type(doc).__name__}")
     spec: SystemSpec
     try:
         n = doc["n"]

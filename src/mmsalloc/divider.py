@@ -142,8 +142,7 @@ def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker
 
 def lone_divider_entitled(instance: Instance, thresholds: dict[int, Fraction],
                           maker, oracles: dict[int, ValuationOracle],
-                          epsilon: Fraction, *,
-                          ordering: tuple[int, ...] | None = None) -> DividerOutcome:
+                          epsilon: Fraction) -> DividerOutcome:
     """Engine variant for per-agent families behind approximate oracles.
 
     After the divider builds her bundles, any remaining agent whose oracle
@@ -171,7 +170,7 @@ def lone_divider_entitled(instance: Instance, thresholds: dict[int, Fraction],
                 subset_of[agent, idx] = subset
         return subset_of
 
-    return _run_rounds(instance, thresholds, maker, reported, ordering)
+    return _run_rounds(instance, thresholds, maker, reported, None)
 
 
 def trace_to_dicts(outcome: DividerOutcome, run: int = 1) -> list[dict]:

@@ -129,12 +129,8 @@ def _two_fifths_cap(count: int, m: int) -> float:
     return Fraction(6, 5) * (count + 1) * math.log(m)
 
 
-def _divide_shared(instance, thresholds, maker, oracles, epsilon):
-    return lone_divider(instance, thresholds, maker)
-
-
 def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
-                      epsilon_for, divide, *, shrink_factor=_two_fifths_shrink,
+                      epsilon_for, *, shrink_factor=_two_fifths_shrink,
                       count_bound=_two_fifths_cap,
                       oracle_factory=None) -> SolveResult:
     """Estimate each agent's MMS from singleton values, shrink each estimate
@@ -148,8 +144,9 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     Above 1/3 the bundle maker's phase-two pair test asks exact independence.
     ``shrink_factor(k)`` gives the multiplicative estimate adjustment;
     ``count_bound(k, m)`` the proven cap on adjustments per agent.
-    ``divide(instance, thresholds, maker, oracles, epsilon)`` runs one lone
-    divider over the agents of ``thresholds``.
+    An entitled instance divides by swap detection through its agents'
+    oracles; every other bundle is independent for every agent, so it is
+    offered at its additive value.
     """
     n, m = instance.n, instance.m
     # Each agent's scale and singleton weights, best first; she is active
@@ -207,7 +204,9 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     runs: list[DividerOutcome] = []
     while True:
         thresholds = {i: alpha * estimates[i] for i in active}
-        outcome = divide(instance, thresholds, maker, oracles, epsilon)
+        outcome = (lone_divider_entitled(instance, thresholds, maker, oracles,
+                                         epsilon) if instance.is_entitled
+                   else lone_divider(instance, thresholds, maker))
         runs.append(outcome)
         if outcome.succeeded:
             return _assemble(instance, mode, alpha, outcome.allocation, active,
@@ -227,7 +226,7 @@ def solve_two_fifths(instance: Instance, *, oracle_factory=None) -> SolveResult:
     if instance.is_entitled:
         return solve_entitled(instance, oracle_factory=oracle_factory)
     return _solve_polynomial(instance, "two_fifths", TWO_FIFTHS,
-                             lambda k: Fraction(1, k + 1), _divide_shared,
+                             lambda k: Fraction(1, k + 1),
                              oracle_factory=oracle_factory)
 
 
@@ -255,25 +254,20 @@ def solve_alpha(instance: Instance, epsilon: Fraction, *,
         return ONE / (ONE + overshoot)
 
     return _solve_polynomial(
-        instance, "alpha", alpha, lambda k: epsilon, _divide_shared,
+        instance, "alpha", alpha, lambda k: epsilon,
         shrink_factor=shrink_factor,
         count_bound=lambda count, m: float(delta) * (5 * count + 3) * math.log(m),
         oracle_factory=oracle_factory)
 
 
 def solve_entitled(instance: Instance, epsilon: Fraction | None = None, *,
-                   divider_rule: str = "swap_detect",
                    oracle_factory=None) -> SolveResult:
     """Polynomial 2/5 solver for nested per-agent families.
 
-    Runs the oracle-mediated engine: matched agents receive the independent
-    subsets their own oracles reported, so the output also satisfies
-    per-agent feasibility constraints.  ``divider_rule`` is "swap_detect"
-    (the ordering is treated as unknown) or "most_restrictive".
+    Runs the oracle-mediated engine: the ordering is treated as unknown, and
+    matched agents receive the independent subsets their own oracles
+    reported, so the output also satisfies per-agent feasibility constraints.
     """
-    if divider_rule not in ("swap_detect", "most_restrictive"):
-        raise ValueError(f"unknown divider rule {divider_rule!r}; "
-                         "expected swap_detect or most_restrictive")
     _reject_asymmetric(instance, "the entitled mode")
 
     def epsilon_for(k: int) -> Fraction:
@@ -284,15 +278,5 @@ def solve_entitled(instance: Instance, epsilon: Fraction | None = None, *,
                 f"got {chosen}")
         return chosen
 
-    # Shared systems have no ordering to follow; their lowest-index divider
-    # is already a most restrictive one.
-    ordering = None
-    if divider_rule == "most_restrictive" and instance.is_entitled:
-        ordering = instance.system.ordering
-
-    def divide(instance, thresholds, maker, oracles, error):
-        return lone_divider_entitled(instance, thresholds, maker, oracles, error,
-                                     ordering=ordering)
-
     return _solve_polynomial(instance, "entitled", TWO_FIFTHS, epsilon_for,
-                             divide, oracle_factory=oracle_factory)
+                             oracle_factory=oracle_factory)

@@ -335,7 +335,10 @@ _EXPLICIT = {"kind": "explicit", "maximal_sets": [[1, 2]]}
                  "unknown system kind: 'matroid'", id="unknown-kind"),
     pytest.param('{"n": 2,', None, "malformed instance JSON",
                  id="malformed-json"),
-    pytest.param("[]", None, "malformed instance JSON", id="document-a-list"),
+    pytest.param("[]", None, "instance must be a JSON object, got list",
+                 id="document-a-list"),
+    pytest.param('"an instance"', None, "instance must be a JSON object, got str",
+                 id="document-a-string"),
     pytest.param({**_FREE, "asymmetric": [{"kind": "free"}] * 2}, None,
                  "both a shared and per-agent systems",
                  id="system-and-asymmetric"),
@@ -394,8 +397,9 @@ def test_search_depth_limit_exits_3_past_a_raised_gate(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("mms", str(instance_path), "--agent", "1",
                    "--gate", "5000") == 3
-    assert capsys.readouterr().out.splitlines()[-1] == \
-        f"mu: not computed ({reason})"
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == f"mu: not computed ({reason})"
+    assert captured.err == f"error: {reason}\n"
     assert run_cli("solve", str(instance_path), "--mode", "existence",
                    "--gate", "5000") == 3
     assert capsys.readouterr().err == f"error: {reason}\n"

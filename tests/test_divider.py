@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from mmsalloc.bundles import BundleRequest, bundles_from_mms_partition, make_bundles_two_fifths
-from mmsalloc.core import BudgetSystem, EntitledSpec, Instance
+from mmsalloc.core import BudgetSystem, EntitledSpec, Instance, validate_instance
 from mmsalloc.divider import lone_divider, lone_divider_entitled, trace_to_dicts
 from mmsalloc.generators import gen_random_hereditary, gen_two_thirds_bound
 from mmsalloc.mms_oracle import compute_mms_exact
@@ -137,9 +137,9 @@ def test_entitled_budget_with_known_ordering_never_swaps():
         oracles, thresholds, maker, records = _entitled_setup(inst, epsilon)
         if any(records[i].mu == 0 for i in range(inst.n)):
             continue
-        outcome = lone_divider_entitled(
-            inst, thresholds, maker, oracles, epsilon,
-            ordering=inst.system.ordering)
+        # Agent 0 is the most restrictive, so she divides first.
+        outcome = lone_divider_entitled(inst, thresholds, maker, oracles,
+                                        epsilon)
         assert outcome.succeeded
         assert all(record.swaps == () for record in outcome.trace)
 
@@ -162,20 +162,29 @@ def test_entitled_awards_are_feasible_oracle_subsets():
             assert bundle.value >= thresholds[agent]
 
 
+def _reversed_agents(inst):
+    """The same entitled instance with its agents numbered backwards."""
+    n = inst.n
+    return validate_instance(Instance(
+        n=n, m=inst.m, values=inst.values[::-1],
+        system=EntitledSpec(systems=inst.system.systems[::-1],
+                            ordering=tuple(n - 1 - i for i in inst.system.ordering))))
+
+
 def test_entitled_swap_fires_for_misordered_divider_rule():
-    """Forcing the least restrictive agent to divide first must trigger the
-    takeover whenever her bundle is infeasible for a stricter agent."""
+    """With the least restrictive agent at the lowest index she divides first,
+    which must trigger the takeover whenever her bundle is infeasible for a
+    stricter agent."""
     rng = random.Random(43)
     saw_swap = False
     for seed in range(40):
-        inst = rand_budget_instance(rng, m=6, n=2)
+        inst = _reversed_agents(rand_budget_instance(rng, m=6, n=2))
         epsilon = F(1, 3)
         oracles, thresholds, maker, records = _entitled_setup(inst, epsilon)
         if any(records[i].mu == 0 for i in range(2)):
             continue
-        outcome = lone_divider_entitled(
-            inst, thresholds, maker, oracles, epsilon,
-            ordering=tuple(reversed(inst.system.ordering)))
+        outcome = lone_divider_entitled(inst, thresholds, maker, oracles,
+                                        epsilon)
         if not outcome.succeeded:
             continue
         for record in outcome.trace:

@@ -122,7 +122,7 @@ def test_estimate_soundness_and_adjustment_bounds():
             assert result.adjustments[agent] < bound
 
 
-def test_pre_pass_shrinks_check_the_adjustment_cap():
+def test_pre_pass_shrinks_check_the_adjustment_cap(monkeypatch):
     # Three agents valuing six free items alike start at estimate 6, and
     # k * alpha * 6 = 36/5 exceeds the singleton sum 6, so agent 1 shrinks
     # in the pre-pass before any divider run; a cap of 1 trips right there.
@@ -133,10 +133,10 @@ def test_pre_pass_shrinks_check_the_adjustment_cap():
     def divide(*args):
         pytest.fail("a divider ran before the pre-pass shrank")
 
+    monkeypatch.setattr(mmsalloc.driver, "lone_divider", divide)
     with pytest.raises(AssertionError, match="agent 1 exceeded"):
         _solve_polynomial(inst, "two_fifths", TWO_FIFTHS,
-                          lambda k: F(1, k + 1), divide,
-                          count_bound=lambda k, m: 1)
+                          lambda k: F(1, k + 1), count_bound=lambda k, m: 1)
 
 
 def test_final_estimates_pass_round_one_on_all_items():
@@ -499,13 +499,6 @@ def test_entitled_rejects_oversized_epsilon():
         solve_entitled(inst, F(2, 3))
 
 
-def test_entitled_rejects_unknown_divider_rule():
-    rng = random.Random(67)
-    inst = rand_budget_instance(rng, n=2)
-    with pytest.raises(ValueError, match="swap_detect or most_restrictive"):
-        solve_entitled(inst, divider_rule="no-such-rule")
-
-
 def test_full_pipeline_is_deterministic():
     inst = gen_random_hereditary(m=8, n=3, seed=71)
     first = solve_two_fifths(inst)
@@ -541,12 +534,11 @@ def test_entitled_explicit_families_end_to_end():
             values=tuple(tuple(F(rng.randint(0, 5)) for _ in range(m))
                          for _ in range(2)),
             system=EntitledSpec(systems=(strict, loose), ordering=(0, 1))))
-        for rule in ("swap_detect", "most_restrictive"):
-            result = solve_entitled(inst, divider_rule=rule)
-            assert verify_allocation(inst, result.allocation, F(2, 5)).ok
-            for agent in range(2):
-                bundle = result.allocation.bundles[agent]
-                assert oracle_for(inst, agent).is_independent(bundle)
+        result = solve_entitled(inst)
+        assert verify_allocation(inst, result.allocation, F(2, 5)).ok
+        for agent in range(2):
+            bundle = result.allocation.bundles[agent]
+            assert oracle_for(inst, agent).is_independent(bundle)
 
 
 def test_entitled_under_adversarial_oracles():

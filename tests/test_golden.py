@@ -36,7 +36,12 @@ from mmsalloc.driver import (
 )
 from mmsalloc.generators import gen_random_hereditary
 
-from conftest import rand_conflict_instance, rand_interval_instance, rand_values
+from conftest import (
+    rand_budget_instance,
+    rand_conflict_instance,
+    rand_interval_instance,
+    rand_values,
+)
 
 F = Fraction
 
@@ -87,9 +92,8 @@ def _cases():
         yield f"intervals-{seed}", inst, lambda inst=inst: solve_intervals_adapter(inst)
     for seed, m, n in ((9, 10, 3), (10, 10, 4), (11, 10, 4), (17, 8, 3)):
         inst = _budget_instance(seed, m, n)
-        for rule in ("swap_detect", "most_restrictive"):
-            yield (f"entitled-{rule}-{seed}", inst,
-                   lambda inst=inst, rule=rule: solve_entitled(inst, divider_rule=rule))
+        yield (f"entitled-swap_detect-{seed}", inst,
+               lambda inst=inst: solve_entitled(inst))
     for seed, m, n in ((18, 12, 3), (19, 14, 4)):
         inst = _fractional_budget_instance(seed, m, n)
         yield (f"budget_fractional-{seed}", inst,
@@ -107,6 +111,12 @@ def _cases():
         inst = rand_conflict_instance(random.Random(seed), m=9)
         yield (f"conflicts-{seed}", inst,
                lambda inst=inst: solve_conflicts_adapter(inst))
+    # The entitled mode on shared systems offers bundles at additive value.
+    inst = gen_random_hereditary(m=10, n=3, family_density=0.6, seed=37)
+    yield "entitled_shared-37", inst, lambda inst=inst: solve_entitled(inst)
+    inst = rand_budget_instance(random.Random(28), m=10, n=3, entitled=False)
+    yield ("entitled_shared_budget-28", inst,
+           lambda inst=inst: solve_entitled(inst))
 
 
 def _golden_doc(inst, solved) -> dict:
@@ -153,20 +163,12 @@ GOLDEN = {
         "f10c709501f791920a494e79ff4caeccc499a45a7274d4c9caf6f4842a6e25cf",
     "entitled-swap_detect-9":
         "1680a2a48a5a8011ac3d96cbb785daa3562c1dc549f75d8b19d1bb3ee80e4be7",
-    "entitled-most_restrictive-9":
-        "e2c21743df3d75deca7c976f5c58d1c10edd0e0f0b78d7209e4dfaf81b26b375",
     "entitled-swap_detect-10":
         "15e6b269acbfed0eaf12a526707b0fc4806757e3fed1cb42a681ff174832cf1a",
-    "entitled-most_restrictive-10":
-        "bf086d579f569be0902d43b45808cf65be7100d967ffb708d4320841f1fa8e58",
     "entitled-swap_detect-11":
         "bb3a249030235205d8835a3369e9ffb439d21bfdb699438eb5b1972420e18fbf",
-    "entitled-most_restrictive-11":
-        "5568167d65d4711eda1f03583db280a1347038004f06887fa8df3e60db88c0a8",
     "entitled-swap_detect-17":
         "792c8328f703dd7d01f2d5398fd5623b2d5f486c416be344dd4bcaeda524b245",
-    "entitled-most_restrictive-17":
-        "da4463304e013efbcc3bf0fd94964c79a378e40a05f578bcf5440e71337d6136",
     "budget_fractional-18":
         "3046d871015143467067b0a79ece6c79f7997adf20842d891bd2c05715e4fd64",
     "budget_fractional-19":
@@ -185,6 +187,10 @@ GOLDEN = {
         "14814288deb0d4f4521f1b49ba8cc68df6f44e3d5b8fd8dc1293de8783a609da",
     "conflicts-26":
         "ded6791764eaff16d5769a7a41451fbc8038f438a1d956bf91f738bd007b4a4d",
+    "entitled_shared-37":
+        "3b5c8fb41a2251177eb48ac727eda2232bdd5ad5debed74b06af874059334729",
+    "entitled_shared_budget-28":
+        "74fe1513ae11c532d85fceb9f3f2d704e5800ecbf5913403a4de2cbfa022f76c",
 }
 
 
