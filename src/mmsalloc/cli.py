@@ -67,6 +67,17 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _verdict(report) -> int:
+    """The exit code of a verification report.  Past the gate it also names
+    the first unverified agent and the reason on stderr."""
+    for check in report.checks:
+        if check.mu is None:
+            print(f"error: agent {check.agent + 1}: {check.reason}",
+                  file=sys.stderr)
+            return EXIT_GATE
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
+
+
 def _cmd_gen(args) -> int:
     if args.family == "two-thirds":
         instance = gen_two_thirds_bound(args.n, args.r)
@@ -147,7 +158,7 @@ def _cmd_solve(args) -> int:
                 {str(job + 1): start for job, start in sorted(witness.items())}
                 for witness in solved.schedules]
 
-    exit_code = EXIT_OK
+    report = None
     if args.certify:
         report = verify_allocation(instance, allocation, result.alpha,
                                    gate=args.gate)
@@ -158,10 +169,6 @@ def _cmd_solve(args) -> int:
              "ratio": None if check.ratio is None else format_rational(check.ratio),
              "ok": check.ok}
             for check in report.checks]
-        if report.gate_hit:
-            exit_code = EXIT_GATE
-        elif not report.ok:
-            exit_code = EXIT_VERIFY_FAIL
 
     _emit(allocation_to_json(instance, allocation, extras), args.out)
     if trace_path is not None:
@@ -169,7 +176,7 @@ def _cmd_solve(args) -> int:
                  for index, run in enumerate(result.runs)
                  for row in trace_to_dicts(run, index + 1)]
         _emit("".join(line + "\n" for line in lines), trace_path)
-    return exit_code
+    return EXIT_OK if report is None else _verdict(report)
 
 
 def _cmd_mms(args) -> int:
@@ -213,9 +220,7 @@ def _cmd_verify(args) -> int:
     lines.append(f"alpha {format_rational(alpha)}: "
                  f"{'pass' if report.ok else 'FAIL'}")
     _emit("".join(line + "\n" for line in lines), args.out)
-    if report.gate_hit:
-        return EXIT_GATE
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
+    return _verdict(report)
 
 
 def build_parser() -> argparse.ArgumentParser:

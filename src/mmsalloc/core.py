@@ -300,11 +300,6 @@ class Instance:
     def all_items(self) -> Items:
         return frozenset(range(self.m))
 
-    @functools.cached_property
-    def scaled_values(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Each agent's ``scaled_weights``, computed once per instance."""
-        return tuple(scaled_weights(values) for values in self.values)
-
 
 @dataclass(frozen=True)
 class Allocation:

@@ -117,8 +117,8 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
                           trace=tuple(trace))
 
 
-def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker
-                 ) -> DividerOutcome:
+def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker,
+                 oracles: dict[int, ValuationOracle]) -> DividerOutcome:
     """Run the engine with exact additive edge values.
 
     ``maker(agent, items, k)`` must return k disjoint bundles independent for
@@ -131,9 +131,8 @@ def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker
     def additive(divider, remaining, bundles):
         return {(agent, idx): IndependentBundle(
                     items=bundle.items, witness=bundle.witness,
-                    value=Fraction(sum(weights[j] for j in bundle.items), scale))
+                    value=oracles[agent].additive_value(bundle.items))
                 for agent in remaining if agent != divider
-                for scale, weights in (instance.scaled_values[agent],)
                 for idx, bundle in enumerate(bundles)}
 
     ordering = instance.system.ordering if instance.is_entitled else None
@@ -141,24 +140,23 @@ def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker
 
 
 def lone_divider_entitled(instance: Instance, thresholds: dict[int, Fraction],
-                          maker, oracles: dict[int, ValuationOracle],
-                          epsilon: Fraction) -> DividerOutcome:
+                          maker, oracles: dict[int, ValuationOracle]
+                          ) -> DividerOutcome:
     """Engine variant for per-agent families behind approximate oracles.
 
     After the divider builds her bundles, any remaining agent whose oracle
-    reports a bundle below (1 - epsilon) times its item sum must hold a
-    strictly smaller family, so she takes over as divider and the bundles are
-    rebuilt from scratch.  Matching edges use oracle-reported subset values,
-    and matched agents other than the divider receive exactly that reported
-    independent subset, while the whole bundle leaves the item pool.
+    reports a bundle below (1 - its error bound) times the item sum must hold
+    a strictly smaller family, so she takes over as divider and the bundles
+    are rebuilt from scratch.  Matching edges use oracle-reported subset
+    values, and matched agents other than the divider receive exactly that
+    reported independent subset, while the whole bundle leaves the item pool.
     """
-    shrink = ONE - epsilon
-
     def reported(divider, remaining, bundles):
         subset_of: dict[tuple[int, int], IndependentBundle] = {}
         for agent in remaining:
             if agent == divider:
                 continue
+            shrink = ONE - oracles[agent].epsilon
             weight_of = oracles[agent].additive_weight
             for idx, bundle in enumerate(bundles):
                 subset = oracles[agent].approx_value_subset(bundle.items)

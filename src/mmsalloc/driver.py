@@ -109,7 +109,7 @@ def solve_existence(instance: Instance, *,
         return bundles_from_mms_partition(oracles[agent], records[agent],
                                           items, count, thresholds[agent])
 
-    outcome = lone_divider(instance, thresholds, maker)
+    outcome = lone_divider(instance, thresholds, maker, oracles)
     assert outcome.succeeded
     return _assemble(instance, "existence", ratio, outcome.allocation,
                      range(n), thresholds,
@@ -149,12 +149,10 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     offered at its additive value.
     """
     n, m = instance.n, instance.m
-    # Each agent's scale and singleton weights, best first; she is active
-    # (her MMS is positive) when her n-th best is positive.
-    ranked = [(scale, sorted(singleton_weights(instance.system_for(i), weights),
-                             reverse=True))
-              for i, (scale, weights) in enumerate(instance.scaled_values)]
-    active = [i for i, (_, best) in enumerate(ranked) if m >= n and best[n - 1]]
+    # An agent is active (her MMS is positive) when at least n of her
+    # singletons are worth something.
+    active = [i for i in range(n) if sum(map(bool, singleton_weights(
+        instance.system_for(i), instance.values[i]))) >= n]
     if not active:
         return _assemble(instance, mode, alpha, {}, (), {}, {}, {}, ())
     k = len(active)
@@ -164,10 +162,8 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
         if kind in DEFAULT_GATES and not (epsilon and kind in APPROXIMATE_ERRORS):
             raise UnsupportedSystem(f"agent {i + 1}: no polynomial {kind} "
                                     f"oracle at error {epsilon}")
-    if oracle_factory is None:
-        oracles = {i: oracle_for(instance, i, epsilon=epsilon) for i in active}
-    else:
-        oracles = {i: oracle_factory(instance, i, epsilon) for i in active}
+    oracles = {i: (oracle_factory or oracle_for)(instance, i, epsilon)
+               for i in active}
     if k == 1:
         # A single positive agent receives an oracle subset of all items.
         granted = oracles[active[0]].approx_value_subset(instance.all_items())
@@ -175,7 +171,8 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
                          {}, {}, {active[0]: 0}, [])
 
     # m times the k-th best singleton value.
-    estimates = {i: Fraction(m * ranked[i][1][k - 1], ranked[i][0]) for i in active}
+    estimates = {i: Fraction(m * sorted(oracles[i].singleton_weights)[-k],
+                             oracles[i].scale) for i in active}
     adjustments = {i: 0 for i in active}
     cap, factor = count_bound(k, m), shrink_factor(k)
 
@@ -195,7 +192,8 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     # there would fail as the divider.  k bundles worth alpha * e each need
     # k * alpha * e <= her singleton sum, so larger estimates fail unasked.
     for i in active:
-        ceiling = Fraction(sum(ranked[i][1]), ranked[i][0]) / (k * alpha)
+        ceiling = Fraction(sum(oracles[i].singleton_weights),
+                           oracles[i].scale) / (k * alpha)
         while estimates[i] > ceiling:
             shrink(i)
         while maker(i, instance.all_items(), k) is None:
@@ -204,9 +202,8 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     runs: list[DividerOutcome] = []
     while True:
         thresholds = {i: alpha * estimates[i] for i in active}
-        outcome = (lone_divider_entitled(instance, thresholds, maker, oracles,
-                                         epsilon) if instance.is_entitled
-                   else lone_divider(instance, thresholds, maker))
+        outcome = (lone_divider_entitled if instance.is_entitled
+                   else lone_divider)(instance, thresholds, maker, oracles)
         runs.append(outcome)
         if outcome.succeeded:
             return _assemble(instance, mode, alpha, outcome.allocation, active,

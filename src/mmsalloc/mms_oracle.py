@@ -67,11 +67,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(check.ok for check in self.checks)
 
-    @property
-    def gate_hit(self) -> bool:
-        """Some agent's MMS was past the brute-force gate, so it is unverified."""
-        return any(check.mu is None for check in self.checks)
-
 
 def _mask_items(mask: int) -> Items:
     return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
@@ -187,10 +182,9 @@ def mms_bounds(instance: Instance, agent: int) -> MmsBounds:
     n, m = instance.n, instance.m
     if m < n:
         return MmsBounds(ZERO, ZERO, fewer_items_than_agents=True)
-    scale, weights = instance.scaled_values[agent]
-    ranked = sorted(singleton_weights(instance.system_for(agent), weights),
-                    reverse=True)
-    pivot = Fraction(ranked[n - 1], scale)
+    # A singleton that is not independent is worth an int 0.
+    pivot = Fraction(sorted(singleton_weights(
+        instance.system_for(agent), instance.values[agent]))[m - n])
     return MmsBounds(lower=pivot, upper=m * pivot)
 
 
@@ -213,11 +207,9 @@ def verify_allocation(instance: Instance, allocation: Allocation,
             try:
                 record = compute_mms_exact(instance, agent, gate=gate,
                                            oracle=oracle)
-            except BruteForceGateExceeded:
+            except BruteForceGateExceeded as exc:
                 checks.append(AgentCheck(agent=agent, value=value, mu=None,
-                                         ratio=None, ok=False,
-                                         reason="mms gate exceeded and no "
-                                                "record supplied"))
+                                         ratio=None, ok=False, reason=str(exc)))
                 continue
         mu = record.mu
         if mu == 0:

@@ -272,7 +272,7 @@ class AdversarialOracle(ValuationOracle):
         return IndependentBundle(items=frozenset(best[1]), value=best[0])
 
 
-def singleton_weights(system: SetSystem, weights) -> tuple[int, ...]:
+def singleton_weights(system: SetSystem, weights) -> tuple:
     """Each weight, or 0 where {j} is not independent.  Every interval job
     fits its own window (validated at construction), so needs no test."""
     if isinstance(system, IntervalSystem):
@@ -284,7 +284,7 @@ def singleton_weights(system: SetSystem, weights) -> tuple[int, ...]:
                  for j, w in enumerate(weights))
 
 
-def oracle_for(instance: Instance, agent: int, *, epsilon: Fraction = ZERO,
+def oracle_for(instance: Instance, agent: int, epsilon: Fraction = ZERO, *,
                gate: int | None = None) -> ValuationOracle:
     """Build the oracle for one agent of an instance."""
     return ValuationOracle(instance.system_for(agent), instance.values[agent],

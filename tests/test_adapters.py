@@ -22,6 +22,7 @@ from mmsalloc.core import (
     FreeSystem,
     Instance,
     IntervalSystem,
+    UnsupportedSystem,
     validate_instance,
 )
 from mmsalloc.driver import solve_two_fifths
@@ -243,3 +244,31 @@ def test_constrained_mms_matches_hereditary_mms_for_budget_and_intervals():
         inst = rand_interval_instance(rng, m=6)
         for i in range(inst.n):
             assert constrained_mms(inst, i) == compute_mms_exact(inst, i).mu
+
+
+def test_adapters_refuse_other_system_kinds():
+    free = validate_instance(Instance(n=2, m=2, values=((F(1), F(1)),) * 2,
+                                      system=FreeSystem()))
+    for adapter, needle in ((solve_budget_adapter, "needs budget systems"),
+                            (solve_conflicts_adapter, "needs a shared conflict"),
+                            (solve_intervals_adapter, "needs a shared interval")):
+        with pytest.raises(UnsupportedSystem, match=needle):
+            adapter(free)
+    with pytest.raises(UnsupportedSystem, match="for free systems"):
+        constrained_mms(free, 0)
+
+
+def test_conflicts_adapter_needs_an_agent():
+    inst = validate_instance(Instance(n=0, m=2, values=(),
+                                      system=ConflictSystem(edges=((0, 1),))))
+    with pytest.raises(DegreeTooHigh, match="at least one agent"):
+        solve_conflicts_adapter(inst)
+
+
+def test_constrained_mms_is_zero_without_a_feasible_partition():
+    # Each pair of a triangle conflicts, so two bundles cannot hold its three
+    # items, and a conflict graph demands a complete partition.
+    triangle = ConflictSystem(edges=((0, 1), (1, 2), (0, 2)))
+    inst = validate_instance(Instance(n=2, m=3, values=((F(1),) * 3,) * 2,
+                                      system=triangle))
+    assert constrained_mms(inst, 0) == 0

@@ -292,3 +292,15 @@ def test_integer_thresholds_match_the_fraction_reference_at_ties():
                        == threshold for j in ours.items)
     assert compared >= 400
     assert at_threshold >= 60 and carved_or_paired >= 20 and at_half >= 60
+
+
+@pytest.mark.parametrize("count, mu_star, needle", [
+    (-1, F(1), "must be non-negative"),
+    (1, F(0), "must be positive"),
+], ids=["negative-count", "zero-mu-star"])
+def test_bundle_request_refuses_a_negative_count_or_a_zero_estimate(
+        count, mu_star, needle):
+    oracle = oracle_for(gen_two_thirds_bound(2), 0)
+    with pytest.raises(ValueError, match=needle):
+        BundleRequest(oracle=oracle, items=frozenset(range(8)), count=count,
+                      mu_star=mu_star)

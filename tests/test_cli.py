@@ -8,13 +8,16 @@ import json
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmsalloc.cli
 from mmsalloc.cli import main
-from mmsalloc.core import instance_from_json
+from mmsalloc.core import Allocation, instance_from_json
+from mmsalloc.driver import solve_two_fifths
 
 
 def run_cli(*argv) -> int:
@@ -403,6 +406,79 @@ def test_search_depth_limit_exits_3_past_a_raised_gate(tmp_path, capsys):
     assert run_cli("solve", str(instance_path), "--mode", "existence",
                    "--gate", "5000") == 3
     assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_gate_past_a_certificate_names_the_agent_on_stderr(tmp_path, capsys,
+                                                           command):
+    # Fourteen items are past the 12-item brute-force gate, so no agent's
+    # MMS is verified: exit 3 with the first agent's reason as the one line.
+    instance_path = tmp_path / "inst.json"
+    alloc_path = tmp_path / "alloc.json"
+    run_cli("gen", "random", "--m", "14", "--n", "2", "--seed", "3",
+            "--out", str(instance_path))
+    solve = ("solve", str(instance_path), "--certify", "--out", str(alloc_path))
+    if command == "verify":
+        assert run_cli(*solve) == 3
+        capsys.readouterr()
+        argv = ("verify", str(instance_path), str(alloc_path), "--alpha", "2/5")
+    else:
+        argv = solve
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "error: agent 1: 14 items exceed the brute-force gate 12\n"
+    if command == "verify":
+        assert captured.out.splitlines()[-1] == "alpha 2/5: FAIL"
+    else:
+        certificates = json.loads(alloc_path.read_text())["certificates"]
+        assert [c["mu"] for c in certificates] == [None, None]
+
+
+def test_certify_exits_1_when_a_certificate_fails(tmp_path, capsys,
+                                                  monkeypatch):
+    instance_path = tmp_path / "inst.json"
+    alloc_path = tmp_path / "alloc.json"
+    run_cli("gen", "two-thirds", "--n", "2", "--out", str(instance_path))
+    empty = solve_two_fifths(instance_from_json(instance_path.read_text()))
+    empty = replace(empty, allocation=Allocation(bundles=(frozenset(),) * 2))
+    monkeypatch.setattr(mmsalloc.cli, "solve_two_fifths", lambda inst: empty)
+    capsys.readouterr()
+    assert run_cli("solve", str(instance_path), "--certify",
+                   "--out", str(alloc_path)) == 1
+    assert capsys.readouterr().err == ""
+    certificates = json.loads(alloc_path.read_text())["certificates"]
+    assert [c["ok"] for c in certificates] == [False, False]
+
+
+def test_config_naming_an_unknown_mode_is_an_input_error(tmp_path, capsys):
+    instance_path = tmp_path / "inst.json"
+    config_path = tmp_path / "config.json"
+    instance_path.write_text(json.dumps(_FREE))
+    config_path.write_text('{"mode": "bogus"}')
+    assert run_cli("solve", str(instance_path), "--config",
+                   str(config_path)) == 2
+    assert capsys.readouterr().err == "error: unknown mode 'bogus'\n"
+
+
+@pytest.mark.parametrize("doc, agent, code, lines", [
+    (_FREE, "3", 2, None),
+    ({"n": 3, "m": 2, "values": [["1", "1"]] * 3, "system": {"kind": "free"}},
+     "1", 0, ["agent 1: singleton bounds [0, 0]",
+              "fewer items than agents: mu = 0"]),
+    # A JSON float is read as its shortest decimal: 0.1 is 1/10.
+    ({"n": 1, "m": 2, "values": [[0.1, 0.5]], "system": {"kind": "free"}},
+     "1", 0, ["agent 1: singleton bounds [1/2, 1]", "mu = 3/5"]),
+], ids=["agent-out-of-range", "fewer-items-than-agents", "float-values"])
+def test_mms_command_edges(tmp_path, capsys, doc, agent, code, lines):
+    instance_path = tmp_path / "inst.json"
+    instance_path.write_text(json.dumps(doc))
+    assert run_cli("mms", str(instance_path), "--agent", agent) == code
+    captured = capsys.readouterr()
+    if lines is None:
+        assert captured.err == f"error: agent {agent} out of range\n"
+    else:
+        assert captured.out.splitlines()[:2] == lines
 
 
 _THIRTEEN = {"n": 3, "m": 13, "values": [[str(1 + j % 4) for j in range(13)]] * 3}

@@ -30,6 +30,7 @@ from mmsalloc.core import (
     instance_from_json,
     instance_to_json,
     parse_rational,
+    system_subseteq,
     validate_instance,
 )
 from mmsalloc.generators import gen_random_hereditary
@@ -282,3 +283,23 @@ def test_system_membership_matches_the_definition():
             expected = brute_member(system, items)
             assert system.independent(items) == expected, (system, items)
             assert oracle.is_independent(items) == expected, (system, items)
+
+
+def test_nesting_check_accepts_any_family_under_a_free_system():
+    explicit = ExplicitSystem(maximal_sets=(frozenset({0}), frozenset({1, 2})))
+    assert system_subseteq(explicit, FreeSystem(), 3)
+    budget = BudgetSystem(sizes=(F(1),) * 3, budget=F(1))
+    with pytest.raises(NonNestedEntitledFamilies,
+                       match="between conflict and budget"):
+        system_subseteq(ConflictSystem(edges=((0, 1),)), budget, 3)
+
+
+@pytest.mark.parametrize("sets, needle", [
+    (({0}, {0, 1}), "not an antichain"),
+    (({0, 1}, {0, 1}), "duplicate sets"),
+], ids=["nested-sets", "duplicate-sets"])
+def test_hand_built_explicit_family_needs_distinct_maximal_sets(sets, needle):
+    system = ExplicitSystem(maximal_sets=tuple(map(frozenset, sets)))
+    with pytest.raises(InstanceError, match=needle):
+        validate_instance(Instance(n=1, m=2, values=((F(1), F(1)),),
+                                   system=system))

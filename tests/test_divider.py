@@ -26,21 +26,21 @@ def _existence_setup(inst, ratio):
         return bundles_from_mms_partition(oracles[agent], records[agent],
                                           items, count, thresholds[agent])
 
-    return thresholds, maker, records
+    return thresholds, maker, records, oracles
 
 
 def test_single_agent_round():
     inst = gen_random_hereditary(m=5, n=1, seed=2)
-    thresholds, maker, records = _existence_setup(inst, F(1))
-    outcome = lone_divider(inst, thresholds, maker)
+    thresholds, maker, records, oracles = _existence_setup(inst, F(1))
+    outcome = lone_divider(inst, thresholds, maker, oracles)
     assert outcome.succeeded
     assert outcome.allocation[0].value >= records[0].mu
 
 
 def test_gadget_halves_thresholds():
     inst = gen_two_thirds_bound(2)
-    thresholds, maker, records = _existence_setup(inst, F(1, 2))
-    outcome = lone_divider(inst, thresholds, maker)
+    thresholds, maker, records, oracles = _existence_setup(inst, F(1, 2))
+    outcome = lone_divider(inst, thresholds, maker, oracles)
     assert outcome.succeeded
     for agent, bundle in outcome.allocation.items():
         assert bundle.value >= F(3, 2)
@@ -53,8 +53,8 @@ def test_round_progress_and_non_matched_safety():
         n = rng.choice((2, 3))
         inst = gen_random_hereditary(m=8, n=n, seed=900 + seed)
         ratio = F(n, 2 * n - 1)
-        thresholds, maker, _ = _existence_setup(inst, ratio)
-        outcome = lone_divider(inst, thresholds, maker)
+        thresholds, maker, _, oracles = _existence_setup(inst, ratio)
+        outcome = lone_divider(inst, thresholds, maker, oracles)
         assert outcome.succeeded
         remaining_counts = [len(record.agents) for record in outcome.trace]
         assert remaining_counts == sorted(remaining_counts, reverse=True)
@@ -76,8 +76,8 @@ def test_all_awarded_bundles_meet_thresholds_and_independence():
     for seed in range(20):
         n = rng.choice((2, 3))
         inst = gen_random_hereditary(m=8, n=n, seed=1300 + seed)
-        thresholds, maker, _ = _existence_setup(inst, F(n, 2 * n - 1))
-        outcome = lone_divider(inst, thresholds, maker)
+        thresholds, maker, _, oracles = _existence_setup(inst, F(n, 2 * n - 1))
+        outcome = lone_divider(inst, thresholds, maker, oracles)
         assert outcome.succeeded
         claimed = set()
         for agent, bundle in outcome.allocation.items():
@@ -97,7 +97,7 @@ def test_maker_failure_reports_the_divider():
         return make_bundles_two_fifths(BundleRequest(
             oracle=oracles[agent], items=items, count=count, mu_star=F(100)))
 
-    outcome = lone_divider(inst, {0: F(40), 1: F(40)}, maker)
+    outcome = lone_divider(inst, {0: F(40), 1: F(40)}, maker, oracles)
     assert not outcome.succeeded
     assert outcome.failed_agent == 0  # lowest index divides first
 
@@ -109,8 +109,8 @@ def test_entitled_instance_lets_its_most_restrictive_agent_divide():
     inst = Instance(n=2, m=4, values=((F(1),) * 4,) * 2, system=EntitledSpec(
         systems=(BudgetSystem(sizes=sizes, budget=F(3)),
                  BudgetSystem(sizes=sizes, budget=F(2))), ordering=(1, 0)))
-    thresholds, maker, _ = _existence_setup(inst, F(2, 3))
-    outcome = lone_divider(inst, thresholds, maker)
+    thresholds, maker, _, oracles = _existence_setup(inst, F(2, 3))
+    outcome = lone_divider(inst, thresholds, maker, oracles)
     assert outcome.succeeded
     assert outcome.trace[0].divider == 1
 
@@ -138,8 +138,7 @@ def test_entitled_budget_with_known_ordering_never_swaps():
         if any(records[i].mu == 0 for i in range(inst.n)):
             continue
         # Agent 0 is the most restrictive, so she divides first.
-        outcome = lone_divider_entitled(inst, thresholds, maker, oracles,
-                                        epsilon)
+        outcome = lone_divider_entitled(inst, thresholds, maker, oracles)
         assert outcome.succeeded
         assert all(record.swaps == () for record in outcome.trace)
 
@@ -152,8 +151,7 @@ def test_entitled_awards_are_feasible_oracle_subsets():
         oracles, thresholds, maker, records = _entitled_setup(inst, epsilon)
         if any(records[i].mu == 0 for i in range(inst.n)):
             continue
-        outcome = lone_divider_entitled(inst, thresholds, maker, oracles,
-                                        epsilon)
+        outcome = lone_divider_entitled(inst, thresholds, maker, oracles)
         assert outcome.succeeded
         for agent, bundle in outcome.allocation.items():
             system = inst.system_for(agent)
@@ -183,8 +181,7 @@ def test_entitled_swap_fires_for_misordered_divider_rule():
         oracles, thresholds, maker, records = _entitled_setup(inst, epsilon)
         if any(records[i].mu == 0 for i in range(2)):
             continue
-        outcome = lone_divider_entitled(inst, thresholds, maker, oracles,
-                                        epsilon)
+        outcome = lone_divider_entitled(inst, thresholds, maker, oracles)
         if not outcome.succeeded:
             continue
         for record in outcome.trace:
@@ -202,8 +199,8 @@ def test_entitled_swap_fires_for_misordered_divider_rule():
 
 def test_trace_serialisation_is_one_based():
     inst = gen_two_thirds_bound(2)
-    thresholds, maker, _ = _existence_setup(inst, F(1, 2))
-    outcome = lone_divider(inst, thresholds, maker)
+    thresholds, maker, _, oracles = _existence_setup(inst, F(1, 2))
+    outcome = lone_divider(inst, thresholds, maker, oracles)
     rows = trace_to_dicts(outcome, run=3)
     assert rows and rows[0]["run"] == 3 and rows[0]["round"] == 1
     assert min(min(b) for row in rows for b in row["bundles"] if b) >= 1

@@ -15,6 +15,7 @@ from mmsalloc.core import (
     BudgetSystem,
     EntitledSpec,
     EpsilonOutOfRange,
+    ExplicitSystem,
     FreeSystem,
     Instance,
     IntervalSystem,
@@ -104,6 +105,23 @@ def test_zero_mms_agents_are_dropped_not_served():
     result = solve_two_fifths(inst)
     assert result.active_agents == (0,)
     assert verify_allocation(inst, result.allocation, F(2, 5)).ok
+
+
+def test_a_value_on_an_item_outside_every_maximal_set_counts_for_nothing():
+    # Agent 1's second positive value sits on item 3, which no maximal set
+    # holds, so fewer than n = 2 of her singletons are worth something.
+    inst = validate_instance(Instance(
+        n=2, m=3, values=((F(1), F(0), F(5)), (F(1), F(1), F(1))),
+        system=ExplicitSystem(maximal_sets=(frozenset({0, 1}),))))
+    result = solve_two_fifths(inst)
+    assert result.active_agents == (1,)
+    assert result.allocation.bundles == (frozenset(), frozenset({0, 1}))
+
+
+def test_existence_with_no_agents_allocates_nothing():
+    inst = validate_instance(Instance(n=0, m=2, values=(), system=FreeSystem()))
+    result = solve_existence(inst)
+    assert result.allocation.bundles == () and result.runs == ()
 
 
 def test_estimate_soundness_and_adjustment_bounds():

@@ -12,6 +12,7 @@ from mmsalloc.core import (
     Allocation,
     AsymmetricSpec,
     BruteForceGateExceeded,
+    ExplicitSystem,
     FreeSystem,
     Instance,
     validate_instance,
@@ -113,6 +114,24 @@ def test_gadget_bounds_example():
     inst = gen_two_thirds_bound(2)
     bounds = mms_bounds(inst, 0)
     assert (bounds.lower, bounds.upper) == (1, 8)
+
+
+def test_bounds_are_fractions_when_the_pivot_is_zero():
+    # No maximal set holds item 3, so {3} is worth the int 0 that
+    # singleton_weights writes, and it is the 2nd best singleton.
+    inst = validate_instance(Instance(
+        n=2, m=3, values=((F(1), F(0), F(5)),) * 2,
+        system=ExplicitSystem(maximal_sets=(frozenset({0, 1}),))))
+    bounds = mms_bounds(inst, 0)
+    assert (bounds.lower, bounds.upper) == (0, 0)
+    assert type(bounds.lower) is Fraction and type(bounds.upper) is Fraction
+
+
+def test_no_agents_have_no_maximin_share():
+    inst = validate_instance(Instance(n=0, m=2, values=(), system=FreeSystem()))
+    assert max_min_allocation_value(inst) == (0, ())
+    with pytest.raises(ValueError, match="at least one block"):
+        compute_mms_exact(inst, 0)
 
 
 def test_verify_single_agent_gets_everything():

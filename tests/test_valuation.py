@@ -620,3 +620,12 @@ def test_interval_independence_matches_the_subset_table():
     assert tally[True, True] >= 40 and tally[False, False] >= 40, tally
     assert tally[True, False] >= 10, tally
     assert (False, True) not in tally
+
+
+def test_schedule_check_refuses_missing_jobs_windows_and_overlaps():
+    system = IntervalSystem(jobs=((2, 1, 4), (1, 2, 3)))
+    items = frozenset({0, 1})
+    assert _schedule_is_valid(system, items, {0: 1, 1: 3})
+    assert not _schedule_is_valid(system, items, {0: 1})  # job 2 has no start
+    assert not _schedule_is_valid(system, items, {0: 4, 1: 2})  # job 1 ends at 5
+    assert not _schedule_is_valid(system, items, {0: 1, 1: 2})  # both run at 2
