@@ -85,8 +85,6 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     t_num = alpha.numerator * mu_star.numerator * oracle.scale
     t_den = alpha.denominator * mu_star.denominator
     singleton = oracle.singleton_weights
-    # Above error 1/3 the pair test asks exact independence instead.
-    exact_pairs = oracle.epsilon > Fraction(1, 3)
 
     def schedule(items):  # a singleton's or a pair's, from the exact scheduler
         if isinstance(oracle.system, IntervalSystem):
@@ -130,19 +128,13 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
             progress = True
             break
 
-    # Phase two: pairs of high items reaching the threshold together.
-    index_of = {j: t for t, j in enumerate(high)}
-    edges = []
-    for a_pos, j1 in enumerate(high):
-        for j2 in high[a_pos + 1:]:
-            if exact_pairs:
-                # Two high items always reach the threshold together.
-                qualifies = oracle.pair_independent(j1, j2)
-            else:
-                answer = oracle.approx_value_subset(frozenset((j1, j2)))
-                qualifies = weight_of(answer.items) * t_den >= t_num
-            if qualifies:
-                edges.append((index_of[j1], index_of[j2]))
+    # Phase two: two high items always reach the threshold together, so a
+    # pair qualifies exactly when it is independent.  Up to error 1/3 an
+    # approximate query answers the same: with t/2 < w2 <= w1 < t, one item
+    # weighs w1 < (2/3)(w1 + w2), so the answer to an independent pair is
+    # the pair itself.  Above 1/3 it may keep one item, so ask exactly.
+    edges = [(a, b) for a in range(len(high)) for b in range(a + 1, len(high))
+             if oracle.pair_independent(high[a], high[b])]
     for a_pos, b_pos in max_general_matching(len(high), edges):
         pair = frozenset((high[a_pos], high[b_pos]))
         built.append((pair, weight_of(pair), schedule(pair)))

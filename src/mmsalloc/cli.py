@@ -187,21 +187,21 @@ def _cmd_mms(args) -> int:
     bounds = mms_bounds(instance, agent)
     lines = [f"agent {args.agent}: singleton bounds "
              f"[{format_rational(bounds.lower)}, {format_rational(bounds.upper)}]"]
-    if bounds.fewer_items_than_agents:
+    status = EXIT_OK
+    if bounds.fewer_items_than_agents:  # the share is 0; nothing to search
         lines.append("fewer items than agents: mu = 0")
-    try:
-        record = compute_mms_exact(instance, agent, gate=args.gate)
-    except BruteForceGateExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        lines.append(f"mu: not computed ({exc})")
-        _emit("".join(line + "\n" for line in lines), args.out)
-        return EXIT_GATE
-    lines.append(f"mu = {format_rational(record.mu)}")
-    for idx, block in enumerate(record.witness):
-        lines.append(f"witness bundle {idx + 1}: "
-                     f"{sorted(j + 1 for j in block)}")
+    else:
+        try:
+            record = compute_mms_exact(instance, agent, gate=args.gate)
+            lines.append(f"mu = {format_rational(record.mu)}")
+            lines += [f"witness bundle {idx + 1}: {sorted(j + 1 for j in block)}"
+                      for idx, block in enumerate(record.witness)]
+        except BruteForceGateExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            lines.append(f"mu: not computed ({exc})")
+            status = EXIT_GATE
     _emit("".join(line + "\n" for line in lines), args.out)
-    return EXIT_OK
+    return status
 
 
 def _cmd_verify(args) -> int:

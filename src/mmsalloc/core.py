@@ -362,16 +362,19 @@ def _validate_system(system: SetSystem, m: int) -> None:
     raise InstanceError(f"unknown system variant: {system!r}")
 
 
+def _check_counts(n, m) -> None:
+    for count, what in ((n, "agent"), (m, "item")):
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise InstanceError(f"{what} count {count!r} must be a non-negative int")
+
+
 def validate_instance(instance: Instance) -> Instance:
     """Check all structural invariants, returning the instance unchanged.
 
     Raises a subclass of InstanceError on the first violation found.
     """
     n, m = instance.n, instance.m
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise InstanceError(f"agent count {n!r} must be a non-negative int")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise InstanceError(f"item count {m!r} must be a non-negative int")
+    _check_counts(n, m)
     if len(instance.values) != n:
         raise InstanceError(
             f"value matrix has {len(instance.values)} rows for {n} agents")
@@ -544,8 +547,8 @@ def instance_from_json(text: str) -> Instance:
             f"instance must be a JSON object, got {type(doc).__name__}")
     spec: SystemSpec
     try:
-        n = doc["n"]
-        m = doc["m"]
+        n, m = doc["n"], doc["m"]
+        _check_counts(n, m)  # before the system, which reads n
         values = tuple(tuple(map(parse_rational, _json_list(row, "value row")))
                        for row in _json_list(doc["values"], "value matrix"))
         has_system = "system" in doc

@@ -141,7 +141,6 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     ``epsilon_for(k)`` gives the oracle error for k active agents, or raises.
     A gated kind with no approximation at that error is refused here, before
     any oracle work; each oracle also rejects an error below its kind's least.
-    Above 1/3 the bundle maker's phase-two pair test asks exact independence.
     ``shrink_factor(k)`` gives the multiplicative estimate adjustment;
     ``count_bound(k, m)`` the proven cap on adjustments per agent.
     An entitled instance divides by swap detection through its agents'
@@ -231,9 +230,8 @@ def solve_alpha(instance: Instance, epsilon: Fraction, *,
                 oracle_factory=None) -> SolveResult:
     """Solver for inaccurate oracles with error bound epsilon.
 
-    Guarantees every agent alpha = (1-eps)/(1+(3/2)(1-eps)) of her MMS; with
-    epsilon above 1/3 the phase-two pair test switches to exact cardinality-2
-    independence queries.  Epsilon 0 is the 2/5 mode, bundle for bundle.
+    Guarantees every agent alpha = (1-eps)/(1+(3/2)(1-eps)) of her MMS.
+    Epsilon 0 is the 2/5 mode, bundle for bundle.
     """
     alpha = alpha_for_error(epsilon)
     _reject_asymmetric(instance, "the alpha mode")

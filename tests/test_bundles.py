@@ -13,13 +13,18 @@ from mmsalloc.bundles import (
     make_bundles_alpha,
     make_bundles_two_fifths,
 )
-from mmsalloc.core import InsufficientBundles
+from mmsalloc.core import FreeSystem, InsufficientBundles
 from mmsalloc.generators import gen_random_hereditary, gen_two_thirds_bound
 from mmsalloc.matching import max_general_matching
 from mmsalloc.mms_oracle import compute_mms_exact
-from mmsalloc.valuation import AdversarialOracle, IndependentBundle, oracle_for
+from mmsalloc.valuation import (
+    AdversarialOracle,
+    IndependentBundle,
+    ValuationOracle,
+    oracle_for,
+)
 
-from conftest import rand_budget_instance, rand_conflict_instance
+from conftest import rand_budget_instance, rand_conflict_instance, rand_values
 
 F = Fraction
 
@@ -292,6 +297,59 @@ def test_integer_thresholds_match_the_fraction_reference_at_ties():
                        == threshold for j in ours.items)
     assert compared >= 400
     assert at_threshold >= 60 and carved_or_paired >= 20 and at_half >= 60
+
+
+def _lemma_oracles(rng):
+    """Oracles on seeded explicit, shared-budget and free systems at errors
+    up to 1/3; a budget oracle above error 0 answers by the FPTAS."""
+    for trial in range(90):
+        kind = trial % 3
+        m = rng.randint(4, 9)
+        if kind == 0:
+            inst = gen_random_hereditary(m=m, n=2,
+                                         family_density=rng.uniform(0.3, 1),
+                                         seed=7000 + trial)
+        elif kind == 1:
+            inst = rand_budget_instance(rng, m=m, entitled=False)
+        system = FreeSystem() if kind == 2 else inst.system
+        values = rand_values(rng, 1, m)[0] if kind == 2 else inst.values[0]
+        for epsilon in (F(0), F(1, 5), F(1, 3)):
+            for cls in (ValuationOracle, AdversarialOracle):
+                yield cls(system, values, epsilon=epsilon)
+
+
+def test_approximate_pair_test_is_exact_pair_independence_up_to_one_third():
+    """With t/2 < w2 <= w1 < t, an answer keeping (1 - eps) >= 2/3 of an
+    independent pair keeps the pair, so phase two may ask pair_independent
+    at every error: the approximate test reaches t exactly when it holds."""
+    rng = random.Random(2026)
+    independent = dependent = 0
+    for oracle in _lemma_oracles(rng):
+        value = {j: F(w, oracle.scale)
+                 for j, w in enumerate(oracle.singleton_weights) if w}
+        for t in {v * F(3, 2) for v in value.values()}:
+            high = sorted(j for j, v in value.items() if t / 2 < v < t)
+            for a, j1 in enumerate(high):
+                for j2 in high[a + 1:]:
+                    pair = frozenset((j1, j2))
+                    answer = oracle.approx_value_subset(pair)
+                    exact = oracle.pair_independent(j1, j2)
+                    assert (answer.value >= t) == exact, (oracle, pair, t)
+                    independent += exact
+                    dependent += not exact
+    assert independent >= 2000 and dependent >= 150, (independent, dependent)
+
+
+def test_above_one_third_an_approximate_answer_may_drop_an_independent_pair():
+    # At error 1/2 the adversary may keep only 19 of the pair's 30, which
+    # falls short of t = 20, although the pair is independent and worth 30.
+    oracle = AdversarialOracle(FreeSystem(), (F(19), F(11)), epsilon=F(1, 2))
+    assert oracle.approx_value_subset(frozenset((0, 1))).items == {0}
+    assert oracle.pair_independent(0, 1)
+    request = BundleRequest(oracle=oracle, items=frozenset((0, 1)), count=1,
+                            mu_star=F(50), alpha=F(2, 5))
+    assert make_bundles_alpha(request) == \
+        [IndependentBundle(items=frozenset((0, 1)), value=F(30))]
 
 
 @pytest.mark.parametrize("count, mu_star, needle", [

@@ -367,6 +367,23 @@ _EXPLICIT = {"kind": "explicit", "maximal_sets": [[1, 2]]}
     pytest.param({**_FREE, "values": [["1"], ["1", "1"]]}, None,
                  "agent 1: value row has 1 entries for 2 items",
                  id="value-row-length"),
+    pytest.param({**_TWO_BY_TWO, "n": "2", "system": {
+        "kind": "budget", "sizes": ["1", "1"], "budgets": ["1", "2"]}}, None,
+        "agent count '2' must be a non-negative int",
+        id="agent-count-a-string-with-per-agent-budgets"),
+    pytest.param({**_FREE, "m": -1}, None,
+                 "item count -1 must be a non-negative int",
+                 id="item-count-negative"),
+    pytest.param({**_FREE, "values": [["abc"]]}, None, "not a rational",
+                 id="value-not-a-number"),
+    pytest.param({**_FREE, "values": [["1/0"]]}, None, "not a rational",
+                 id="value-zero-denominator"),
+    pytest.param({**_TWO_BY_TWO, "asymmetric": [_EXPLICIT], "entitled": [1, 2]},
+                 None, "entitled spec has 1 systems for 2 agents",
+                 id="entitled-system-count"),
+    pytest.param(_FREE, '{"bundles": [[1]]}',
+                 "allocation has 1 bundles for 2 agents",
+                 id="verify-bundle-count"),
     pytest.param(_FREE, '{"bundles": [[1], []', "malformed allocation JSON",
                  id="verify-malformed-allocation"),
     pytest.param(_FREE, '{"bundles": [[1], []], "complete": true}',
@@ -463,13 +480,20 @@ def test_config_naming_an_unknown_mode_is_an_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, agent, code, lines", [
     (_FREE, "3", 2, None),
+    # With fewer items than agents the share is 0 and no search runs, even
+    # past the 12-item brute-force gate.
     ({"n": 3, "m": 2, "values": [["1", "1"]] * 3, "system": {"kind": "free"}},
+     "1", 0, ["agent 1: singleton bounds [0, 0]",
+              "fewer items than agents: mu = 0"]),
+    ({"n": 14, "m": 13, "values": [["1"] * 13] * 14, "system": {"kind": "free"}},
      "1", 0, ["agent 1: singleton bounds [0, 0]",
               "fewer items than agents: mu = 0"]),
     # A JSON float is read as its shortest decimal: 0.1 is 1/10.
     ({"n": 1, "m": 2, "values": [[0.1, 0.5]], "system": {"kind": "free"}},
-     "1", 0, ["agent 1: singleton bounds [1/2, 1]", "mu = 3/5"]),
-], ids=["agent-out-of-range", "fewer-items-than-agents", "float-values"])
+     "1", 0, ["agent 1: singleton bounds [1/2, 1]", "mu = 3/5",
+              "witness bundle 1: [1, 2]"]),
+], ids=["agent-out-of-range", "fewer-items-than-agents",
+        "fewer-items-than-agents-past-the-gate", "float-values"])
 def test_mms_command_edges(tmp_path, capsys, doc, agent, code, lines):
     instance_path = tmp_path / "inst.json"
     instance_path.write_text(json.dumps(doc))
@@ -478,7 +502,8 @@ def test_mms_command_edges(tmp_path, capsys, doc, agent, code, lines):
     if lines is None:
         assert captured.err == f"error: agent {agent} out of range\n"
     else:
-        assert captured.out.splitlines()[:2] == lines
+        assert captured.out.splitlines() == lines
+        assert captured.err == ""
 
 
 _THIRTEEN = {"n": 3, "m": 13, "values": [[str(1 + j % 4) for j in range(13)]] * 3}
