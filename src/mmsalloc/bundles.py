@@ -103,15 +103,15 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
         else:
             built.append((frozenset((j,)), oracle.weights[j], schedule((j,))))
 
-    # Phase one, carving: one high item plus low items, minimised.
-    progress = True
-    while progress:
-        progress = False
-        for j in high:
+    # Phase one, carving: one high item plus low items, minimised, in one
+    # ascending pass.  An item whose answer falls short is not asked again:
+    # low only shrinks, so that answer still bounds OPT(low | {j}) < t/(1-eps).
+    for j in high:  # the list as it stood; each carve rebinds high
+        while j in high:
             candidate = oracle.approx_value_subset(low | {j})
             weight = weight_of(candidate.items)
             if weight * t_den < t_num:
-                continue
+                break
             bundle = set(candidate.items)
             for removable in sorted(candidate.items):
                 slimmer = weight - oracle.weights[removable]
@@ -125,8 +125,6 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
             built.append((kept, weight, witness and {j: witness[j] for j in kept}))
             high = [h for h in high if h not in kept]
             low -= kept
-            progress = True
-            break
 
     # Phase two: two high items always reach the threshold together, so a
     # pair qualifies exactly when it is independent.  Up to error 1/3 an

@@ -28,7 +28,6 @@ from .core import (
     IntervalSystem,
     allocation_from_json,
     allocation_to_json,
-    format_rational,
     instance_from_json,
     instance_to_json,
     parse_rational,
@@ -86,13 +85,11 @@ def _cmd_gen(args) -> int:
     elif args.family == "three-partition":
         numbers = [int(x) for x in args.numbers.split(",") if x.strip()]
         instance = gen_three_partition(numbers)
-    elif args.family == "random":
+    else:  # "random"; argparse refuses any other family
         instance = gen_random_hereditary(m=args.m, n=args.n,
                                          family_density=args.density,
                                          value_range=(args.lo, args.hi),
                                          seed=args.seed)
-    else:
-        raise InstanceError(f"unknown generator family {args.family!r}")
     _emit(instance_to_json(instance), args.out)
     return EXIT_OK
 
@@ -147,7 +144,7 @@ def _cmd_solve(args) -> int:
     else:
         result, allocation = solved, solved.allocation
 
-    extras: dict = {"mode": mode, "alpha": format_rational(result.alpha)}
+    extras: dict = {"mode": mode, "alpha": str(result.alpha)}
     if isinstance(solved, ConstraintReport):
         extras["feasible"] = list(solved.feasible)
         if solved.completion:
@@ -161,12 +158,12 @@ def _cmd_solve(args) -> int:
     report = None
     if args.certify:
         report = verify_allocation(instance, allocation, result.alpha,
-                                   gate=args.gate)
+                                   records=result.records, gate=args.gate)
         extras["certificates"] = [
             {"agent": check.agent + 1,
-             "value": format_rational(check.value),
-             "mu": None if check.mu is None else format_rational(check.mu),
-             "ratio": None if check.ratio is None else format_rational(check.ratio),
+             "value": str(check.value),
+             "mu": None if check.mu is None else str(check.mu),
+             "ratio": None if check.ratio is None else str(check.ratio),
              "ok": check.ok}
             for check in report.checks]
 
@@ -186,14 +183,14 @@ def _cmd_mms(args) -> int:
         raise InstanceError(f"agent {args.agent} out of range")
     bounds = mms_bounds(instance, agent)
     lines = [f"agent {args.agent}: singleton bounds "
-             f"[{format_rational(bounds.lower)}, {format_rational(bounds.upper)}]"]
+             f"[{bounds.lower}, {bounds.upper}]"]
     status = EXIT_OK
     if bounds.fewer_items_than_agents:  # the share is 0; nothing to search
         lines.append("fewer items than agents: mu = 0")
     else:
         try:
             record = compute_mms_exact(instance, agent, gate=args.gate)
-            lines.append(f"mu = {format_rational(record.mu)}")
+            lines.append(f"mu = {record.mu}")
             lines += [f"witness bundle {idx + 1}: {sorted(j + 1 for j in block)}"
                       for idx, block in enumerate(record.witness)]
         except BruteForceGateExceeded as exc:
@@ -211,14 +208,12 @@ def _cmd_verify(args) -> int:
     report = verify_allocation(instance, allocation, alpha, gate=args.gate)
     lines = []
     for check in report.checks:
-        mu = "?" if check.mu is None else format_rational(check.mu)
-        ratio = "-" if check.ratio is None else format_rational(check.ratio)
+        mu = "?" if check.mu is None else str(check.mu)
+        ratio = "-" if check.ratio is None else str(check.ratio)
         verdict = "pass" if check.ok else "FAIL"
-        lines.append(f"agent {check.agent + 1}: value "
-                     f"{format_rational(check.value)} mu {mu} ratio {ratio} "
-                     f"{verdict}")
-    lines.append(f"alpha {format_rational(alpha)}: "
-                 f"{'pass' if report.ok else 'FAIL'}")
+        lines.append(f"agent {check.agent + 1}: value {check.value} "
+                     f"mu {mu} ratio {ratio} {verdict}")
+    lines.append(f"alpha {alpha}: {'pass' if report.ok else 'FAIL'}")
     _emit("".join(line + "\n" for line in lines), args.out)
     return _verdict(report)
 

@@ -99,13 +99,6 @@ def parse_rational(value) -> Fraction:
     raise InstanceError(f"not a rational: {value!r}")
 
 
-def format_rational(q: Fraction) -> str:
-    """Canonical string form: "p" for integers, "p/q" otherwise."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def scaled_weights(values) -> tuple[int, tuple[int, ...]]:
     """The least common multiple of the values' denominators, and each value
     times it: exact integer weights with value = weight / scale."""
@@ -443,8 +436,8 @@ def _system_to_payload(system: SetSystem) -> dict:
                                  for s in system.maximal_sets]}
     if isinstance(system, BudgetSystem):
         return {"kind": "budget",
-                "sizes": [format_rational(s) for s in system.sizes],
-                "budget": format_rational(system.budget)}
+                "sizes": [str(s) for s in system.sizes],
+                "budget": str(system.budget)}
     if isinstance(system, ConflictSystem):
         return {"kind": "conflict",
                 "edges": [[a + 1, b + 1] for a, b in system.edges]}
@@ -516,7 +509,7 @@ def instance_to_json(instance: Instance) -> str:
     doc: dict = {
         "n": instance.n,
         "m": instance.m,
-        "values": [[format_rational(v) for v in row] for row in instance.values],
+        "values": [[str(v) for v in row] for row in instance.values],
     }
     spec = instance.system
     if isinstance(spec, EntitledSpec):
@@ -524,8 +517,8 @@ def instance_to_json(instance: Instance) -> str:
         if kinds == {"budget"} and len({s.sizes for s in spec.systems}) == 1:
             doc["system"] = {
                 "kind": "budget",
-                "sizes": [format_rational(s) for s in spec.systems[0].sizes],
-                "budgets": [format_rational(s.budget) for s in spec.systems],
+                "sizes": [str(s) for s in spec.systems[0].sizes],
+                "budgets": [str(s.budget) for s in spec.systems],
             }
         else:
             doc["asymmetric"] = [_system_to_payload(s) for s in spec.systems]

@@ -18,7 +18,7 @@ Four modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .bundles import (
@@ -53,6 +53,9 @@ class SolveResult:
     estimates: dict[int, Fraction]
     adjustments: dict[int, int]
     runs: tuple[DividerOutcome, ...]
+    # Exact shares of an existence solve, for certificates to reuse; the
+    # polynomial modes' estimates are not shares, so they leave it empty.
+    records: dict[int, MmsRecord] = field(default_factory=dict)
 
 
 def alpha_for_error(epsilon: Fraction) -> Fraction:
@@ -111,10 +114,11 @@ def solve_existence(instance: Instance, *,
 
     outcome = lone_divider(instance, thresholds, maker, oracles)
     assert outcome.succeeded
-    return _assemble(instance, "existence", ratio, outcome.allocation,
-                     range(n), thresholds,
-                     {i: records[i].mu for i in range(n)},
-                     {i: 0 for i in range(n)}, [outcome])
+    return replace(_assemble(instance, "existence", ratio, outcome.allocation,
+                             range(n), thresholds,
+                             {i: records[i].mu for i in range(n)},
+                             {i: 0 for i in range(n)}, [outcome]),
+                   records=records)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ from mmsalloc.valuation import (
     oracle_for,
 )
 
-from conftest import rand_budget_instance, rand_conflict_instance, rand_values
+from conftest import (
+    rand_budget_instance,
+    rand_conflict_instance,
+    rand_interval_instance,
+    rand_values,
+)
 
 F = Fraction
 
@@ -190,9 +195,59 @@ def test_success_contract_under_adversarial_oracle():
     assert qualifying >= 150
 
 
-def _reference_make_bundles(request):
+def _carve(oracle, j, low, threshold, built):
+    """Carve one bundle from ``low | {j}`` into ``built``: its minimal part
+    of the query's answer, or nothing when the answer falls short.  Returns
+    the carved items."""
+    candidate = oracle.approx_value_subset(low | {j})
+    if candidate.value < threshold:
+        return frozenset()
+    bundle, value = set(candidate.items), candidate.value
+    for removable in sorted(candidate.items):
+        if value - oracle.values[removable] >= threshold:
+            bundle.discard(removable)
+            value -= oracle.values[removable]
+    kept = frozenset(bundle)
+    assert len(kept) == 1 or value < 3 * threshold / 2
+    built.append(IndependentBundle(items=kept, value=value))
+    return kept
+
+
+def _one_pass_scan(oracle, high, low, threshold, built):
+    """Each high item in ascending order, asked again only while its carves
+    leave it out: a short answer sends it to phase two for good."""
+    left = []
+    for j in high:
+        kept = frozenset()
+        while j not in kept:
+            kept = _carve(oracle, j, low, threshold, built)
+            if not kept:
+                left.append(j)
+                break
+            low -= kept
+    return left
+
+
+def _restart_scan(oracle, high, low, threshold, built):
+    """After every carve, start again from the first high item left, so an
+    item whose answer fell short is asked again over the smaller low."""
+    progress = True
+    while progress:
+        progress = False
+        for j in high:
+            kept = _carve(oracle, j, low, threshold, built)
+            if kept:
+                high = [h for h in high if h not in kept]
+                low -= kept
+                progress = True
+                break
+    return high
+
+
+def _reference_make_bundles(request, scan=_one_pass_scan):
     """The two-phase construction with every threshold test on Fraction
-    values: the same scan order as the library, none of its integer kernel."""
+    values: the same scan order as the library, none of its integer kernel.
+    ``scan`` carves phase one's bundles and returns the high items left."""
     oracle = request.oracle
     threshold = request.alpha * request.mu_star
     half_threshold = threshold / 2
@@ -206,25 +261,7 @@ def _reference_make_bundles(request):
             built.append(IndependentBundle(items=frozenset((j,)),
                                            value=singleton[j]))
             high.remove(j)
-    progress = True
-    while progress:
-        progress = False
-        for j in high:
-            candidate = oracle.approx_value_subset(low | {j})
-            if candidate.value < threshold:
-                continue
-            bundle, value = set(candidate.items), candidate.value
-            for removable in sorted(candidate.items):
-                if value - oracle.values[removable] >= threshold:
-                    bundle.discard(removable)
-                    value -= oracle.values[removable]
-            kept = frozenset(bundle)
-            assert len(kept) == 1 or value < 3 * half_threshold
-            built.append(IndependentBundle(items=kept, value=value))
-            high = [h for h in high if h not in kept]
-            low -= kept
-            progress = True
-            break
+    high = scan(oracle, high, low, threshold, built)
     edges, exact_pairs = [], oracle.epsilon > F(1, 3)
     for a_pos, j1 in enumerate(high):
         for b_pos in range(a_pos + 1, len(high)):
@@ -297,6 +334,114 @@ def test_integer_thresholds_match_the_fraction_reference_at_ties():
                        == threshold for j in ours.items)
     assert compared >= 400
     assert at_threshold >= 60 and carved_or_paired >= 20 and at_half >= 60
+
+
+def _count_queries(oracle):
+    """Record each subset query asked of ``oracle`` with its answer."""
+    asked, answer = [], oracle.approx_value_subset
+
+    def counted(bundle):
+        got = answer(bundle)
+        asked.append((frozenset(bundle), got))
+        return got
+
+    oracle.approx_value_subset = counted
+    return asked
+
+
+def _carving_requests(rng, make_oracle, trials):
+    """Pairs of like requests, each with a fresh oracle from
+    ``make_oracle(trial)``, whose threshold t lies between one and two times
+    a positive singleton value, so phase one has high items to carve."""
+    for trial in range(trials):
+        oracles = make_oracle(trial), make_oracle(trial)
+        positive = [w for w in oracles[0].singleton_weights if w]
+        if not positive:
+            continue
+        t = F(rng.choice(positive), oracles[0].scale) * rng.choice(
+            (F(5, 4), F(3, 2), F(7, 4)))
+        alpha = rng.choice((F(2, 5), F(1, 3), F(2, 7)))
+        items = frozenset(j for j in range(len(oracles[0].values))
+                          if rng.random() < 0.9)
+        count = rng.randint(1, 3)
+        yield [BundleRequest(oracle=oracle, items=items, count=count,
+                             mu_star=t / alpha, alpha=alpha)
+               for oracle in oracles]
+
+
+def _exact_answer_oracle(trial):
+    """An oracle whose subset answers are exact: ValuationOracle at error 0
+    on an explicit, budget, conflict or free system, or on an explicit one
+    at a declared error of 1/3 or 1/2."""
+    rng = random.Random(11000 + trial)
+    kind, m = trial % 6, rng.randint(4, 10)
+    if kind == 1:
+        inst = rand_budget_instance(rng, m=m, entitled=False)
+    elif kind == 2:
+        inst = rand_conflict_instance(rng, m=m)
+    elif kind == 3:
+        return ValuationOracle(FreeSystem(), rand_values(rng, 1, m)[0])
+    else:
+        inst = gen_random_hereditary(m=m, n=2,
+                                     family_density=rng.uniform(0.3, 1),
+                                     seed=rng.randrange(10**6))
+    epsilon = {4: F(1, 3), 5: F(1, 2)}.get(kind, F(0))
+    return oracle_for(inst, 0, epsilon=epsilon)
+
+
+def test_one_pass_carving_builds_what_the_restart_rule_builds_on_exact_answers():
+    """Exact answers only fall as low shrinks, so an item whose answer fell
+    short falls short again when the restart rule asks it once more."""
+    rng = random.Random(2027)
+    compared = reasked = 0
+    for ours, reference in _carving_requests(rng, _exact_answer_oracle, 360):
+        asked = _count_queries(ours.oracle)
+        asked_again = _count_queries(reference.oracle)
+        expected = _reference_make_bundles(reference, scan=_restart_scan)
+        assert make_bundles_alpha(ours) == expected, ours
+        compared += 1
+        reasked += len(asked_again) > len(asked)
+    assert compared >= 300 and reasked >= 100, (compared, reasked)
+
+
+def test_an_item_whose_carving_query_falls_short_is_not_asked_again():
+    """Approximate answers: each maker call asks at most one short query per
+    high item, where the restart rule asks such items again."""
+    rng = random.Random(2028)
+
+    def approximate_oracle(trial):
+        kind, local = trial % 4, random.Random(12000 + trial)
+        if kind == 2:
+            inst = rand_interval_instance(local, m=local.randint(4, 9))
+            return oracle_for(inst, 0, epsilon=F(1, 2))
+        if kind == 3:
+            inst = gen_random_hereditary(m=local.randint(4, 9), n=2,
+                                         family_density=local.uniform(0.3, 1),
+                                         seed=local.randrange(10**6))
+            return AdversarialOracle(inst.system, inst.values[0],
+                                     epsilon=F(1, 3))
+        inst = rand_budget_instance(local, m=local.randint(4, 10),
+                                    entitled=False)
+        return oracle_for(inst, 0, epsilon=(F(1, 3), F(1, 2))[kind])
+
+    short_queries = reasked = 0
+    for ours, reference in _carving_requests(rng, approximate_oracle, 400):
+        threshold = ours.alpha * ours.mu_star
+        for request, make in ((ours, make_bundles_alpha),
+                              (reference, lambda r: _reference_make_bundles(
+                                  r, scan=_restart_scan))):
+            asked = _count_queries(request.oracle)
+            make(request)
+            oracle = request.oracle
+            high = [j for query, answer in asked if answer.value < threshold
+                    for j in query if 2 * F(oracle.singleton_weights[j],
+                                            oracle.scale) > threshold]
+            if request is ours:
+                assert len(high) == len(set(high)), (request, high)
+                short_queries += len(high)
+            else:
+                reasked += len(high) > len(set(high))
+    assert short_queries >= 400 and reasked >= 40, (short_queries, reasked)
 
 
 def _lemma_oracles(rng):

@@ -9,15 +9,19 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mmsalloc.cli
+import mmsalloc.driver
+import mmsalloc.mms_oracle
 from mmsalloc.cli import main
-from mmsalloc.core import Allocation, instance_from_json
+from mmsalloc.core import Allocation, allocation_from_json, instance_from_json
 from mmsalloc.driver import solve_two_fifths
+from mmsalloc.mms_oracle import verify_allocation
 
 
 def run_cli(*argv) -> int:
@@ -367,6 +371,12 @@ _EXPLICIT = {"kind": "explicit", "maximal_sets": [[1, 2]]}
     pytest.param({**_FREE, "values": [["1"], ["1", "1"]]}, None,
                  "agent 1: value row has 1 entries for 2 items",
                  id="value-row-length"),
+    pytest.param({**_FREE, "values": [["1", "1"]]}, None,
+                 "value matrix has 1 rows for 2 agents", id="value-row-count"),
+    pytest.param({**_TWO_BY_TWO, "system": {
+        "kind": "budget", "sizes": ["1", "1"], "budgets": ["1", "2", "3"]}},
+        None, "budget system has 3 budgets for 2 agents",
+        id="per-agent-budget-count"),
     pytest.param({**_TWO_BY_TWO, "n": "2", "system": {
         "kind": "budget", "sizes": ["1", "1"], "budgets": ["1", "2"]}}, None,
         "agent count '2' must be a non-negative int",
@@ -405,6 +415,28 @@ def test_each_input_error_exits_2_with_one_line(tmp_path, capsys, instance,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["two-thirds", "--n", "1"], "the gadget needs at least two agents"),
+    (["two-thirds", "--n", "3", "--r", "3"],
+     "both agent types must be present (0 < r < n)"),
+    (["asym-half", "--n", "1"], "the gadget needs at least two agents"),
+    (["three-partition", "--numbers", "1,2"],
+     "2 numbers cannot split into triples"),
+    (["three-partition", "--numbers", "1,1,2,2,3,4"],
+     "sum 13 is not divisible by 2 agents"),
+    (["three-partition", "--numbers", "0,1,2"],
+     "expected a non-empty multiset of positive integers"),
+    (["random", "--lo", "5", "--hi", "2"], "bad value range (5, 2)"),
+    (["random", "--m", "-1"], "m and n must be non-negative"),
+])
+def test_gen_refuses_bad_parameters_with_exit_2_and_one_line(tmp_path, capsys,
+                                                             argv, needle):
+    out = tmp_path / "inst.json"
+    assert run_cli("gen", *argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {needle}\n"
+    assert not out.exists()
 
 
 def test_search_depth_limit_exits_3_past_a_raised_gate(tmp_path, capsys):
@@ -466,6 +498,43 @@ def test_certify_exits_1_when_a_certificate_fails(tmp_path, capsys,
     assert capsys.readouterr().err == ""
     certificates = json.loads(alloc_path.read_text())["certificates"]
     assert [c["ok"] for c in certificates] == [False, False]
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 3, "m": 8, "values": [[str(1 + (i + j) % 4) for j in range(8)]
+                                for i in range(3)],
+     "system": {"kind": "explicit",
+                "maximal_sets": [[1, 2, 3, 5, 8], [2, 4, 6, 7], [1, 3, 4, 7, 8]]}},
+    {"n": 3, "m": 7, "values": [[str(1 + (i * j) % 5) for j in range(7)]
+                                for i in range(3)],
+     "system": {"kind": "conflict", "edges": [[1, 2], [2, 3], [4, 5], [6, 7]]}},
+], ids=["explicit", "conflict"])
+def test_existence_certificates_reuse_the_solve_shares(tmp_path, monkeypatch,
+                                                       doc):
+    # The existence solve computes each agent's exact MMS once; its
+    # certificates equal those of an independent verification.
+    instance_path = tmp_path / "inst.json"
+    alloc_path = tmp_path / "alloc.json"
+    instance_path.write_text(json.dumps(doc))
+    calls = []
+    for module in (mmsalloc.driver, mmsalloc.mms_oracle):
+        def counted(*args, original=module.compute_mms_exact, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, "compute_mms_exact", counted)
+    assert run_cli("solve", str(instance_path), "--mode", "existence",
+                   "--certify", "--out", str(alloc_path)) == 0
+    assert sorted(calls) == [0, 1, 2]
+    monkeypatch.undo()
+    instance = instance_from_json(instance_path.read_text())
+    payload = json.loads(alloc_path.read_text())
+    report = verify_allocation(
+        instance, allocation_from_json(instance, alloc_path.read_text()),
+        Fraction(payload["alpha"]))
+    assert payload["certificates"] == [
+        {"agent": check.agent + 1, "value": str(check.value),
+         "mu": str(check.mu), "ratio": str(check.ratio), "ok": check.ok}
+        for check in report.checks]
 
 
 def test_config_naming_an_unknown_mode_is_an_input_error(tmp_path, capsys):

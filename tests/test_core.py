@@ -26,7 +26,6 @@ from mmsalloc.core import (
     allocation_from_json,
     allocation_to_json,
     Allocation,
-    format_rational,
     instance_from_json,
     instance_to_json,
     parse_rational,
@@ -46,8 +45,6 @@ def test_parse_rational_forms():
     assert parse_rational("7") == F(7)
     assert parse_rational("0.25") == F(1, 4)
     assert parse_rational(5) == F(5)
-    assert format_rational(F(3, 4)) == "3/4"
-    assert format_rational(F(8, 4)) == "2"
 
 
 def test_validate_accepts_identity_case():

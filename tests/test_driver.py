@@ -173,18 +173,19 @@ def test_final_estimates_pass_round_one_on_all_items():
             assert bundles is not None and len(bundles) == k, (seed, agent)
 
 
-def _budgets_at_scale(m: int, n: int) -> Instance:
-    """Nested budgets as the benchmark draws them: sizes 1-9, budgets 10-40."""
+def _budgets_at_scale(m: int, n: int, shared: bool = False) -> Instance:
+    """Budgets as the benchmark draws them: sizes 1-9, budgets 10-40.  They
+    are nested, or with ``shared`` the first is every agent's."""
     rng = random.Random(1)
     sizes = tuple(F(rng.randint(1, 9)) for _ in range(m))
     budgets = [F(rng.randint(10, 40)) for _ in range(n)]
     values = tuple(tuple(F(rng.randint(0, 6), rng.choice((1, 1, 2, 3)))
                          for _ in range(m)) for _ in range(n))
-    return validate_instance(Instance(
-        n=n, m=m, values=values,
-        system=EntitledSpec(
+    system = BudgetSystem(sizes=sizes, budget=budgets[0]) if shared else \
+        EntitledSpec(
             systems=tuple(BudgetSystem(sizes=sizes, budget=b) for b in budgets),
-            ordering=tuple(sorted(range(n), key=lambda i: (budgets[i], i))))))
+            ordering=tuple(sorted(range(n), key=lambda i: (budgets[i], i))))
+    return validate_instance(Instance(n=n, m=m, values=values, system=system))
 
 
 def _two_fifths_cap(k: int, m: int) -> float:
@@ -209,9 +210,12 @@ def _alpha_half_cap(k: int, m: int) -> float:
      solve_two_fifths, _two_fifths_cap),
     (lambda: _budgets_at_scale(m=200, n=10),
      lambda inst: solve_budget_adapter(inst).result, _two_fifths_cap),
+    # Error 1/2 answers every carving query by the knapsack FPTAS.
+    (lambda: _budgets_at_scale(m=200, n=10, shared=True),
+     lambda inst: solve_alpha(inst, F(1, 2)), _alpha_half_cap),
 ], ids=["explicit-m300-n20", "explicit-sparse-m300-n20",
         "explicit-sparse-alpha-m300-n20", "explicit-sparse-m600-n30",
-        "budget-m200-n10"])
+        "budget-m200-n10", "shared-budget-alpha-m200-n10"])
 def test_polynomial_solves_at_scale_make_one_divider_run(make, solve, cap):
     inst = make()
     result = solve(inst)
