@@ -77,7 +77,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     fewer than the requested number of bundles exist, which is the legitimate
     signal that the caller's estimate is too high.
     """
-    oracle = request.oracle
+    oracle, count = request.oracle, request.count
     weight_of = oracle.additive_weight
     # On the oracle's integer scale the threshold alpha * mu_star is
     # t_num / t_den, so a weight w reaches it when w * t_den >= t_num.
@@ -104,10 +104,15 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
             built.append((frozenset((j,)), oracle.weights[j], schedule((j,))))
 
     # Phase one, carving: one high item plus low items, minimised, in one
-    # ascending pass.  An item whose answer falls short is not asked again:
-    # low only shrinks, so that answer still bounds OPT(low | {j}) < t/(1-eps).
+    # ascending pass that stops once count bundles are built.  An item whose
+    # answer falls short is not asked again: low only shrinks, so that answer
+    # still bounds OPT(low | {j}) < t/(1-eps).  A query weighing less than t
+    # in all is short unasked, as its answer is a subset of it.
+    low_weight = weight_of(low)
     for j in high:  # the list as it stood; each carve rebinds high
-        while j in high:
+        while j in high and len(built) < count:
+            if (low_weight + oracle.weights[j]) * t_den < t_num:
+                break
             candidate = oracle.approx_value_subset(low | {j})
             weight = weight_of(candidate.items)
             if weight * t_den < t_num:
@@ -124,6 +129,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
             witness = candidate.witness
             built.append((kept, weight, witness and {j: witness[j] for j in kept}))
             high = [h for h in high if h not in kept]
+            low_weight -= weight_of(kept & low)
             low -= kept
 
     # Phase two: two high items always reach the threshold together, so a
@@ -131,11 +137,14 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     # approximate query answers the same: with t/2 < w2 <= w1 < t, one item
     # weighs w1 < (2/3)(w1 + w2), so the answer to an independent pair is
     # the pair itself.  Above 1/3 it may keep one item, so ask exactly.
-    edges = [(a, b) for a in range(len(high)) for b in range(a + 1, len(high))
-             if oracle.pair_independent(high[a], high[b])]
-    for a_pos, b_pos in max_general_matching(len(high), edges):
-        pair = frozenset((high[a_pos], high[b_pos]))
-        built.append((pair, weight_of(pair), schedule(pair)))
+    # No pair is asked when the bundles suffice or pairing all cannot.
+    if len(built) < count <= len(built) + len(high) // 2:
+        edges = [(a, b) for a in range(len(high))
+                 for b in range(a + 1, len(high))
+                 if oracle.pair_independent(high[a], high[b])]
+        for a_pos, b_pos in max_general_matching(len(high), edges):
+            pair = frozenset((high[a_pos], high[b_pos]))
+            built.append((pair, weight_of(pair), schedule(pair)))
 
     claimed: set[int] = set()
     for items, weight, witness in built:
@@ -145,7 +154,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
         assert claimed.isdisjoint(items)
         claimed.update(items)
 
-    if len(built) < request.count:
+    if len(built) < count:
         return None
     return [IndependentBundle(items, Fraction(weight, oracle.scale), witness)
-            for items, weight, witness in built[:request.count]]
+            for items, weight, witness in built[:count]]

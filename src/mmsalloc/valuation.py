@@ -12,6 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 
 from .core import (
     ZERO,
@@ -415,8 +416,10 @@ def _interval_schedule(jobs, search=True):
     or, without ``search``, when the list schedule misses.
 
     Jackson's earliest-deadline list schedule (1955) settles most yes
-    answers: when the machine is free, it starts the released job due first.
-    When that misses a deadline, the recurrence of ``_interval_table`` runs
+    answers: when the machine is free, it starts the released job due first,
+    taking released jobs from a heap by (deadline, release, position).  When
+    that misses a deadline and ``_preemptive_fits`` refuses the jobs, no
+    schedule exists.  Otherwise the recurrence of ``_interval_table`` runs
     forwards over sequence prefixes, keeping each prefix mask's least finish
     slot, and drops a prefix once the jobs outside it cannot all run after
     that slot: the work due by some deadline b exceeds b - finish (a job
@@ -428,22 +431,24 @@ def _interval_schedule(jobs, search=True):
     back from the full mask through the kept layers: each entry's finish is
     reached by appending one of its jobs to an entry of the layer before.
     """
-    # (r, position, d, p): pending jobs by release, ties in input order
-    pending = sorted((r, t, d, p) for t, (p, r, d) in enumerate(jobs))
+    releases = sorted((r, d, t, p) for t, (p, r, d) in enumerate(jobs))
+    released: list[tuple[int, int, int, int]] = []  # (d, r, position, p)
     starts = [0] * len(jobs)
-    finish = 0
-    while pending:
-        start = max(finish + 1, pending[0][0])
-        job = min((job for job in pending if job[0] <= start),
-                  key=lambda job: job[2])
-        pending.remove(job)
-        starts[job[1]] = start
-        finish = start + job[3] - 1
-        if finish > job[2]:
+    finish = at = 0
+    while at < len(releases) or released:
+        start = finish + 1 if released else max(finish + 1, releases[at][0])
+        while at < len(releases) and releases[at][0] <= start:
+            r, d, t, p = releases[at]
+            heappush(released, (d, r, t, p))
+            at += 1
+        d, _, t, p = heappop(released)
+        starts[t] = start
+        finish = start + p - 1
+        if finish > d:
             break
     else:
         return starts
-    if not search:
+    if not search or not _preemptive_fits(jobs):
         return None
 
     by_deadline = sorted(range(len(jobs)), key=lambda t: jobs[t][2])
@@ -484,6 +489,32 @@ def _interval_schedule(jobs, search=True):
                 mask, finish = mask ^ 1 << t, prev
                 break
     return starts
+
+
+def _preemptive_fits(jobs) -> bool:
+    """Whether the (p, r, d) jobs fit when a job may be split: earliest
+    deadline first over unit slots, which is optimal (Horn 1974).  A schedule
+    with each job in one piece is also a split one, so a miss here refuses."""
+    releases = sorted((r, d, p) for p, r, d in jobs)
+    released: list[list[int]] = []  # [d, work left]; the top's work only falls
+    slot = at = 0  # the next free slot
+    while at < len(releases) or released:
+        if not released:
+            slot = max(slot, releases[at][0])
+        while at < len(releases) and releases[at][0] <= slot:
+            r, d, p = releases[at]
+            heappush(released, [d, p])
+            at += 1
+        job = released[0]
+        run = job[1] if at == len(releases) else \
+            min(job[1], releases[at][0] - slot)
+        slot += run
+        job[1] -= run
+        if not job[1]:
+            if slot - 1 > job[0]:
+                return False
+            heappop(released)
+    return True
 
 
 def _interval_witness(system, items, search=True):

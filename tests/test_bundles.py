@@ -349,10 +349,11 @@ def _count_queries(oracle):
     return asked
 
 
-def _carving_requests(rng, make_oracle, trials):
+def _carving_requests(rng, make_oracle, trials, count_of):
     """Pairs of like requests, each with a fresh oracle from
     ``make_oracle(trial)``, whose threshold t lies between one and two times
-    a positive singleton value, so phase one has high items to carve."""
+    a positive singleton value, so phase one has high items to carve.  Each
+    asks for ``count_of(rng, items)`` bundles."""
     for trial in range(trials):
         oracles = make_oracle(trial), make_oracle(trial)
         positive = [w for w in oracles[0].singleton_weights if w]
@@ -363,7 +364,7 @@ def _carving_requests(rng, make_oracle, trials):
         alpha = rng.choice((F(2, 5), F(1, 3), F(2, 7)))
         items = frozenset(j for j in range(len(oracles[0].values))
                           if rng.random() < 0.9)
-        count = rng.randint(1, 3)
+        count = count_of(rng, items)
         yield [BundleRequest(oracle=oracle, items=items, count=count,
                              mu_star=t / alpha, alpha=alpha)
                for oracle in oracles]
@@ -394,7 +395,8 @@ def test_one_pass_carving_builds_what_the_restart_rule_builds_on_exact_answers()
     short falls short again when the restart rule asks it once more."""
     rng = random.Random(2027)
     compared = reasked = 0
-    for ours, reference in _carving_requests(rng, _exact_answer_oracle, 360):
+    for ours, reference in _carving_requests(
+            rng, _exact_answer_oracle, 360, lambda rng, _: rng.randint(1, 3)):
         asked = _count_queries(ours.oracle)
         asked_again = _count_queries(reference.oracle)
         expected = _reference_make_bundles(reference, scan=_restart_scan)
@@ -406,7 +408,9 @@ def test_one_pass_carving_builds_what_the_restart_rule_builds_on_exact_answers()
 
 def test_an_item_whose_carving_query_falls_short_is_not_asked_again():
     """Approximate answers: each maker call asks at most one short query per
-    high item, where the restart rule asks such items again."""
+    high item, where the restart rule asks such items again.  Each request
+    asks for more bundles than it has items, so no maker call stops before
+    its full pass."""
     rng = random.Random(2028)
 
     def approximate_oracle(trial):
@@ -425,7 +429,8 @@ def test_an_item_whose_carving_query_falls_short_is_not_asked_again():
         return oracle_for(inst, 0, epsilon=(F(1, 3), F(1, 2))[kind])
 
     short_queries = reasked = 0
-    for ours, reference in _carving_requests(rng, approximate_oracle, 400):
+    for ours, reference in _carving_requests(
+            rng, approximate_oracle, 1200, lambda _, items: len(items) + 1):
         threshold = ours.alpha * ours.mu_star
         for request, make in ((ours, make_bundles_alpha),
                               (reference, lambda r: _reference_make_bundles(
@@ -442,6 +447,75 @@ def test_an_item_whose_carving_query_falls_short_is_not_asked_again():
             else:
                 reasked += len(high) > len(set(high))
     assert short_queries >= 400 and reasked >= 40, (short_queries, reasked)
+
+
+def _count_pair_questions(oracle):
+    """Record each pair asked of ``oracle.pair_independent``."""
+    asked, answer = [], oracle.pair_independent
+
+    def counted(j1, j2):
+        asked.append((j1, j2))
+        return answer(j1, j2)
+
+    oracle.pair_independent = counted
+    return asked
+
+
+def test_the_maker_stops_asking_once_its_answer_is_settled():
+    """The maker answers as the full two-phase pass does, but asks no subset
+    query once count bundles exist or whose items weigh below the threshold
+    in all, and no pair when the bundles suffice or pairing cannot reach
+    count."""
+    rng = random.Random(2030)
+
+    def any_oracle(trial):
+        kind, local = trial % 4, random.Random(13000 + trial)
+        m = local.randint(4, 10)
+        if kind == 1:
+            inst = rand_budget_instance(local, m=m, entitled=False)
+            epsilon = local.choice((F(1, 3), F(1, 2)))
+            return oracle_for(inst, 0, epsilon=epsilon)
+        if kind == 2:
+            inst = rand_interval_instance(local, m=m)
+            return oracle_for(inst, 0, epsilon=F(1, 2))
+        inst = gen_random_hereditary(m=m, n=2,
+                                     family_density=local.uniform(0.3, 1),
+                                     seed=local.randrange(10**6))
+        epsilon = local.choice((F(0), F(1, 3), F(1, 2)))
+        if kind == 3:
+            return AdversarialOracle(inst.system, inst.values[0],
+                                     epsilon=epsilon or F(1, 3))
+        return oracle_for(inst, 0, epsilon=epsilon)
+
+    saved = paired = suffice = unreachable = 0
+    for ours, reference in _carving_requests(
+            rng, any_oracle, 800, lambda rng, _: rng.randint(1, 3)):
+        oracle, count = ours.oracle, ours.count
+        threshold = ours.alpha * ours.mu_star
+        asked, pairs = _count_queries(oracle), _count_pair_questions(oracle)
+        asked_in_full = _count_queries(reference.oracle)
+        pairs_in_full = _count_pair_questions(reference.oracle)
+        expected = _reference_make_bundles(reference)
+        assert make_bundles_alpha(ours) == expected, ours
+        value = {j: F(oracle.singleton_weights[j], oracle.scale)
+                 for j in ours.items}
+        built = sum(v >= threshold for v in value.values())
+        for query, answer in asked:
+            assert built < count, (ours, query)
+            assert oracle.additive_value(query) >= threshold, (ours, query)
+            built += answer.value >= threshold
+        if pairs:
+            left = {j for pair in pairs for j in pair}
+            assert built < count <= built + len(left) // 2, ours
+            paired += 1
+        elif pairs_in_full or any(  # an approximate pair question
+                len(query) == 2 and all(2 * value[j] > threshold for j in query)
+                for query, _ in asked_in_full):
+            suffice += built >= count
+            unreachable += built < count
+        saved += len(asked) < len(asked_in_full)
+    assert saved >= 400 and paired >= 40 and suffice >= 100 \
+        and unreachable >= 40, (saved, paired, suffice, unreachable)
 
 
 def _lemma_oracles(rng):

@@ -249,7 +249,7 @@ def _intervals_at_scale(m: int, n: int) -> Instance:
                                       system=IntervalSystem(jobs=tuple(jobs))))
 
 
-@pytest.mark.parametrize("m, n", [(20, 3), (30, 3), (60, 4), (200, 8)])
+@pytest.mark.parametrize("m, n", [(20, 3), (30, 3), (60, 4), (200, 8), (400, 8)])
 def test_interval_adapter_at_scale_makes_one_divider_run(m, n):
     inst = _intervals_at_scale(m, n)
     report = solve_intervals_adapter(inst)

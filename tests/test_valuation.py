@@ -569,19 +569,23 @@ def test_interval_exact_matches_brute_force():
     assert fits_seen == {True, False}
 
 
-def _earliest_deadline_fits(jobs):
-    """Jackson's list schedule: when free, run the released job due first."""
-    pending = sorted(jobs, key=lambda job: job[1])
+def _list_schedule(jobs):
+    """Jackson's list schedule by a scan of the pending jobs: when free, run
+    the released job due first, ties to the earlier release, then the earlier
+    position.  Its starts in the order of ``jobs``, or None at a miss."""
+    pending = sorted((r, t, d, p) for t, (p, r, d) in enumerate(jobs))
+    starts = [0] * len(jobs)
     finish = 0
     while pending:
-        start = max(finish + 1, min(r for _, r, _ in pending))
-        job = min((job for job in pending if job[1] <= start),
+        start = max(finish + 1, pending[0][0])
+        job = min((job for job in pending if job[0] <= start),
                   key=lambda job: job[2])
         pending.remove(job)
-        finish = start + job[0] - 1
+        starts[job[1]] = start
+        finish = start + job[3] - 1
         if finish > job[2]:
-            return False
-    return True
+            return None
+    return starts
 
 
 def test_interval_independence_matches_the_subset_table():
@@ -613,13 +617,46 @@ def test_interval_independence_matches_the_subset_table():
         if answer:
             witness = oracle.schedule_witness(items)
             assert _schedule_is_valid(system, frozenset(items), witness), jobs
-        answers.append((answer, _earliest_deadline_fits(jobs)))
+        answers.append((answer, _list_schedule(jobs) is not None))
     assert answers[:4] == [(True, False), (True, False),
                            (True, True), (False, False)]
     tally = {kind: answers.count(kind) for kind in set(answers)}
     assert tally[True, True] >= 40 and tally[False, False] >= 40, tally
     assert tally[True, False] >= 10, tally
     assert (False, True) not in tally
+
+
+def test_interval_schedule_settles_each_answer_as_the_subset_table_does():
+    """On crowded job sets with tied releases and deadlines: the schedule
+    exists exactly when the subset table fits the full mask, the heap list
+    schedule starts what the scan starts, and the preemptive check, which
+    holds on every set that fits, refuses many that do not."""
+    rng = random.Random(2029)
+    refused = fits = searched = 0
+    for _ in range(800):
+        k, jobs = rng.randint(3, 10), []
+        for _ in range(k):
+            p, r = rng.randint(1, 3), rng.randint(1, 2 * k)
+            jobs.append((p, r, r + p - 1 + rng.randint(0, 3)))
+        system = IntervalSystem(jobs=tuple(jobs))
+        table = mmsalloc.valuation._interval_table(system, range(len(jobs)))
+        starts = mmsalloc.valuation._interval_schedule(jobs)
+        assert (starts is None) == (table[-1] is None), jobs
+        listed = _list_schedule(jobs)
+        assert mmsalloc.valuation._interval_schedule(jobs, search=False) \
+            == listed, jobs
+        if listed is not None:
+            assert starts == listed, jobs
+        preemptive = mmsalloc.valuation._preemptive_fits(jobs)
+        if starts is not None:
+            fits += 1
+            searched += listed is None
+            assert preemptive, jobs
+            assert _schedule_is_valid(system, frozenset(range(len(jobs))),
+                                      dict(enumerate(starts))), jobs
+        refused += not preemptive
+    assert fits >= 150 and searched >= 8 and refused >= 400, \
+        (fits, searched, refused)
 
 
 def test_schedule_check_refuses_missing_jobs_windows_and_overlaps():
