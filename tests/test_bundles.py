@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,11 @@ from mmsalloc.bundles import (
     make_bundles_alpha,
     make_bundles_two_fifths,
 )
-from mmsalloc.core import FreeSystem, InsufficientBundles
+from mmsalloc.core import (
+    ExactnessGateExceeded,
+    FreeSystem,
+    InsufficientBundles,
+)
 from mmsalloc.generators import gen_random_hereditary, gen_two_thirds_bound
 from mmsalloc.matching import max_general_matching
 from mmsalloc.mms_oracle import compute_mms_exact
@@ -516,6 +521,21 @@ def test_the_maker_stops_asking_once_its_answer_is_settled():
         saved += len(asked) < len(asked_in_full)
     assert saved >= 400 and paired >= 40 and suffice >= 100 \
         and unreachable >= 40, (saved, paired, suffice, unreachable)
+
+
+def test_a_settled_request_asks_no_query_past_the_enumeration_gate():
+    """Two singletons meet the count, so the high item 7 is never carved: its
+    query over 17 low items would exceed the adversary's gate of 16.  One
+    bundle more, and the carving query is asked and refused."""
+    values = (F(10), F(10), F(7)) + (F(1),) * 17
+    oracle = AdversarialOracle(FreeSystem(), values, epsilon=F(1, 3))
+    request = BundleRequest(oracle=oracle, items=frozenset(range(20)),
+                            count=2, mu_star=F(20), alpha=F(1, 2))
+    assert make_bundles_alpha(request) == [
+        IndependentBundle(frozenset({0}), F(10)),
+        IndependentBundle(frozenset({1}), F(10))]
+    with pytest.raises(ExactnessGateExceeded):
+        make_bundles_alpha(replace(request, count=3))
 
 
 def _lemma_oracles(rng):

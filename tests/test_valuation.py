@@ -589,6 +589,9 @@ def _list_schedule(jobs):
 
 
 def test_interval_independence_matches_the_subset_table():
+    """The schedule exists exactly when the subset table fits the full mask;
+    the heap list schedule starts what the scan starts; the preemptive check
+    holds on every set that fits and refuses many that do not."""
     rng = random.Random(85)
     corpus = [
         # The earliest-deadline schedule starts the long job at slot 1 and
@@ -606,7 +609,14 @@ def test_interval_independence_matches_the_subset_table():
             p, r = rng.randint(1, 4), rng.randint(1, 3 * k)
             jobs.append((p, r, r + p - 1 + rng.randint(0, spread * k)))
         corpus.append(jobs)
-    answers = []
+    crowded = random.Random(2029)  # short horizon, tied releases and deadlines
+    for _ in range(800):
+        k, jobs = crowded.randint(3, 10), []
+        for _ in range(k):
+            p, r = crowded.randint(1, 3), crowded.randint(1, 2 * k)
+            jobs.append((p, r, r + p - 1 + crowded.randint(0, 3)))
+        corpus.append(jobs)
+    answers, refused = [], 0
     for jobs in corpus:
         system = IntervalSystem(jobs=tuple(jobs))
         oracle = ValuationOracle(system, tuple(F(1) for _ in jobs))
@@ -614,49 +624,26 @@ def test_interval_independence_matches_the_subset_table():
         table = mmsalloc.valuation._interval_table(system, items)[-1]
         answer = oracle.is_independent(items)
         assert answer == (table is not None), jobs
+        starts = mmsalloc.valuation._interval_schedule(jobs)
+        assert (starts is not None) == answer, jobs
+        listed = _list_schedule(jobs)
+        assert mmsalloc.valuation._interval_schedule(jobs, search=False) \
+            == listed, jobs
+        assert listed is None or starts == listed, jobs
+        preemptive = mmsalloc.valuation._preemptive_fits(jobs)
         if answer:
+            assert preemptive, jobs
             witness = oracle.schedule_witness(items)
             assert _schedule_is_valid(system, frozenset(items), witness), jobs
-        answers.append((answer, _list_schedule(jobs) is not None))
+        refused += not preemptive
+        answers.append((answer, listed is not None))
     assert answers[:4] == [(True, False), (True, False),
                            (True, True), (False, False)]
     tally = {kind: answers.count(kind) for kind in set(answers)}
     assert tally[True, True] >= 40 and tally[False, False] >= 40, tally
     assert tally[True, False] >= 10, tally
     assert (False, True) not in tally
-
-
-def test_interval_schedule_settles_each_answer_as_the_subset_table_does():
-    """On crowded job sets with tied releases and deadlines: the schedule
-    exists exactly when the subset table fits the full mask, the heap list
-    schedule starts what the scan starts, and the preemptive check, which
-    holds on every set that fits, refuses many that do not."""
-    rng = random.Random(2029)
-    refused = fits = searched = 0
-    for _ in range(800):
-        k, jobs = rng.randint(3, 10), []
-        for _ in range(k):
-            p, r = rng.randint(1, 3), rng.randint(1, 2 * k)
-            jobs.append((p, r, r + p - 1 + rng.randint(0, 3)))
-        system = IntervalSystem(jobs=tuple(jobs))
-        table = mmsalloc.valuation._interval_table(system, range(len(jobs)))
-        starts = mmsalloc.valuation._interval_schedule(jobs)
-        assert (starts is None) == (table[-1] is None), jobs
-        listed = _list_schedule(jobs)
-        assert mmsalloc.valuation._interval_schedule(jobs, search=False) \
-            == listed, jobs
-        if listed is not None:
-            assert starts == listed, jobs
-        preemptive = mmsalloc.valuation._preemptive_fits(jobs)
-        if starts is not None:
-            fits += 1
-            searched += listed is None
-            assert preemptive, jobs
-            assert _schedule_is_valid(system, frozenset(range(len(jobs))),
-                                      dict(enumerate(starts))), jobs
-        refused += not preemptive
-    assert fits >= 150 and searched >= 8 and refused >= 400, \
-        (fits, searched, refused)
+    assert refused >= 400, refused
 
 
 def test_schedule_check_refuses_missing_jobs_windows_and_overlaps():
