@@ -1,18 +1,14 @@
 """Top-level solvers.
 
-Four modes:
-
 * ``solve_existence`` slices exact maximin-share witnesses (brute force, so
   desk scale only) and guarantees every agent n/(2n-1) of her MMS.
-* ``solve_two_fifths`` is the polynomial mode: estimate each agent's MMS from
-  singleton values, shave each estimate by n/(n+1) until her two-phase bundle
-  maker builds n bundles from all items, then run the lone divider, shaving a
-  divider who fails in a later round the same way until a run succeeds.
-  Guarantees 2/5 with oracle error at most 1/(n+1).
-* ``solve_alpha`` generalises to lossier oracles with error bound epsilon,
-  guaranteeing (1-eps)/(1+(3/2)(1-eps)); epsilon 0 is exactly the 2/5 mode.
-* ``solve_entitled`` runs the oracle-mediated engine for nested per-agent
-  families, guaranteeing 2/5 with oracle error at most 1/(n+1).
+* The polynomial modes share one pipeline: estimate each agent's MMS from
+  singleton values, shrink each estimate until her two-phase bundle maker
+  builds n bundles from all items, then run the lone divider, shrinking a
+  divider who fails in a later round until a run succeeds.
+  ``solve_two_fifths`` and ``solve_entitled`` guarantee 2/5 with oracle error
+  at most 1/(n+1); ``solve_alpha`` guarantees (1-eps)/(1+(3/2)(1-eps)) at
+  error bound eps and is the 2/5 mode at eps 0.
 """
 
 from __future__ import annotations
@@ -125,32 +121,26 @@ def solve_existence(instance: Instance, *,
 # The polynomial pipeline behind the 2/5, alpha and entitled modes
 # ---------------------------------------------------------------------------
 
-def _two_fifths_shrink(count: int) -> Fraction:
-    return Fraction(count, count + 1)
-
-
-def _two_fifths_cap(count: int, m: int) -> float:
-    return Fraction(6, 5) * (count + 1) * math.log(m)
-
-
 def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
-                      epsilon_for, *, shrink_factor=_two_fifths_shrink,
-                      count_bound=_two_fifths_cap,
+                      epsilon: Fraction | None = None, *,
                       oracle_factory=None) -> SolveResult:
     """Estimate each agent's MMS from singleton values, shrink each estimate
     until her bundle maker builds k bundles from all items (the round-one
     pre-pass), then run the lone divider, shrinking a divider who fails in a
     later round, until a run succeeds.  Each shrink is one adjustment.
 
-    ``epsilon_for(k)`` gives the oracle error for k active agents, or raises.
+    ``alpha`` picks the theorem.  At 2/5, with k active agents, the oracle
+    error is at most 1/(k+1) (the default), each shrink is by k/(k+1) and
+    the cap on shrinks (6/5)(k+1) ln m; at any other alpha each shrink undoes
+    the alpha mode's overshoot and the cap is (5k+3) ln m / (1-epsilon).
     A gated kind with no approximation at that error is refused here, before
     any oracle work; each oracle also rejects an error below its kind's least.
-    ``shrink_factor(k)`` gives the multiplicative estimate adjustment;
-    ``count_bound(k, m)`` the proven cap on adjustments per agent.
     An entitled instance divides by swap detection through its agents'
     oracles; every other bundle is independent for every agent, so it is
     offered at its additive value.
     """
+    if epsilon is not None:
+        alpha_for_error(epsilon)  # refuses an error bound outside [0, 1)
     n, m = instance.n, instance.m
     # An agent is active (her MMS is positive) when at least n of her
     # singletons are worth something.
@@ -159,7 +149,18 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     if not active:
         return _assemble(instance, mode, alpha, {}, (), {}, {}, {}, ())
     k = len(active)
-    epsilon = epsilon_for(k)
+    if alpha == TWO_FIFTHS:
+        epsilon = Fraction(1, k + 1) if epsilon is None else epsilon
+        if epsilon > Fraction(1, k + 1):
+            raise EpsilonOutOfRange(
+                f"entitled mode needs oracle error at most 1/(n+1) = 1/{k + 1}, "
+                f"got {epsilon}")
+        factor, cap = Fraction(k, k + 1), Fraction(6, 5) * (k + 1) * math.log(m)
+    else:
+        overshoot = (3 - 3 * epsilon) / (5 * k - 3 * k * epsilon
+                                         + 3 * epsilon + 3)
+        factor = ONE / (ONE + overshoot)
+        cap = float(ONE / (ONE - epsilon)) * (5 * k + 3) * math.log(m)
     for i in active:
         kind = instance.system_for(i).kind
         if kind in DEFAULT_GATES and not (epsilon and kind in APPROXIMATE_ERRORS):
@@ -177,7 +178,6 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     estimates = {i: Fraction(m * sorted(oracles[i].singleton_weights)[-k],
                              oracles[i].scale) for i in active}
     adjustments = {i: 0 for i in active}
-    cap, factor = count_bound(k, m), shrink_factor(k)
 
     def maker(agent: int, items: Items, count: int):
         return make_bundles_alpha(BundleRequest(
@@ -215,19 +215,18 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
 
 
 def solve_two_fifths(instance: Instance, *, oracle_factory=None) -> SolveResult:
-    """Polynomial 2/5-approximate solver for shared hereditary systems.
+    """Polynomial 2/5-approximate solver at oracle error 1/(n+1).
 
-    Oracle error is capped at 1/(n+1): budget systems use the knapsack value
-    scaling at exactly that error, conflict graphs are refused, and interval
-    systems are rejected by their oracle unless one agent is active (its
-    polynomial path loses a factor 2; use solve_alpha at epsilon 1/2).
+    Budget systems use the knapsack value scaling at exactly that error,
+    conflict graphs are refused, and interval systems are rejected by their
+    oracle unless one agent is active (its polynomial path loses a factor 2;
+    use solve_alpha at epsilon 1/2).  An entitled instance is solved as
+    ``solve_entitled`` solves it, under that mode's name.
     """
     _reject_asymmetric(instance, "the 2/5 mode")
-    if instance.is_entitled:
-        return solve_entitled(instance, oracle_factory=oracle_factory)
-    return _solve_polynomial(instance, "two_fifths", TWO_FIFTHS,
-                             lambda k: Fraction(1, k + 1),
-                             oracle_factory=oracle_factory)
+    return _solve_polynomial(
+        instance, "entitled" if instance.is_entitled else "two_fifths",
+        TWO_FIFTHS, oracle_factory=oracle_factory)
 
 
 def solve_alpha(instance: Instance, epsilon: Fraction, *,
@@ -235,47 +234,28 @@ def solve_alpha(instance: Instance, epsilon: Fraction, *,
     """Solver for inaccurate oracles with error bound epsilon.
 
     Guarantees every agent alpha = (1-eps)/(1+(3/2)(1-eps)) of her MMS.
-    Epsilon 0 is the 2/5 mode, bundle for bundle.
+    Epsilon 0 is the 2/5 mode bundle for bundle: the oracles run at error
+    1/(n+1) and an entitled instance is served.  Above 0 an entitled
+    instance is refused.
     """
     alpha = alpha_for_error(epsilon)
     _reject_asymmetric(instance, "the alpha mode")
-    if epsilon == 0:
-        return replace(solve_two_fifths(instance, oracle_factory=oracle_factory),
-                       mode="alpha")
-    if instance.is_entitled:
+    if epsilon and instance.is_entitled:
         raise UnsupportedSystem(
             "per-agent families take solve_entitled, not the alpha mode")
-    delta = ONE / (ONE - epsilon)
-
-    def shrink_factor(count: int) -> Fraction:
-        overshoot = (3 - 3 * epsilon) / (5 * count - 3 * count * epsilon
-                                         + 3 * epsilon + 3)
-        return ONE / (ONE + overshoot)
-
-    return _solve_polynomial(
-        instance, "alpha", alpha, lambda k: epsilon,
-        shrink_factor=shrink_factor,
-        count_bound=lambda count, m: float(delta) * (5 * count + 3) * math.log(m),
-        oracle_factory=oracle_factory)
+    return _solve_polynomial(instance, "alpha", alpha, epsilon or None,
+                             oracle_factory=oracle_factory)
 
 
 def solve_entitled(instance: Instance, epsilon: Fraction | None = None, *,
                    oracle_factory=None) -> SolveResult:
-    """Polynomial 2/5 solver for nested per-agent families.
+    """Polynomial 2/5 solver at oracle error epsilon, 1/(n+1) by default.
 
-    Runs the oracle-mediated engine: the ordering is treated as unknown, and
-    matched agents receive the independent subsets their own oracles
-    reported, so the output also satisfies per-agent feasibility constraints.
+    On nested per-agent families the ordering is treated as unknown: matched
+    agents receive the independent subsets their own oracles reported, so
+    the output also satisfies per-agent feasibility constraints.  A shared
+    system's bundles are offered at their additive value.
     """
     _reject_asymmetric(instance, "the entitled mode")
-
-    def epsilon_for(k: int) -> Fraction:
-        chosen = Fraction(1, k + 1) if epsilon is None else epsilon
-        if not ZERO <= chosen <= Fraction(1, k + 1):
-            raise EpsilonOutOfRange(
-                f"entitled mode needs oracle error at most 1/(n+1) = 1/{k + 1}, "
-                f"got {chosen}")
-        return chosen
-
-    return _solve_polynomial(instance, "entitled", TWO_FIFTHS, epsilon_for,
+    return _solve_polynomial(instance, "entitled", TWO_FIFTHS, epsilon,
                              oracle_factory=oracle_factory)

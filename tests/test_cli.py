@@ -200,6 +200,8 @@ def test_malformed_instance_is_an_input_error(tmp_path, capsys, fields, needle):
 _TWO_BY_TWO = {"n": 2, "m": 2, "values": [["1", "1"], ["1", "1"]]}
 _INTERVALS = {"kind": "interval", "jobs": [{"p": 1, "r": 1, "d": 2}] * 4}
 _CONFLICTS = {**_TWO_BY_TWO, "system": {"kind": "conflict", "edges": [[1, 2]]}}
+_NO_ACTIVE = {"n": 2, "m": 3, "values": [["0", "0", "0"], ["0", "0", "0"]],
+              "system": {"kind": "free"}}
 _BUDGETS = {"n": 2, "m": 4, "values": [["1"] * 4] * 2,
             "system": {"kind": "budget", "sizes": ["1"] * 4,
                        "budgets": ["2", "3"]}}
@@ -233,11 +235,15 @@ _BUDGETS = {"n": 2, "m": 4, "values": [["1"] * 4] * 2,
     ({"n": 2, "m": 4, "values": [["1"] * 4] * 2, "system": _INTERVALS},
      ("--mode", "two_fifths")),
     (_BUDGETS, ("--mode", "entitled", "--epsilon", "0")),
+    # No agent values an item, yet an error bound outside [0, 1) is refused.
+    (_NO_ACTIVE, ("--mode", "entitled", "--epsilon", "-1")),
+    (_NO_ACTIVE, ("--mode", "entitled", "--epsilon", "5")),
 ], ids=["boolean-in-maximal-set", "boolean-in-edge", "boolean-in-ordering",
         "boolean-agent-count", "interval-error-below-half",
         "entitled-interval-families", "edges-a-string", "jobs-an-object",
         "asymmetric-block-a-string", "conflict-two-fifths", "conflict-alpha",
-        "conflict-entitled", "interval-two-fifths", "budgets-entitled-error-0"])
+        "conflict-entitled", "interval-two-fifths", "budgets-entitled-error-0",
+        "no-active-error-negative", "no-active-error-above-one"])
 def test_unservable_instance_is_an_input_error(tmp_path, capsys, doc, argv):
     instance_path = tmp_path / "inst.json"
     instance_path.write_text(json.dumps(doc))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from mmsalloc.core import (
     validate_instance,
 )
 from mmsalloc.driver import (
-    _solve_polynomial,
     alpha_for_error,
     solve_alpha,
     solve_entitled,
@@ -143,7 +143,9 @@ def test_estimate_soundness_and_adjustment_bounds():
 def test_pre_pass_shrinks_check_the_adjustment_cap(monkeypatch):
     # Three agents valuing six free items alike start at estimate 6, and
     # k * alpha * 6 = 36/5 exceeds the singleton sum 6, so agent 1 shrinks
-    # in the pre-pass before any divider run; a cap of 1 trips right there.
+    # in the pre-pass before any divider run.  With ln m read as 0.0 the cap
+    # is 0.0 and trips right there; a float, since an int 0 would make the
+    # cap a Fraction, which the message's float format cannot print.
     inst = validate_instance(Instance(
         n=3, m=6, values=((F(1),) * 6,) * 3, system=FreeSystem()))
     assert 3 * TWO_FIFTHS * inst.m > sum(inst.values[0])
@@ -152,9 +154,10 @@ def test_pre_pass_shrinks_check_the_adjustment_cap(monkeypatch):
         pytest.fail("a divider ran before the pre-pass shrank")
 
     monkeypatch.setattr(mmsalloc.driver, "lone_divider", divide)
+    monkeypatch.setattr(mmsalloc.driver, "math",
+                        types.SimpleNamespace(log=lambda m: 0.0))
     with pytest.raises(AssertionError, match="agent 1 exceeded"):
-        _solve_polynomial(inst, "two_fifths", TWO_FIFTHS,
-                          lambda k: F(1, k + 1), count_bound=lambda k, m: 1)
+        solve_two_fifths(inst)
 
 
 def test_final_estimates_pass_round_one_on_all_items():
@@ -233,6 +236,40 @@ def test_polynomial_solves_at_scale_make_one_divider_run(make, solve, cap):
         # (else k singletons serve), so no estimate drops below the n-th.
         assert result.estimates[i] >= mms_bounds(inst, i).lower, i
     assert len(result.runs) == 1
+
+
+def _nested_explicit_at_scale(m: int, n: int) -> Instance:
+    """The explicit benchmark family cut, for each agent, to an item prefix
+    of seeded length m/2 to m; the ordering follows the cuts, so the
+    families grow along it and agent 1 need not be the most restrictive."""
+    base = gen_random_hereditary(m=m, n=n, family_density=0.6, seed=1)
+    rng = random.Random(1)
+    cuts = [rng.randint(m // 2, m) for _ in range(n)]
+    systems = tuple(ExplicitSystem.normalize(
+        [s & frozenset(range(cut)) for s in base.system.maximal_sets])
+        for cut in cuts)
+    return validate_instance(Instance(
+        n=n, m=m, values=base.values,
+        system=EntitledSpec(systems=systems, ordering=tuple(
+            sorted(range(n), key=lambda i: (cuts[i], i))))))
+
+
+@pytest.mark.parametrize("m, n", [(100, 10), (300, 20)])
+def test_entitled_solves_nested_explicit_families_at_scale(m, n):
+    # A divider who fails in a later round shrinks and the divider runs
+    # again, so this asserts the outcome and not a single run.
+    inst = _nested_explicit_at_scale(m, n)
+    result = solve_entitled(inst)
+    k = len(result.active_agents)
+    assert k > 1 and result.runs[-1].succeeded
+    claimed = [j for bundle in result.allocation.bundles for j in bundle]
+    assert len(claimed) == len(set(claimed))
+    for i in result.active_agents:
+        bundle = result.allocation.bundles[i]
+        assert brute_member(inst.system_for(i), bundle), i
+        assert sum((inst.values[i][j] for j in bundle), F(0)) \
+            >= result.thresholds[i], i
+        assert result.adjustments[i] < _two_fifths_cap(k, m)
 
 
 def _intervals_at_scale(m: int, n: int) -> Instance:
@@ -356,13 +393,48 @@ def test_two_fifths_under_adversarial_oracles():
         assert verify_allocation(inst, result.allocation, F(2, 5)).ok
 
 
+def _tight_budgets(seed: int, shared: bool) -> Instance:
+    """Budgets 4-14 over sizes 1-5 on ten items, nested in random agent order
+    or, with ``shared``, the first agent's budget for all three."""
+    rng = random.Random(seed)
+    sizes = tuple(F(rng.randint(1, 5)) for _ in range(10))
+    budgets = [F(rng.randint(4, 14)) for _ in range(3)]
+    system = BudgetSystem(sizes=sizes, budget=budgets[0]) if shared else \
+        EntitledSpec(
+            systems=tuple(BudgetSystem(sizes=sizes, budget=b) for b in budgets),
+            ordering=tuple(sorted(range(3), key=lambda i: (budgets[i], i))))
+    return validate_instance(Instance(n=3, m=10, values=rand_values(rng, 3, 10),
+                                      system=system))
+
+
 def test_alpha_zero_is_bundle_for_bundle_identical():
-    for seed in range(20):
-        inst = gen_random_hereditary(m=7, n=2, seed=4300 + seed)
+    # Error 0 is the 2/5 mode: its oracles run at 1/(k+1), so an exact
+    # budget question is not refused, and nested budgets still divide by
+    # swap detection.
+    cases = [gen_random_hereditary(m=7, n=2, seed=4300 + seed)
+             for seed in range(20)]
+    cases += [_tight_budgets(seed, shared) for seed in range(8)
+              for shared in (False, True)]
+    errors = []
+
+    def recording(instance, agent, epsilon):
+        errors.append(epsilon)
+        return oracle_for(instance, agent, epsilon)
+
+    swaps = 0
+    for inst in cases:
         plain = solve_two_fifths(inst)
-        alpha = solve_alpha(inst, F(0))
+        errors.clear()
+        alpha = solve_alpha(inst, F(0), oracle_factory=recording)
+        assert alpha.mode == "alpha"
         assert alpha.allocation == plain.allocation
         assert alpha.adjustments == plain.adjustments
+        assert [r.trace for r in alpha.runs] == [r.trace for r in plain.runs]
+        k = len(alpha.active_agents)
+        assert set(errors) == ({F(1, k + 1)} if k else set())
+        swaps += sum(len(record.swaps) for run in alpha.runs
+                     for record in run.trace)
+    assert swaps > 0
 
 
 def test_alpha_half_reaches_two_sevenths():
