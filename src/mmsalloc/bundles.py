@@ -73,9 +73,9 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     item each; phase two pairs up the remaining high-valued items through a
     maximum matching.  Items are scanned in ascending index order throughout.
     Interval bundles carry their schedule: a carved one restricts its query's,
-    and singletons and pairs take the exact scheduler's.  Returns None when
-    fewer than the requested number of bundles exist, which is the legitimate
-    signal that the caller's estimate is too high.
+    a singleton starts at its release and a pair takes the exact scheduler's.
+    Returns None when fewer than the requested number of bundles exist, which
+    is the legitimate signal that the caller's estimate is too high.
     """
     oracle, count = request.oracle, request.count
     weight_of = oracle.additive_weight
@@ -85,10 +85,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     t_num = alpha.numerator * mu_star.numerator * oracle.scale
     t_den = alpha.denominator * mu_star.denominator
     singleton = oracle.singleton_weights
-
-    def schedule(items):  # a singleton's or a pair's, from the exact scheduler
-        if isinstance(oracle.system, IntervalSystem):
-            return _interval_witness(oracle.system, items)
+    jobs = oracle.system.jobs if isinstance(oracle.system, IntervalSystem) else None
 
     # Phase one, singletons: items already meeting the threshold are built;
     # the rest are high (worth more than half of it) or low.
@@ -101,7 +98,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
         elif scaled < t_num:
             high.append(j)
         else:
-            built.append((frozenset((j,)), oracle.weights[j], schedule((j,))))
+            built.append((frozenset((j,)), oracle.weights[j], jobs and {j: jobs[j][1]}))
 
     # Phase one, carving: one high item plus low items, minimised, in one
     # ascending pass that stops once count bundles are built.  An item whose
@@ -144,7 +141,8 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
                  if oracle.pair_independent(high[a], high[b])]
         for a_pos, b_pos in max_general_matching(len(high), edges):
             pair = frozenset((high[a_pos], high[b_pos]))
-            built.append((pair, weight_of(pair), schedule(pair)))
+            built.append((pair, weight_of(pair),
+                          jobs and _interval_witness(oracle.system, pair)))
 
     claimed: set[int] = set()
     for items, weight, witness in built:

@@ -147,6 +147,10 @@ class ExplicitSystem:
         return {j: tuple(t for t, s in enumerate(self.maximal_sets) if j in s)
                 for j in frozenset().union(*self.maximal_sets)}
 
+    @functools.cached_property
+    def masks(self) -> dict[int, int]:  # ``incidence`` as bitmasks of positions
+        return {j: sum(1 << t for t in held) for j, held in self.incidence.items()}
+
     def independent(self, items: Items) -> bool:
         return not items or any(items <= s for s in self.maximal_sets)
 

@@ -88,9 +88,10 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
 
         grants = {(agent, idx): bundle if agent == divider else offers[agent, idx]
                   for agent in remaining for idx, bundle in enumerate(bundles)}
-        adjacency = [[idx for idx in range(len(bundles))
-                      if grants[agent, idx].value >= thresholds[agent]]
-                     for agent in remaining]
+        adjacency = [[idx for idx in range(len(bundles))  # value >= t, on integers
+                      if (value := grants[agent, idx].value).numerator * t.denominator
+                      >= t.numerator * value.denominator]
+                     for agent in remaining for t in [thresholds[agent]]]
         matched = [(remaining[pos], idx) for pos, idx in
                    envy_free_matching(len(remaining), len(bundles), adjacency)]
         assert matched and any(agent == divider for agent, _ in matched)

@@ -184,21 +184,25 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
             oracle=oracles[agent], items=items, count=count,
             mu_star=estimates[agent], alpha=alpha))
 
-    def shrink(agent: int) -> None:
-        adjustments[agent] += 1
-        if not adjustments[agent] < cap:
-            raise AssertionError(
-                f"agent {agent + 1} exceeded the adjustment bound {cap:.3f}")
-        estimates[agent] *= factor
+    def shrink(agent: int, steps: int = 1) -> None:
+        for _ in range(steps):  # the cap is checked at every step
+            adjustments[agent] += 1
+            if not adjustments[agent] < cap:
+                raise AssertionError(
+                    f"agent {agent + 1} exceeded the adjustment bound {cap:.3f}")
+        estimates[agent] *= factor ** steps
 
     # Round one on all items: an agent whose maker cannot build k bundles
     # there would fail as the divider.  k bundles worth alpha * e each need
     # k * alpha * e <= her singleton sum, so larger estimates fail unasked.
     for i in active:
-        ceiling = Fraction(sum(oracles[i].singleton_weights),
-                           oracles[i].scale) / (k * alpha)
-        while estimates[i] > ceiling:
-            shrink(i)
+        c = Fraction(sum(oracles[i].singleton_weights), oracles[i].scale) / (k * alpha)
+        e, steps = estimates[i], 0
+        above, below = e.numerator * c.denominator, c.numerator * e.denominator
+        while above > below:  # e * factor ** steps > c, counted on integers
+            steps += 1
+            above, below = above * factor.numerator, below * factor.denominator
+        shrink(i, steps)
         while maker(i, instance.all_items(), k) is None:
             shrink(i)
 

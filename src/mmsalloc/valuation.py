@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from heapq import heappop, heappush
 
 from .core import (
@@ -63,6 +63,7 @@ class ValuationOracle:
         self.values = tuple(values)
         self.scale, self.weights = scaled_weights(self.values)
         self.epsilon = epsilon
+        self._approximate = bool(epsilon) and system.kind in APPROXIMATE_ERRORS
         self.gate = gate if gate is not None else DEFAULT_GATES.get(system.kind)
         self._subset_cache: dict[Items, IndependentBundle] = {}
         self._last_walk: tuple[Items, list[int]] = (frozenset(), [])
@@ -171,28 +172,33 @@ class ValuationOracle:
                 items = without
         return IndependentBundle(items=items, value=value)
 
-    def _reduce_explicit(self, items: Items) -> IndependentBundle:
+    def _reduce_explicit(self, items: Items, whole: bool = False) -> IndependentBundle:
         """The ascending scan of ``reduce_to_independent`` over the optimal
-        sets only.
+        sets only, a bitmask of their positions; with ``whole``, the query
+        itself when an optimal set holds all of it, as subset queries answer.
 
         The bundle's value is the largest of its maximal sets' weights, which
         ``_set_weights`` gives.  Dropping an item never raises a set's weight,
         so a set below the value never regains it: j goes when it weighs
         nothing or some set still at the value lacks it; only those then stay.
         """
-        sets = self.system.maximal_sets
-        if not sets:
+        if not self.system.maximal_sets:
             return IndependentBundle(items=frozenset(), value=ZERO)
         sums = self._set_weights(items)
         value = max(sums)
-        best = [s for s, t in zip(sets, sums) if t == value]
-        kept = []
-        for j in sorted(items):
-            lacking = [s for s in best if j not in s] if self.weights[j] else best
+        best = sum(1 << t for t, s in enumerate(sums) if s == value)
+        masks, kept = self.system.masks, []
+        positive = sorted(filter(self.weights.__getitem__, items))
+        for j in positive:
+            lacking = best & ~masks.get(j, 0)
             if lacking:
                 best = lacking
             else:
                 kept.append(j)
+        # A set holding the whole query is at the value, so no item went.
+        if whole and len(kept) == len(positive) and reduce(
+                int.__and__, [masks.get(j, 0) for j in items], best):
+            kept = items
         return IndependentBundle(items=frozenset(kept),
                                  value=Fraction(value, self.scale))
 
@@ -212,7 +218,9 @@ class ValuationOracle:
 
     def _approx_value_subset(self, items: Items) -> IndependentBundle:
         system = self.system
-        if self.epsilon and isinstance(system, IntervalSystem):
+        if isinstance(system, ExplicitSystem):  # one incidence walk
+            return self._reduce_explicit(items, whole=True)
+        if self._approximate and isinstance(system, IntervalSystem):
             # The whole query when a schedule fits it (searched exactly only
             # within the gate), else local ratio; the answer carries it.
             witness = _interval_witness(system, items, len(items) <= self.gate)
@@ -222,7 +230,7 @@ class ValuationOracle:
                                      witness)
         if self.is_independent(items):
             return IndependentBundle(items=items, value=self.additive_value(items))
-        if not self.epsilon or system.kind not in APPROXIMATE_ERRORS:
+        if not self._approximate:
             return self.reduce_to_independent(items)
         chosen = _knapsack(sorted(items), self.weights, *system.scaled,
                            self.epsilon)
@@ -310,21 +318,21 @@ def _knapsack(items, weights, sizes, capacity, eps):
     usable = [j for j in items if sizes[j] <= capacity and weights[j] > 0]
     if not usable:
         return []
-    # floor(w / unit) = w * k // (eps * wmax), in integers
-    numer = len(usable) * eps.denominator
-    denom = eps.numerator * max(weights[j] for j in usable)
+    scaled = [weights[j] for j in usable]
+    if eps:  # floor(w / unit) = w * k // (eps * wmax), in integers
+        numer, denom = len(usable) * eps.denominator, eps.numerator * max(scaled)
+        scaled = [w * numer // denom for w in scaled]
     # dp: scaled total -> (min combined scaled size, (last item, rest) link)
     dp: dict[int, tuple[int, tuple | None]] = {0: (0, None)}
-    for j in usable:
-        w = weights[j] * numer // denom if eps else weights[j]
+    for j, w in zip(usable, scaled):
         size_j = sizes[j]
         updates: dict[int, tuple[int, tuple | None]] = {}
         for total, (size, chosen) in dp.items():
             grown = size + size_j
             if grown > capacity:
                 continue
-            key = total + w
-            incumbent = updates.get(key, dp.get(key))
+            key = total + w  # distinct per total, so no update meets another
+            incumbent = dp.get(key)
             if incumbent is None or grown < incumbent[0]:
                 updates[key] = (grown, (j, chosen))
         # Every update is strictly smaller than what dp holds at its total.

@@ -8,17 +8,18 @@ from fractions import Fraction
 
 import pytest
 
+import mmsalloc.bundles
 from mmsalloc.bundles import (
     BundleRequest,
     bundles_from_mms_partition,
     make_bundles_alpha,
-    make_bundles_two_fifths,
 )
 from mmsalloc.core import (
     ExactnessGateExceeded,
     FreeSystem,
     InsufficientBundles,
 )
+from mmsalloc.driver import alpha_for_error
 from mmsalloc.generators import gen_random_hereditary, gen_two_thirds_bound
 from mmsalloc.matching import max_general_matching
 from mmsalloc.mms_oracle import compute_mms_exact
@@ -26,6 +27,7 @@ from mmsalloc.valuation import (
     AdversarialOracle,
     IndependentBundle,
     ValuationOracle,
+    _schedule_is_valid,
     oracle_for,
 )
 
@@ -89,7 +91,7 @@ def test_two_fifths_on_gadget():
     oracle = oracle_for(inst, 0)
     request = BundleRequest(oracle=oracle, items=inst.all_items(), count=2,
                             mu_star=F(3))
-    got = make_bundles_two_fifths(request)
+    got = make_bundles_alpha(request)
     assert got is not None and len(got) == 2
     _disjoint_independent(oracle, got, F(6, 5))
 
@@ -99,7 +101,7 @@ def test_two_fifths_failure_on_hopeless_estimate():
     oracle = oracle_for(inst, 0)
     request = BundleRequest(oracle=oracle, items=inst.all_items(), count=2,
                             mu_star=F(30))
-    assert make_bundles_two_fifths(request) is None
+    assert make_bundles_alpha(request) is None
 
 
 def test_zero_count_is_an_empty_success():
@@ -119,7 +121,8 @@ def test_alpha_zero_error_equals_two_fifths():
             continue
         base = BundleRequest(oracle=oracle, items=inst.all_items(), count=2,
                              mu_star=mu)
-        assert make_bundles_two_fifths(base) == make_bundles_alpha(base)
+        zero_error = replace(base, alpha=alpha_for_error(F(0)))
+        assert make_bundles_alpha(zero_error) == make_bundles_alpha(base)
 
 
 def test_multi_item_bundles_are_minimal_and_value_capped():
@@ -134,7 +137,7 @@ def test_multi_item_bundles_are_minimal_and_value_capped():
         threshold = F(2, 5) * mu
         request = BundleRequest(oracle=oracle, items=inst.all_items(), count=1,
                                 mu_star=mu)
-        got = make_bundles_two_fifths(request)
+        got = make_bundles_alpha(request)
         assert got is not None
         for bundle in got:
             if len(bundle.items) < 2:
@@ -193,7 +196,7 @@ def test_success_contract_under_adversarial_oracle():
             oracle = oracle_for(inst, agent, epsilon=epsilon)
         request = BundleRequest(oracle=oracle, items=remaining, count=n - ell,
                                 mu_star=mu_star)
-        got = make_bundles_two_fifths(request)
+        got = make_bundles_alpha(request)
         qualifying += 1
         assert got is not None, (trial, n, m, mu, mu_star, ell)
         _disjoint_independent(oracle, got, F(2, 5) * mu_star)
@@ -601,3 +604,34 @@ def test_bundle_request_refuses_a_negative_count_or_a_zero_estimate(
     with pytest.raises(ValueError, match=needle):
         BundleRequest(oracle=oracle, items=frozenset(range(8)), count=count,
                       mu_star=mu_star)
+
+
+def test_an_interval_job_built_alone_starts_at_its_release(monkeypatch):
+    """A singleton's schedule is its release slot, with no scheduler call."""
+    witness = mmsalloc.bundles._interval_witness
+
+    def pairs_only(system, items, search=True):
+        assert len(items) > 1, f"job {set(items)} was scheduled alone"
+        return witness(system, items, search)
+
+    monkeypatch.setattr(mmsalloc.bundles, "_interval_witness", pairs_only)
+    rng = random.Random(2032)
+    singletons = 0
+    for _ in range(60):
+        inst = rand_interval_instance(rng, m=rng.randint(3, 9))
+        oracle = oracle_for(inst, 0, epsilon=F(1, 2))
+        values = [v for v in inst.values[0] if v]
+        if not values:
+            continue
+        threshold = rng.choice(values)
+        count = sum(v >= threshold for v in inst.values[0])
+        got = make_bundles_alpha(BundleRequest(
+            oracle=oracle, items=inst.all_items(), count=count,
+            mu_star=threshold / F(2, 7), alpha=F(2, 7)))
+        assert got is not None and len(got) == count
+        for bundle in got:
+            [j] = bundle.items
+            assert bundle.witness == {j: inst.system.jobs[j][1]}
+            assert _schedule_is_valid(inst.system, bundle.items, bundle.witness)
+        singletons += count
+    assert singletons >= 100, singletons

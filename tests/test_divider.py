@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from mmsalloc.bundles import BundleRequest, bundles_from_mms_partition, make_bundles_two_fifths
+from mmsalloc.bundles import BundleRequest, bundles_from_mms_partition, make_bundles_alpha
 from mmsalloc.core import BudgetSystem, EntitledSpec, Instance, validate_instance
 from mmsalloc.divider import lone_divider, lone_divider_entitled, trace_to_dicts
 from mmsalloc.generators import gen_random_hereditary, gen_two_thirds_bound
@@ -94,7 +94,7 @@ def test_maker_failure_reports_the_divider():
     oracles = {i: oracle_for(inst, i) for i in range(2)}
 
     def maker(agent, items, count):
-        return make_bundles_two_fifths(BundleRequest(
+        return make_bundles_alpha(BundleRequest(
             oracle=oracles[agent], items=items, count=count, mu_star=F(100)))
 
     outcome = lone_divider(inst, {0: F(40), 1: F(40)}, maker, oracles)
@@ -122,7 +122,7 @@ def _entitled_setup(inst, epsilon, mu_star_scale=1):
     thresholds = {i: F(2, 5) * mu_star[i] for i in range(inst.n)}
 
     def maker(agent, items, count):
-        return make_bundles_two_fifths(BundleRequest(
+        return make_bundles_alpha(BundleRequest(
             oracle=oracles[agent], items=items, count=count,
             mu_star=mu_star[agent]))
 

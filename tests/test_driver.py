@@ -160,6 +160,20 @@ def test_pre_pass_shrinks_check_the_adjustment_cap(monkeypatch):
         solve_two_fifths(inst)
 
 
+def test_an_estimate_at_the_singleton_ceiling_stays():
+    # Two agents valuing five free items at (3, 3, 1, 1, 0) start at 5 * 3 =
+    # 15 against the ceiling 8 / (2 * 2/5) = 10.  One shrink by 2/3 lands on
+    # the ceiling exactly, which no longer exceeds it, and bundles {3, 1}
+    # twice reach the threshold 4 there.
+    row = (F(3), F(3), F(1), F(1), F(0))
+    inst = validate_instance(Instance(n=2, m=5, values=(row, row),
+                                      system=FreeSystem()))
+    result = solve_two_fifths(inst)
+    assert result.estimates == {0: 10, 1: 10}
+    assert result.adjustments == {0: 1, 1: 1}
+    assert len(result.runs) == 1
+
+
 def test_final_estimates_pass_round_one_on_all_items():
     rng = random.Random(43)
     for seed in range(12):

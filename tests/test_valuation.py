@@ -224,6 +224,30 @@ def test_explicit_answers_do_not_depend_on_query_history(history):
             == ValuationOracle(system, values).approx_value_subset(q), q
 
 
+@settings(max_examples=200, deadline=None)
+@given(explicit_histories(), st.sampled_from((F(0), F(1, 3))))
+# The empty family, and item 2 in no set with items 0 and 3 weighing
+# nothing, each through the empty query.
+@example(([], (F(1), F(0)), [frozenset({0, 1}), frozenset(), frozenset({0})]),
+         F(0))
+@example(([{0, 1}, {1, 3}], (F(0), F(2), F(5), F(0)),
+          [frozenset({0, 1}), frozenset({0, 1, 2, 3}), frozenset({2}),
+           frozenset(), frozenset({1, 3}), frozenset({0, 3})]), F(0))
+def test_explicit_subset_answers_match_the_two_step_reference(history, epsilon):
+    """The query itself, zero weights and all, when a maximal set holds it;
+    else the ascending scan."""
+    sets, values, queries = history
+    system = ExplicitSystem.normalize(sets)
+    oracle = ValuationOracle(system, values, epsilon=epsilon)
+    for q in queries:
+        if brute_member(system, q):
+            expected = q, sum((values[j] for j in q), F(0))
+        else:
+            expected = _reference_reduce(system, values, q)
+        answer = oracle.approx_value_subset(q)
+        assert (answer.items, answer.value) == expected, q
+
+
 def test_interval_single_slot_forces_singleton():
     system = IntervalSystem(jobs=((1, 1, 1), (1, 1, 1), (1, 1, 1)))
     oracle = ValuationOracle(system, (F(1), F(1), F(1)), epsilon=F(1, 2))
