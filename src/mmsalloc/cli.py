@@ -70,7 +70,7 @@ def _verdict(report) -> int:
     """The exit code of a verification report.  Past the gate it also names
     the first unverified agent and the reason on stderr."""
     for check in report.checks:
-        if check.mu is None:
+        if check.reason is not None:
             print(f"error: agent {check.agent + 1}: {check.reason}",
                   file=sys.stderr)
             return EXIT_GATE
@@ -161,7 +161,7 @@ def _cmd_solve(args) -> int:
                                    records=result.records, gate=args.gate)
         extras["certificates"] = [
             {"agent": check.agent + 1,
-             "value": str(check.value),
+             "value": None if check.value is None else str(check.value),
              "mu": None if check.mu is None else str(check.mu),
              "ratio": None if check.ratio is None else str(check.ratio),
              "ok": check.ok}
@@ -193,7 +193,7 @@ def _cmd_mms(args) -> int:
             lines.append(f"mu = {record.mu}")
             lines += [f"witness bundle {idx + 1}: {sorted(j + 1 for j in block)}"
                       for idx, block in enumerate(record.witness)]
-        except BruteForceGateExceeded as exc:
+        except (BruteForceGateExceeded, ExactnessGateExceeded) as exc:
             print(f"error: {exc}", file=sys.stderr)
             lines.append(f"mu: not computed ({exc})")
             status = EXIT_GATE
@@ -208,10 +208,10 @@ def _cmd_verify(args) -> int:
     report = verify_allocation(instance, allocation, alpha, gate=args.gate)
     lines = []
     for check in report.checks:
-        mu = "?" if check.mu is None else str(check.mu)
+        value, mu = ("?" if x is None else str(x) for x in (check.value, check.mu))
         ratio = "-" if check.ratio is None else str(check.ratio)
         verdict = "pass" if check.ok else "FAIL"
-        lines.append(f"agent {check.agent + 1}: value {check.value} "
+        lines.append(f"agent {check.agent + 1}: value {value} "
                      f"mu {mu} ratio {ratio} {verdict}")
     lines.append(f"alpha {alpha}: {'pass' if report.ok else 'FAIL'}")
     _emit("".join(line + "\n" for line in lines), args.out)

@@ -1,54 +1,14 @@
-"""Maximum-cardinality matching: bipartite, envy-free bipartite, and general.
+"""Maximum-cardinality matching: general (blossom) and envy-free bipartite.
 
 The envy-free variant matches agents (left side) to bundles (right side) so
-that every unmatched agent has no edge to any matched bundle.  All scans run
-in ascending index order, so results are deterministic.
+that every unmatched agent has no edge to any matched bundle; it trims the
+blossom routine's maximum matching.  All scans run in ascending index order,
+so results are deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-
-
-def max_bipartite_matching(n_left: int, n_right: int,
-                           adjacency: list[list[int]]) -> list[tuple[int, int]]:
-    """Maximum matching in a bipartite graph via augmenting paths.
-
-    ``adjacency[x]`` lists the right-side neighbours of left vertex ``x``.
-    Each search is a depth-first walk on an explicit stack, so long
-    alternating paths need no recursion.
-    """
-    match_left = [-1] * n_left
-    match_right = [-1] * n_right
-
-    def augment(root: int) -> None:
-        seen = [False] * n_right
-        # One (left vertex, unread neighbours) frame per step of the path;
-        # path[t] is the right vertex that frame t moved through.
-        stack = [(root, iter(adjacency[root]))]
-        path: list[int] = []
-        while stack:
-            for y in stack[-1][1]:
-                if not seen[y]:
-                    break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            seen[y] = True
-            path.append(y)
-            if match_right[y] == -1:
-                for (x, _), y in zip(stack, path):
-                    match_left[x] = y
-                    match_right[y] = x
-                return
-            stack.append((match_right[y], iter(adjacency[match_right[y]])))
-
-    for x in range(n_left):
-        if match_left[x] == -1:
-            augment(x)
-    return [(x, match_left[x]) for x in range(n_left) if match_left[x] != -1]
 
 
 def is_envy_free(n_left: int, adjacency: list[list[int]],
@@ -68,7 +28,10 @@ def envy_free_matching(n_left: int, n_right: int,
     from an unmatched left vertex by an alternating path, and keep the
     matching restricted to the unmarked left vertices.
     """
-    matching = max_bipartite_matching(n_left, n_right, adjacency)
+    # Bundle y is vertex n_left + y; each pair comes out agent first.
+    matching = [(x, y - n_left) for x, y in max_general_matching(
+        n_left + n_right, [(x, n_left + y) for x in range(n_left)
+                           for y in adjacency[x]])]
     match_left = {x: y for x, y in matching}
     match_right = {y: x for x, y in matching}
 
@@ -176,8 +139,6 @@ def max_general_matching(n: int, edges) -> list[tuple[int, int]]:
             match[end] = prev
             match[prev] = end
             end = step
-            if end == -1:
-                break
         # Unmatched roots stay unmatched when no augmenting path exists.
 
     return [(v, match[v]) for v in range(n) if match[v] > v]

@@ -17,6 +17,7 @@ from .core import (
     ZERO,
     Allocation,
     BruteForceGateExceeded,
+    ExactnessGateExceeded,
     Instance,
     Items,
 )
@@ -194,31 +195,33 @@ def verify_allocation(instance: Instance, allocation: Allocation,
                       gate: int = DEFAULT_MMS_GATE) -> VerificationReport:
     """Per-agent check that the allocation reaches alpha times the MMS.
 
-    Agents whose exact MMS is unavailable (gate exceeded, no record supplied)
-    fail their check explicitly instead of being silently skipped.
+    Value and MMS are each None past their gate.  MMS 0 passes whatever the
+    value; any other agent missing either fails explicitly, never skipped,
+    with the value's gate named first.
     """
     checks = []
     for agent in range(instance.n):
-        bundle = allocation.bundles[agent]
         oracle = oracle_for(instance, agent)
-        value = oracle.exact_value(bundle)
         record = records.get(agent) if records else None
+        value = reason = None
+        try:
+            value = oracle.exact_value(allocation.bundles[agent])
+        except ExactnessGateExceeded as exc:
+            reason = str(exc)
         if record is None:
             try:
                 record = compute_mms_exact(instance, agent, gate=gate,
                                            oracle=oracle)
-            except BruteForceGateExceeded as exc:
-                checks.append(AgentCheck(agent=agent, value=value, mu=None,
-                                         ratio=None, ok=False, reason=str(exc)))
-                continue
-        mu = record.mu
-        if mu == 0:
+            except (BruteForceGateExceeded, ExactnessGateExceeded) as exc:
+                reason = reason or str(exc)
+        mu = None if record is None else record.mu
+        if mu == 0 or value is None or mu is None:
             checks.append(AgentCheck(agent=agent, value=value, mu=mu,
-                                     ratio=None, ok=True))
-            continue
-        ratio = value / mu
-        checks.append(AgentCheck(agent=agent, value=value, mu=mu, ratio=ratio,
-                                 ok=value >= alpha * mu))
+                                     ratio=None, ok=mu == 0,
+                                     reason=None if mu == 0 else reason))
+        else:
+            checks.append(AgentCheck(agent=agent, value=value, mu=mu,
+                                     ratio=value / mu, ok=value >= alpha * mu))
     return VerificationReport(alpha=alpha, checks=tuple(checks))
 
 

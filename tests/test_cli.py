@@ -463,31 +463,69 @@ def test_search_depth_limit_exits_3_past_a_raised_gate(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {reason}\n"
 
 
+def _write_unit_jobs(path, m: int) -> None:
+    """One agent, m unit jobs; job t may only run in slot t."""
+    path.write_text(json.dumps({
+        "n": 1, "m": m, "values": [["1"] * m],
+        "system": {"kind": "interval",
+                   "jobs": [{"p": 1, "r": t, "d": t} for t in range(1, m + 1)]}}))
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_gate_past_a_certificate_names_the_agent_on_stderr(tmp_path, capsys,
                                                            command):
     # Fourteen items are past the 12-item brute-force gate, so no agent's
-    # MMS is verified: exit 3 with the first agent's reason as the one line.
-    instance_path = tmp_path / "inst.json"
-    alloc_path = tmp_path / "alloc.json"
+    # MMS is verified, though each bundle's value is.  Twenty interval jobs
+    # are past the 16-job exactness gate, so the one agent's bundle value is
+    # not computed either.  Each exits 3 with the first agent's reason as
+    # the one line, and the certified solve still writes its allocation.
+    m14 = tmp_path / "m14.json"
     run_cli("gen", "random", "--m", "14", "--n", "2", "--seed", "3",
-            "--out", str(instance_path))
-    solve = ("solve", str(instance_path), "--certify", "--out", str(alloc_path))
-    if command == "verify":
-        assert run_cli(*solve) == 3
-        capsys.readouterr()
-        argv = ("verify", str(instance_path), str(alloc_path), "--alpha", "2/5")
-    else:
-        argv = solve
-    assert run_cli(*argv) == 3
-    captured = capsys.readouterr()
-    assert captured.err == \
-        "error: agent 1: 14 items exceed the brute-force gate 12\n"
-    if command == "verify":
-        assert captured.out.splitlines()[-1] == "alpha 2/5: FAIL"
-    else:
+            "--out", str(m14))
+    jobs20 = tmp_path / "jobs20.json"
+    _write_unit_jobs(jobs20, 20)
+    cases = [
+        (m14, (), "2/5", "14 items exceed the brute-force gate 12", 2, True),
+        (jobs20, ("--mode", "alpha"), "2/7",
+         "interval bundle of size 20 exceeds the exactness gate 16", 1, False),
+    ]
+    for instance_path, mode, alpha, reason, n, value_known in cases:
+        alloc_path = tmp_path / f"{instance_path.stem}-alloc.json"
+        solve = ("solve", str(instance_path), *mode, "--certify",
+                 "--out", str(alloc_path))
+        if command == "verify":
+            assert run_cli(*solve) == 3
+            capsys.readouterr()
+            argv = ("verify", str(instance_path), str(alloc_path),
+                    "--alpha", alpha)
+        else:
+            argv = solve
+        assert run_cli(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: agent 1: {reason}\n"
+        if command == "verify":
+            assert captured.out.splitlines()[-1] == f"alpha {alpha}: FAIL"
+            continue
+        assert alloc_path.exists()
         certificates = json.loads(alloc_path.read_text())["certificates"]
-        assert [c["mu"] for c in certificates] == [None, None]
+        assert [c["mu"] for c in certificates] == [None] * n
+        assert [c["value"] is not None for c in certificates] == \
+            [value_known] * n
+
+
+def test_mms_past_the_exactness_gate_prints_bracket_and_reason(tmp_path,
+                                                               capsys):
+    # A raised brute-force gate lets the search start; its exact value query
+    # on the twenty jobs is then past the 16-job exactness gate.
+    instance_path = tmp_path / "jobs20.json"
+    _write_unit_jobs(instance_path, 20)
+    reason = "interval bundle of size 20 exceeds the exactness gate 16"
+    assert run_cli("mms", str(instance_path), "--agent", "1",
+                   "--gate", "24") == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "agent 1: singleton bounds [1, 20]", f"mu: not computed ({reason})"]
+    assert captured.err == f"error: {reason}\n"
 
 
 def test_certify_exits_1_when_a_certificate_fails(tmp_path, capsys,

@@ -148,7 +148,7 @@ GOLDEN = {
     "two_fifths-3":
         "25b58056fcdc5bc2ba744da267f67c09ab6bbfaadc93265690a7c8049b3fc31f",
     "two_fifths-4":
-        "2f8ad3fddcd685bc454b7b334097c31744cf0306e3b711e944ca9ef18b842e17",
+        "f539ff5ce9d0d173cde957fb964890b109db5b13ff5f82dae0042f697e401f4e",
     "alpha0-5":
         "789d4940def9f676f4105e17215b35318c806e4e4bfa822b7b4f81c5ad741e6c",
     "alpha1_3-5":
@@ -162,11 +162,11 @@ GOLDEN = {
     "intervals-8":
         "f10c709501f791920a494e79ff4caeccc499a45a7274d4c9caf6f4842a6e25cf",
     "entitled-swap_detect-9":
-        "1680a2a48a5a8011ac3d96cbb785daa3562c1dc549f75d8b19d1bb3ee80e4be7",
+        "25e9e9c8eeb4c2520a974d7d6c199fb3cc51ec5f0ddec04e4040e5815bc912d1",
     "entitled-swap_detect-10":
-        "15e6b269acbfed0eaf12a526707b0fc4806757e3fed1cb42a681ff174832cf1a",
+        "adfbc89d3041069c923da77f0dcd093f7d8a2e15f5e4edbb9ad4c285a400f40e",
     "entitled-swap_detect-11":
-        "bb3a249030235205d8835a3369e9ffb439d21bfdb699438eb5b1972420e18fbf",
+        "ef394554e98788636148bd15b8f79aae975d4e28905ff42769ccec2b057c5fdd",
     "entitled-swap_detect-17":
         "792c8328f703dd7d01f2d5398fd5623b2d5f486c416be344dd4bcaeda524b245",
     "budget_fractional-18":
@@ -174,19 +174,19 @@ GOLDEN = {
     "budget_fractional-19":
         "bb16e6c6fa824e7173519e7be56b5ca16f7c55276c4b5875b77b6ca7f01afae2",
     "two_fifths_m40-20":
-        "ecc235f149c63acfc097f978353d186312978fb41aa64ef6ba9767885d94985f",
+        "0e2e044fbdeea2f0ed80278cb8c5ecb5dab327ef0f1024a870bf497370d47728",
     "existence-21":
-        "f39a063e097e1689b23f61e454c35e77732fdd77400cf4e5eebbe5d33c307724",
+        "c3668cb31ea8bb52806cc672c75e4ded189ea35c7a3cf0554c98f8364814bd7d",
     "existence-22":
-        "4549311110509badf768ede696bbe38b5440c6a24299bcb18a033e25dead586d",
+        "772acd0fcfb32810431935e8d138ad2dee47a8e4dcb936ea4a5f57d1d46cca50",
     "existence-23":
-        "785827a137d9ab64505ecd22e425c299d65328bc8abcefcf30cdff5aafe52cca",
+        "9be2734355cc8bdfb7b184d67bc4852df4d68a98eac1971389036660bf71a439",
     "existence_budget-24":
-        "df0d89efadc112e5044fab752577ca359af2627997268add53e63ce23d9c45f0",
+        "1d3c1eae2a9991c5ccc56e5562f5c6d11e67619010033bdb823df34d6795e45e",
     "conflicts-25":
-        "14814288deb0d4f4521f1b49ba8cc68df6f44e3d5b8fd8dc1293de8783a609da",
+        "7c3a53ff6348133d4c2604e76016c4f6daf7faced3d738d5cc059712bbb16ef5",
     "conflicts-26":
-        "ded6791764eaff16d5769a7a41451fbc8038f438a1d956bf91f738bd007b4a4d",
+        "2bf80867a98208c6df03627f922eca772b5084aa50e150ec97cf0a61870e9b11",
     "entitled_shared-37":
         "3b5c8fb41a2251177eb48ac727eda2232bdd5ad5debed74b06af874059334729",
     "entitled_shared_budget-28":

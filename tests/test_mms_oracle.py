@@ -15,6 +15,7 @@ from mmsalloc.core import (
     ExplicitSystem,
     FreeSystem,
     Instance,
+    IntervalSystem,
     validate_instance,
 )
 from mmsalloc.generators import (
@@ -23,6 +24,7 @@ from mmsalloc.generators import (
     gen_two_thirds_bound,
 )
 from mmsalloc.mms_oracle import (
+    MmsRecord,
     compute_mms_exact,
     max_min_allocation_value,
     mms_bounds,
@@ -168,6 +170,25 @@ def test_verify_reports_gate_instead_of_guessing():
     report = verify_allocation(inst, allocation, F(1, 2), gate=5)
     assert not report.ok
     assert any("gate" in (check.reason or "") for check in report.checks)
+
+
+def test_verify_keeps_a_known_mu_past_the_value_gate():
+    # Twenty unit jobs, job t only in slot t: the one bundle is past the
+    # 16-job exactness gate.  A supplied MMS survives the gated value, and
+    # an MMS of 0 passes whatever the value; with neither, the value's gate
+    # is the reason.
+    inst = Instance(n=1, m=20, values=((F(1),) * 20,),
+                    system=IntervalSystem(jobs=tuple((1, t, t)
+                                                     for t in range(20))))
+    allocation = Allocation(bundles=(inst.all_items(),), complete=True)
+    reason = "interval bundle of size 20 exceeds the exactness gate 16"
+    for mu, ok in ((F(20), False), (F(0), True), (None, False)):
+        records = None if mu is None else {
+            0: MmsRecord(agent=0, mu=mu, witness=(inst.all_items(),))}
+        (check,) = verify_allocation(inst, allocation, F(2, 7),
+                                     records=records).checks
+        assert (check.value, check.mu, check.ok) == (None, mu, ok)
+        assert check.reason == (None if ok else reason)
 
 
 def test_exhaustive_allocation_search_on_gadget():
