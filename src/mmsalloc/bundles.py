@@ -104,13 +104,15 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     # ascending pass that stops once count bundles are built.  An item whose
     # answer falls short is not asked again: low only shrinks, so that answer
     # still bounds OPT(low | {j}) < t/(1-eps).  A query weighing less than t
-    # in all is short unasked, as its answer is a subset of it.
+    # in all is short unasked, as its answer is a subset of it.  Each query
+    # asks only whether some subset reaches t, so it passes t as its goal.
+    goal = -(-t_num // t_den)
     low_weight = weight_of(low)
     for j in high:  # the list as it stood; each carve rebinds high
         while j in high and len(built) < count:
             if (low_weight + oracle.weights[j]) * t_den < t_num:
                 break
-            candidate = oracle.approx_value_subset(low | {j})
+            candidate = oracle.approx_value_subset(low | {j}, goal=goal)
             weight = weight_of(candidate.items)
             if weight * t_den < t_num:
                 break

@@ -66,6 +66,10 @@ class ValuationOracle:
         self._approximate = bool(epsilon) and system.kind in APPROXIMATE_ERRORS
         self.gate = gate if gate is not None else DEFAULT_GATES.get(system.kind)
         self._subset_cache: dict[Items, IndependentBundle] = {}
+        # Answers that reached a goal, one per item set; only the budget
+        # FPTAS stops at a goal, so other oracles keep none.
+        self._reached: dict[Items, IndependentBundle] | None = \
+            {} if self._approximate and isinstance(system, BudgetSystem) else None
         self._last_walk: tuple[Items, list[int]] = (frozenset(), [])
 
     # -- additive arithmetic, on integer weights: value = weight / scale ----
@@ -204,19 +208,37 @@ class ValuationOracle:
 
     # -- approximate subset queries ------------------------------------------
 
-    def approx_value_subset(self, bundle) -> IndependentBundle:
+    def approx_value_subset(self, bundle, goal: int | None = None) -> IndependentBundle:
         """Independent subset worth at least (1 - epsilon) of the true value.
+
+        With ``goal``, an integer on the oracle's weight scale, any independent
+        subset weighing at least ``goal`` may answer instead: the budget FPTAS
+        stops at the first table entry that reaches it, and every other
+        oracle ignores it.  An answer short of the goal is exactly the answer
+        without one.
 
         Answers are memoized for the life of the oracle: the round-one
         pre-pass and later divider runs ask the same subset queries again.
+        A reached answer is kept apart, so a query without a goal never sees
+        it, and serves any later goal it still meets.
         """
         items = frozenset(bundle)
         answer = self._subset_cache.get(items)
-        if answer is None:
+        if answer is not None:
+            return answer
+        if goal is None or self._reached is None:
             answer = self._subset_cache[items] = self._approx_value_subset(items)
+            return answer
+        answer = self._reached.get(items)
+        if answer is None or self.additive_weight(answer.items) < goal:
+            answer = self._approx_value_subset(items, goal)
+            if self.additive_weight(answer.items) >= goal:
+                self._reached[items] = answer
+            else:
+                self._subset_cache[items] = answer
         return answer
 
-    def _approx_value_subset(self, items: Items) -> IndependentBundle:
+    def _approx_value_subset(self, items: Items, goal: int | None = None) -> IndependentBundle:
         system = self.system
         if isinstance(system, ExplicitSystem):  # one incidence walk
             return self._reduce_explicit(items, whole=True)
@@ -233,7 +255,7 @@ class ValuationOracle:
         if not self._approximate:
             return self.reduce_to_independent(items)
         chosen = _knapsack(sorted(items), self.weights, *system.scaled,
-                           self.epsilon)
+                           self.epsilon, goal)
         return IndependentBundle(items=frozenset(chosen),
                                  value=self.additive_value(chosen))
 
@@ -259,6 +281,10 @@ class AdversarialOracle(ValuationOracle):
     """
 
     ENUMERATION_GATE = 16
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._reached = None  # the answer at the bound, whatever the goal
 
     def _approx_value_subset(self, items: Items) -> IndependentBundle:
         if len(items) > self.ENUMERATION_GATE:
@@ -289,6 +315,10 @@ def singleton_weights(system: SetSystem, weights) -> tuple:
     if isinstance(system, ExplicitSystem):  # {j} fits a set exactly when held
         held = system.incidence
         return tuple(w if j in held else 0 for j, w in enumerate(weights))
+    if isinstance(system, BudgetSystem):  # {j} fits when its size does
+        sizes, capacity = system.scaled
+        return tuple(w if size <= capacity else 0
+                     for w, size in zip(weights, sizes))
     return tuple(w if w and system.independent(frozenset((j,))) else 0
                  for j, w in enumerate(weights))
 
@@ -304,7 +334,7 @@ def oracle_for(instance: Instance, agent: int, epsilon: Fraction = ZERO, *,
 # Knapsack by value scaling: approximate above error 0, exact at 0
 # ---------------------------------------------------------------------------
 
-def _knapsack(items, weights, sizes, capacity, eps):
+def _knapsack(items, weights, sizes, capacity, eps, goal=None):
     """Feasible subset with value at least (1 - eps) times the optimum.
 
     Classic value scaling on integer weights: each is floored to a multiple
@@ -313,28 +343,38 @@ def _knapsack(items, weights, sizes, capacity, eps):
     best reachable total; at error 0 the weights are exact totals already.
     Sizes and the capacity are integers on one scale (``BudgetSystem.scaled``);
     each entry links its last item to the entry it grew from instead of
-    copying the chosen tuple.
+    copying the chosen tuple, and keeps its real integer weight.
+
+    With ``goal``, the first improving entry whose real weight reaches it is
+    returned at once.  When none does, the table runs to the end as without
+    a goal, so the answer is the one above and weighs less than ``goal``.
     """
     usable = [j for j in items if sizes[j] <= capacity and weights[j] > 0]
     if not usable:
         return []
+    if goal is None:  # a weight no subset reaches
+        goal = sum(map(weights.__getitem__, usable)) + 1
     scaled = [weights[j] for j in usable]
     if eps:  # floor(w / unit) = w * k // (eps * wmax), in integers
         numer, denom = len(usable) * eps.denominator, eps.numerator * max(scaled)
         scaled = [w * numer // denom for w in scaled]
-    # dp: scaled total -> (min combined scaled size, (last item, rest) link)
-    dp: dict[int, tuple[int, tuple | None]] = {0: (0, None)}
+    # dp: scaled total -> (min combined scaled size, real weight,
+    #                      (last item, rest) link)
+    dp: dict[int, tuple[int, int, tuple | None]] = {0: (0, 0, None)}
     for j, w in zip(usable, scaled):
-        size_j = sizes[j]
-        updates: dict[int, tuple[int, tuple | None]] = {}
-        for total, (size, chosen) in dp.items():
+        size_j, weight_j = sizes[j], weights[j]
+        updates: dict[int, tuple[int, int, tuple | None]] = {}
+        for total, (size, weight, chosen) in dp.items():
             grown = size + size_j
             if grown > capacity:
                 continue
             key = total + w  # distinct per total, so no update meets another
             incumbent = dp.get(key)
             if incumbent is None or grown < incumbent[0]:
-                updates[key] = (grown, (j, chosen))
+                weight += weight_j
+                if weight >= goal:
+                    return _linked((j, chosen))
+                updates[key] = (grown, weight, (j, chosen))
         # Every update is strictly smaller than what dp holds at its total.
         dp.update(updates)
         # A total that a larger one reaches in no more room lies on no
@@ -346,7 +386,11 @@ def _knapsack(items, weights, sizes, capacity, eps):
                 least = dp[total][0]
             else:
                 del dp[total]
-    chosen = dp[max(dp)][1]
+    return _linked(dp[max(dp)][2])
+
+
+def _linked(chosen):
+    """The items of a (last item, rest) link chain, ascending."""
     picked = []
     while chosen is not None:
         j, chosen = chosen

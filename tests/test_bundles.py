@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -205,9 +206,11 @@ def test_success_contract_under_adversarial_oracle():
 
 def _carve(oracle, j, low, threshold, built):
     """Carve one bundle from ``low | {j}`` into ``built``: its minimal part
-    of the query's answer, or nothing when the answer falls short.  Returns
-    the carved items."""
-    candidate = oracle.approx_value_subset(low | {j})
+    of the query's answer, or nothing when the answer falls short.  The query
+    passes the threshold as its goal, the least weight that reaches it on the
+    oracle's scale.  Returns the carved items."""
+    candidate = oracle.approx_value_subset(
+        low | {j}, goal=math.ceil(threshold * oracle.scale))
     if candidate.value < threshold:
         return frozenset()
     bundle, value = set(candidate.items), candidate.value
@@ -348,8 +351,8 @@ def _count_queries(oracle):
     """Record each subset query asked of ``oracle`` with its answer."""
     asked, answer = [], oracle.approx_value_subset
 
-    def counted(bundle):
-        got = answer(bundle)
+    def counted(bundle, goal=None):
+        got = answer(bundle, goal=goal)
         asked.append((frozenset(bundle), got))
         return got
 

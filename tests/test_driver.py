@@ -664,3 +664,52 @@ def test_entitled_under_adversarial_oracles():
             load = sum((system.sizes[j]
                         for j in result.allocation.bundles[agent]), F(0))
             assert load <= system.budget
+
+
+def _shrink_factor(alpha, epsilon, k):
+    """Each shrink's factor: k/(k+1) at 2/5, else the inverse of one plus the
+    alpha mode's overshoot at error ``epsilon``."""
+    if alpha == TWO_FIFTHS:
+        return F(k, k + 1)
+    overshoot = (3 - 3 * epsilon) / (5 * k - 3 * k * epsilon + 3 * epsilon + 3)
+    return 1 / (1 + overshoot)
+
+
+def _premise_corpus(rng, per_family):
+    """Desk instances at m 9-11 and n 2-4, each with its solve and the error
+    that solve's alpha mode runs at (None at 2/5)."""
+    half = F(1, 2)
+    for _ in range(per_family):
+        m, n = rng.randint(9, 11), rng.randint(2, 4)
+        explicit = gen_random_hereditary(m=m, n=n,
+                                         family_density=rng.uniform(0.3, 1),
+                                         seed=rng.randrange(10**6))
+        yield explicit, solve_two_fifths, None
+        yield explicit, lambda inst: solve_alpha(inst, half), half
+        yield (rand_budget_instance(rng, m=m, n=n),
+               lambda inst: solve_budget_adapter(inst).result, None)
+        yield (rand_budget_instance(rng, m=m, n=n, entitled=False),
+               lambda inst: solve_alpha(inst, half), half)
+        yield (rand_interval_instance(rng, m=m, n=n),
+               lambda inst: solve_intervals_adapter(inst).result, half)
+
+
+def test_every_shrunk_estimate_keeps_the_failure_lemmas_premise():
+    """An estimate shrinks by f only from one above the agent's MMS: a maker
+    fails only when each short carving answer keeps (1 - eps) * OPT below
+    the threshold, and the pre-pass ceiling lies above the MMS.  So every
+    agent that shrank ends with mu_i <= e_i / f.  A subset answer taken as
+    short while some subset reaches the threshold would break this."""
+    rng = random.Random(2031)
+    shrunk = [0] * 5  # per solve of the corpus, in its order
+    for case, (inst, solve, epsilon) in enumerate(_premise_corpus(rng, 24)):
+        result = solve(inst)
+        k = len(result.active_agents)
+        for i in result.active_agents:
+            if not result.adjustments.get(i):
+                continue
+            factor = _shrink_factor(result.alpha, epsilon, k)
+            mu = compute_mms_exact(inst, i).mu
+            assert mu <= result.estimates[i] / factor, (case, i)
+            shrunk[case % 5] += 1
+    assert min(shrunk) >= 50, shrunk

@@ -162,17 +162,17 @@ GOLDEN = {
     "intervals-8":
         "f10c709501f791920a494e79ff4caeccc499a45a7274d4c9caf6f4842a6e25cf",
     "entitled-swap_detect-9":
-        "25e9e9c8eeb4c2520a974d7d6c199fb3cc51ec5f0ddec04e4040e5815bc912d1",
+        "974980802a4442446ffcd9edb63ad23c87dda2eaac57bb64cbbead35fd5c38b2",
     "entitled-swap_detect-10":
-        "adfbc89d3041069c923da77f0dcd093f7d8a2e15f5e4edbb9ad4c285a400f40e",
+        "43a950e46085c062510dff498853758adfaf0c92dcd932acc6d5633a42d3a71a",
     "entitled-swap_detect-11":
         "ef394554e98788636148bd15b8f79aae975d4e28905ff42769ccec2b057c5fdd",
     "entitled-swap_detect-17":
         "792c8328f703dd7d01f2d5398fd5623b2d5f486c416be344dd4bcaeda524b245",
     "budget_fractional-18":
-        "3046d871015143467067b0a79ece6c79f7997adf20842d891bd2c05715e4fd64",
+        "2ed593eaaae70f0d792e9c0367f25eb8ed8554ca7f06362168c1caa7a2e3064e",
     "budget_fractional-19":
-        "bb16e6c6fa824e7173519e7be56b5ca16f7c55276c4b5875b77b6ca7f01afae2",
+        "f0a6898660f3262645c39ce318fe4842252e1ee3b0f06796e7dee25e6ba018e7",
     "two_fifths_m40-20":
         "0e2e044fbdeea2f0ed80278cb8c5ecb5dab327ef0f1024a870bf497370d47728",
     "existence-21":

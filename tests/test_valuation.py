@@ -29,7 +29,7 @@ from mmsalloc.valuation import (
     singleton_weights,
 )
 
-from conftest import brute_member, brute_schedulable, brute_value
+from conftest import brute_member, brute_schedulable, brute_value, schedule_fits
 
 F = Fraction
 
@@ -298,6 +298,9 @@ def test_singleton_independence_per_variant():
         (FreeSystem(), ()),
         (ExplicitSystem.normalize([{0, 1}, {1, 2}]), (3,)),
         (BudgetSystem(sizes=(F(1), F(2), F(5), F(4)), budget=F(4)), (2,)),
+        # Item 3 fills the budget exactly on the sizes' common scale.
+        (BudgetSystem(sizes=(F(1, 3), F(1, 2), F(5, 6), F(2, 3)),
+                      budget=F(2, 3)), (2,)),
         (ConflictSystem.normalize([(0, 2), (2, 3)]), ()),
         (IntervalSystem(jobs=((1, 1, 1), (2, 1, 3), (1, 2, 2), (3, 1, 3))), ()),
     ]
@@ -370,6 +373,84 @@ def test_fptas_contract_on_random_knapsacks():
         assert answer.items <= bundle
         assert sum((system.sizes[j] for j in answer.items), F(0)) <= system.budget
         assert answer.value >= (1 - eps) * brute_value(system, values, bundle)
+
+
+def _goal_oracles(rng, trials):
+    """Per trial, two like oracles and a query: budget FPTAS at a random
+    error, adversarial on an explicit family, interval at error 1/2 or exact
+    explicit, in turn."""
+    for trial in range(trials):
+        kind, m = trial % 4, rng.randint(1, 11)
+        values = tuple(F(rng.randint(0, 9), rng.choice((1, 2, 3)))
+                       for _ in range(m))
+        if kind == 0:
+            system = BudgetSystem(
+                sizes=tuple(F(rng.randint(0, 9), rng.choice((1, 2)))
+                            for _ in range(m)),
+                budget=F(rng.randint(0, 18), rng.choice((1, 2))))
+            eps = rng.choice((F(1, 2), F(1, 3), F(1, 5), F(1, 9)))
+            make = lambda: ValuationOracle(system, values, epsilon=eps)  # noqa: E731
+        elif kind == 2:
+            jobs = []
+            for _ in range(m):
+                p, r = rng.randint(1, 3), rng.randint(1, 5)
+                jobs.append((p, r, r + p - 1 + rng.randint(0, 4)))
+            system = IntervalSystem(jobs=tuple(jobs))
+            make = lambda: ValuationOracle(system, values, epsilon=F(1, 2))  # noqa: E731
+        else:
+            system = ExplicitSystem.normalize(
+                frozenset(j for j in range(m) if rng.random() < 0.6)
+                for _ in range(rng.randint(1, 4)))
+            if kind == 1:
+                eps = rng.choice((F(1, 3), F(1, 2)))
+                make = lambda: AdversarialOracle(system, values, epsilon=eps)  # noqa: E731
+            else:
+                make = lambda: ValuationOracle(system, values)  # noqa: E731
+        bundle = frozenset(j for j in range(m) if rng.random() < 0.85)
+        yield make(), make(), bundle
+
+
+def test_a_goal_answer_reaches_it_or_is_the_answer_without_one(monkeypatch):
+    """Each answer to a goal is independent and weighs at least the goal or
+    is exactly the answer without a goal, and a later query without a goal
+    still gets that answer: a reached one never stands in for it."""
+    runs = []
+    fptas = mmsalloc.valuation._knapsack
+
+    def counting(*args):
+        runs.append(args)
+        return fptas(*args)
+
+    monkeypatch.setattr(mmsalloc.valuation, "_knapsack", counting)
+    rng = random.Random(2032)
+    reached_early = missed = served_again = 0
+    for oracle, fresh, bundle in _goal_oracles(rng, 1200):
+        plain = fresh.approx_value_subset(bundle)
+        # Goals from 1 to past the optimum, so some cannot be reached.
+        goal = rng.randint(1, fresh.exact_weight(bundle) + 2)
+        answer = oracle.approx_value_subset(bundle, goal=goal)
+        assert answer.items <= bundle
+        if answer.witness is None:
+            assert brute_member(oracle.system, answer.items)
+        else:
+            assert schedule_fits(oracle.system.jobs, answer.items, answer.witness)
+        weight = oracle.additive_weight(answer.items)
+        assert answer.value == F(weight, oracle.scale)
+        if weight < goal:
+            assert answer == plain, (oracle.system, bundle, goal)
+            missed += oracle.system.kind == "budget" and answer.items != bundle
+        elif answer != plain:
+            assert oracle.system.kind == "budget", oracle.system
+            reached_early += 1
+            # A lower goal is served from the kept answer, with no new run.
+            before = len(runs)
+            lower = rng.randint(1, goal)
+            assert oracle.approx_value_subset(bundle, goal=lower) == answer
+            served_again += len(runs) == before
+        assert oracle.approx_value_subset(bundle) == plain
+        assert oracle.approx_value_subset(bundle, goal=goal) in (answer, plain)
+    assert reached_early >= 40 and missed >= 40, (reached_early, missed)
+    assert served_again == reached_early
 
 
 def test_interval_oracle_contract_on_random_instances():
