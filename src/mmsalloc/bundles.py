@@ -79,11 +79,12 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     """
     oracle, count = request.oracle, request.count
     weight_of = oracle.additive_weight
-    # On the oracle's integer scale the threshold alpha * mu_star is
-    # t_num / t_den, so a weight w reaches it when w * t_den >= t_num.
+    # On the oracle's integer scale alpha * mu_star is t = t_num / t_den; an
+    # integer weight w reaches t when w >= goal, and w <= t/2 when w <= half.
     alpha, mu_star = request.alpha, request.mu_star
     t_num = alpha.numerator * mu_star.numerator * oracle.scale
     t_den = alpha.denominator * mu_star.denominator
+    goal, half = -(-t_num // t_den), t_num // (2 * t_den)
     singleton = oracle.singleton_weights
     jobs = oracle.system.jobs if isinstance(oracle.system, IntervalSystem) else None
 
@@ -92,10 +93,9 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     built: list[tuple[Items, int, dict | None]] = []  # (bundle, weight, witness)
     high, low = [], set()
     for j in sorted(request.items):
-        scaled = singleton[j] * t_den
-        if 2 * scaled <= t_num:
+        if singleton[j] <= half:
             low.add(j)
-        elif scaled < t_num:
+        elif singleton[j] < goal:
             high.append(j)
         else:
             built.append((frozenset((j,)), oracle.weights[j], jobs and {j: jobs[j][1]}))
@@ -106,20 +106,19 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     # still bounds OPT(low | {j}) < t/(1-eps).  A query weighing less than t
     # in all is short unasked, as its answer is a subset of it.  Each query
     # asks only whether some subset reaches t, so it passes t as its goal.
-    goal = -(-t_num // t_den)
     low_weight = weight_of(low)
     for j in high:  # the list as it stood; each carve rebinds high
         while j in high and len(built) < count:
-            if (low_weight + oracle.weights[j]) * t_den < t_num:
+            if low_weight + oracle.weights[j] < goal:
                 break
             candidate = oracle.approx_value_subset(low | {j}, goal=goal)
             weight = weight_of(candidate.items)
-            if weight * t_den < t_num:
+            if weight < goal:
                 break
             bundle = set(candidate.items)
             for removable in sorted(candidate.items):
                 slimmer = weight - oracle.weights[removable]
-                if slimmer * t_den >= t_num:
+                if slimmer >= goal:
                     bundle.discard(removable)
                     weight = slimmer
             kept = frozenset(bundle)
@@ -150,7 +149,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     for items, weight, witness in built:
         assert (oracle.is_independent(items) if witness is None
                 else _schedule_is_valid(oracle.system, items, witness))
-        assert weight * t_den >= t_num
+        assert weight >= goal
         assert claimed.isdisjoint(items)
         claimed.update(items)
 

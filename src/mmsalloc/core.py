@@ -89,6 +89,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):  # JSON's Infinity and NaN, or past its range
+            raise InstanceError(f"not a rational: {json.dumps(value)}")
         # Interpret the float via its shortest decimal form, exactly.
         return Fraction(repr(value))
     if isinstance(value, str):

@@ -185,12 +185,12 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
             mu_star=estimates[agent], alpha=alpha))
 
     def shrink(agent: int, steps: int = 1) -> None:
-        for _ in range(steps):  # the cap is checked at every step
-            adjustments[agent] += 1
+        if steps:  # the count only grows, so one check trips iff a step's would
+            adjustments[agent] += steps
             if not adjustments[agent] < cap:
                 raise AssertionError(
                     f"agent {agent + 1} exceeded the adjustment bound {cap:.3f}")
-        estimates[agent] *= factor ** steps
+            estimates[agent] *= factor ** steps
 
     # Round one on all items: an agent whose maker cannot build k bundles
     # there would fail as the divider.  k bundles worth alpha * e each need

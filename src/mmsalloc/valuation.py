@@ -65,11 +65,8 @@ class ValuationOracle:
         self.epsilon = epsilon
         self._approximate = bool(epsilon) and system.kind in APPROXIMATE_ERRORS
         self.gate = gate if gate is not None else DEFAULT_GATES.get(system.kind)
-        self._subset_cache: dict[Items, IndependentBundle] = {}
-        # Answers that reached a goal, one per item set; only the budget
-        # FPTAS stops at a goal, so other oracles keep none.
-        self._reached: dict[Items, IndependentBundle] | None = \
-            {} if self._approximate and isinstance(system, BudgetSystem) else None
+        # Item set -> (answer, full); see approx_value_subset.
+        self._subset_memo: dict[Items, tuple[IndependentBundle, bool]] = {}
         self._last_walk: tuple[Items, list[int]] = (frozenset(), [])
 
     # -- additive arithmetic, on integer weights: value = weight / scale ----
@@ -219,26 +216,21 @@ class ValuationOracle:
 
         Answers are memoized for the life of the oracle: the round-one
         pre-pass and later divider runs ask the same subset queries again.
-        A reached answer is kept apart, so a query without a goal never sees
-        it, and serves any later goal it still meets.
+        One asked without a goal or short of it is full, serving every later
+        query; one that reached its goal serves the goals it still meets.
         """
         items = frozenset(bundle)
-        answer = self._subset_cache.get(items)
-        if answer is not None:
-            return answer
-        if goal is None or self._reached is None:
-            answer = self._subset_cache[items] = self._approx_value_subset(items)
-            return answer
-        answer = self._reached.get(items)
-        if answer is None or self.additive_weight(answer.items) < goal:
-            answer = self._approx_value_subset(items, goal)
-            if self.additive_weight(answer.items) >= goal:
-                self._reached[items] = answer
-            else:
-                self._subset_cache[items] = answer
+        kept = self._subset_memo.get(items)
+        if kept is not None:
+            answer, full = kept
+            if full or goal is not None and self.additive_weight(answer.items) >= goal:
+                return answer
+        answer = self._approx_value_subset(items, goal)
+        self._subset_memo[items] = (
+            answer, goal is None or self.additive_weight(answer.items) < goal)
         return answer
 
-    def _approx_value_subset(self, items: Items, goal: int | None = None) -> IndependentBundle:
+    def _approx_value_subset(self, items: Items, goal: int | None) -> IndependentBundle:
         system = self.system
         if isinstance(system, ExplicitSystem):  # one incidence walk
             return self._reduce_explicit(items, whole=True)
@@ -282,11 +274,7 @@ class AdversarialOracle(ValuationOracle):
 
     ENUMERATION_GATE = 16
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._reached = None  # the answer at the bound, whatever the goal
-
-    def _approx_value_subset(self, items: Items) -> IndependentBundle:
+    def _approx_value_subset(self, items: Items, goal: int | None) -> IndependentBundle:
         if len(items) > self.ENUMERATION_GATE:
             raise ExactnessGateExceeded(
                 f"adversarial enumeration over {len(items)} items exceeds the "

@@ -345,6 +345,22 @@ def test_integer_thresholds_match_the_fraction_reference_at_ties():
                        == threshold for j in ours.items)
     assert compared >= 400
     assert at_threshold >= 60 and carved_or_paired >= 20 and at_half >= 60
+    # Near ties: mu* is a tie value times 1 +- 1/D, with D = 7^200, the
+    # denominator an estimate carries after a few hundred k/(k+1) shrinks,
+    # so ceil(t) and floor(t/2) sit one away from the tie.
+    nudged = near = 0
+    for ours, reference in _tie_requests(rng, 240):
+        tie = ours.alpha * ours.mu_star
+        factor = 1 + rng.choice((1, -1)) * F(1, 7 ** 200)
+        ours, reference = (replace(r, mu_star=r.mu_star * factor)
+                           for r in (ours, reference))
+        expected = _reference_make_bundles(reference)
+        assert make_bundles_alpha(ours) == expected, ours
+        nudged += 1
+        near += any(b.value == tie for b in expected or ()) or any(
+            2 * F(ours.oracle.singleton_weights[j], ours.oracle.scale) == tie
+            for j in ours.items)
+    assert nudged >= 200 and near >= 60, (nudged, near)
 
 
 def _count_queries(oracle):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmsalloc.cli import main as cli_main
 from mmsalloc.core import (
     AsymmetricSpec,
     BudgetSystem,
@@ -45,6 +46,35 @@ def test_parse_rational_forms():
     assert parse_rational("7") == F(7)
     assert parse_rational("0.25") == F(1, 4)
     assert parse_rational(5) == F(5)
+
+
+# JSON's non-finite numbers, and a literal past the float range, which
+# json reads as inf, each with the quote the refusal carries.
+_NON_FINITE = [("Infinity", "Infinity"), ("-Infinity", "-Infinity"),
+               ("NaN", "NaN"), ("1e400", "Infinity")]
+
+
+@pytest.mark.parametrize("literal, quoted", _NON_FINITE)
+@pytest.mark.parametrize("where", ["value", "size", "budget"])
+def test_a_non_finite_number_is_not_a_rational(literal, quoted, where):
+    value, size, budget = ((literal if where == w else '"1"')
+                           for w in ("value", "size", "budget"))
+    text = (f'{{"n": 1, "m": 2, "values": [[{value}, "1"]], "system": '
+            f'{{"kind": "budget", "sizes": [{size}, "1"], "budget": {budget}}}}}')
+    with pytest.raises(InstanceError, match=f"^not a rational: {quoted}$"):
+        instance_from_json(text)
+
+
+@pytest.mark.parametrize("literal, quoted", _NON_FINITE)
+def test_a_non_finite_config_epsilon_is_an_input_error(tmp_path, capsys,
+                                                       literal, quoted):
+    instance_path, config_path = tmp_path / "inst.json", tmp_path / "config.json"
+    instance_path.write_text('{"n": 1, "m": 1, "values": [["1"]], '
+                             '"system": {"kind": "free"}}')
+    config_path.write_text(f'{{"mode": "alpha", "epsilon": {literal}}}')
+    assert cli_main(["solve", str(instance_path), "--config",
+                     str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: not a rational: {quoted}\n"
 
 
 def test_validate_accepts_identity_case():

@@ -160,6 +160,19 @@ def test_pre_pass_shrinks_check_the_adjustment_cap(monkeypatch):
         solve_two_fifths(inst)
 
 
+def test_a_pre_pass_with_no_shrink_checks_no_cap(monkeypatch):
+    # Two agents valuing two free items at 1 start at estimate 2, below the
+    # ceiling 2 / (2 * 2/5) = 5/2, and each singleton reaches the threshold
+    # 4/5: the pre-pass shrinks no one, so even a cap of 0.0 never trips.
+    inst = validate_instance(Instance(
+        n=2, m=2, values=((F(1), F(1)),) * 2, system=FreeSystem()))
+    monkeypatch.setattr(mmsalloc.driver, "math",
+                        types.SimpleNamespace(log=lambda m: 0.0))
+    result = solve_two_fifths(inst)
+    assert result.adjustments == {0: 0, 1: 0}
+    assert len(result.runs) == 1
+
+
 def test_an_estimate_at_the_singleton_ceiling_stays():
     # Two agents valuing five free items at (3, 3, 1, 1, 0) start at 5 * 3 =
     # 15 against the ceiling 8 / (2 * 2/5) = 10.  One shrink by 2/3 lands on

@@ -453,6 +453,128 @@ def test_a_goal_answer_reaches_it_or_is_the_answer_without_one(monkeypatch):
     assert served_again == reached_early
 
 
+class _TwoMemoRule:
+    """Reference: the two-memo rule the one memo replaced.  Answers without
+    a goal and short answers go to ``_subset_cache``, which serves every
+    later query; answers that reached a goal go to ``_reached``, which only
+    approximate budget oracles other than the adversary keep."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._subset_cache = {}
+        self._reached = ({} if self._approximate and isinstance(
+            self.system, BudgetSystem) and not isinstance(self, AdversarialOracle)
+            else None)
+
+    def approx_value_subset(self, bundle, goal=None):
+        items = frozenset(bundle)
+        answer = self._subset_cache.get(items)
+        if answer is not None:
+            return answer
+        if goal is None or self._reached is None:
+            answer = self._subset_cache[items] = self._approx_value_subset(items, None)
+            return answer
+        answer = self._reached.get(items)
+        if answer is None or self.additive_weight(answer.items) < goal:
+            answer = self._approx_value_subset(items, goal)
+            if self.additive_weight(answer.items) >= goal:
+                self._reached[items] = answer
+            else:
+                self._subset_cache[items] = answer
+        return answer
+
+
+class _TwoMemoOracle(_TwoMemoRule, ValuationOracle):
+    pass
+
+
+class _TwoMemoAdversary(_TwoMemoRule, AdversarialOracle):
+    pass
+
+
+def _memo_system(rng, kind, m):
+    """A random system of one kind: explicit, free, budget or interval."""
+    if kind == "explicit":
+        return ExplicitSystem.normalize(
+            frozenset(j for j in range(m) if rng.random() < 0.6)
+            for _ in range(rng.randint(1, 4)))
+    if kind == "free":
+        return FreeSystem()
+    if kind == "interval":
+        jobs = []
+        for _ in range(m):
+            p, r = rng.randint(1, 3), rng.randint(1, 5)
+            jobs.append((p, r, r + p - 1 + rng.randint(0, 4)))
+        return IntervalSystem(jobs=tuple(jobs))
+    return BudgetSystem(
+        sizes=tuple(F(rng.randint(0, 9), rng.choice((1, 2))) for _ in range(m)),
+        budget=F(rng.randint(0, 18), rng.choice((1, 2))))
+
+
+# (system kind, error bounds, adversary?): explicit, free, exact budget,
+# budget FPTAS, interval at error 1/2, and the adversary on either family.
+_MEMO_SETTINGS = (
+    ("explicit", (F(0),), False), ("free", (F(0),), False),
+    ("budget", (F(0),), False), ("budget", (F(1, 2), F(1, 3), F(1, 5), F(1, 9)), False),
+    ("interval", (F(1, 2),), False), ("explicit", (F(1, 3), F(1, 2)), True),
+    ("budget", (F(1, 3), F(1, 2)), True))
+
+
+def test_one_memo_answers_as_the_two_memo_rule(monkeypatch):
+    """Seeded query histories, each asked of the library oracle and of the
+    two-memo reference: plain queries, falling goals, rising goals and
+    random ones, over a few overlapping item sets asked again and again.
+    Every answer equals the reference's in items, value and witness, and
+    a budget FPTAS oracle runs the knapsack as often as the reference."""
+    runs = []
+    fptas = mmsalloc.valuation._knapsack
+
+    def counting(*args):
+        runs.append(args)
+        return fptas(*args)
+
+    monkeypatch.setattr(mmsalloc.valuation, "_knapsack", counting)
+    rng = random.Random(2027)
+    reached_early = 0
+    for trial in range(840):
+        kind, errors, adversarial = _MEMO_SETTINGS[trial % len(_MEMO_SETTINGS)]
+        history = ("plain", "falling", "rising", "random")[
+            trial // len(_MEMO_SETTINGS) % 4]
+        m = rng.randint(1, 11)
+        values = tuple(F(rng.randint(0, 9), rng.choice((1, 2, 3))) for _ in range(m))
+        system, eps = _memo_system(rng, kind, m), rng.choice(errors)
+        ours, fresh, reference = (
+            cls(system, values, epsilon=eps) for cls in
+            ((AdversarialOracle, AdversarialOracle, _TwoMemoAdversary) if adversarial
+             else (ValuationOracle, ValuationOracle, _TwoMemoOracle)))
+        base = frozenset(j for j in range(m) if rng.random() < 0.85)
+        pool = [base] + [frozenset(j for j in base if rng.random() < 0.7)
+                         for _ in range(2)]
+        top = {items: fresh.exact_weight(items) + 2 for items in pool}
+        plain = {items: fresh.approx_value_subset(items) for items in pool}
+        counted = kind == "budget" and eps and not adversarial
+        for step in range(12):
+            items = rng.choice(pool)
+            if history == "plain" or history == "random" and rng.random() < 0.3:
+                goal = None
+            elif history == "falling":
+                goal = max(1, -(-top[items] * (11 - step) // 11))
+            elif history == "rising":
+                goal = max(1, top[items] * step // 11)
+            else:
+                goal = rng.randint(1, top[items])
+            before = len(runs)
+            answer = ours.approx_value_subset(items, goal)
+            ours_ran = len(runs) - before
+            expected = reference.approx_value_subset(items, goal)
+            assert not counted or len(runs) - before == 2 * ours_ran
+            assert (answer.items, answer.value, answer.witness) == \
+                (expected.items, expected.value, expected.witness), \
+                (system, eps, adversarial, history, items, goal)
+            reached_early += answer != plain[items]
+    assert reached_early >= 40, reached_early
+
+
 def test_interval_oracle_contract_on_random_instances():
     rng = random.Random(5)
     for trial in range(120):
