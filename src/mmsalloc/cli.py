@@ -83,7 +83,12 @@ def _cmd_gen(args) -> int:
     elif args.family == "asym-half":
         instance = gen_asymmetric_half(args.n)
     elif args.family == "three-partition":
-        numbers = [int(x) for x in args.numbers.split(",") if x.strip()]
+        numbers = []
+        for entry in filter(str.strip, args.numbers.split(",")):
+            try:
+                numbers.append(int(entry))
+            except ValueError:
+                raise ValueError(f"--numbers: {entry.strip()!r} is not an integer") from None
         instance = gen_three_partition(numbers)
     else:  # "random"; argparse refuses any other family
         instance = gen_random_hereditary(m=args.m, n=args.n,

@@ -82,23 +82,21 @@ class UnsupportedSystem(ValueError):
 
 def parse_rational(value) -> Fraction:
     """Convert an int or a "p/q" / "p" / decimal string to an exact Fraction."""
-    if isinstance(value, bool):
-        raise InstanceError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        if not math.isfinite(value):  # JSON's Infinity and NaN, or past its range
-            raise InstanceError(f"not a rational: {json.dumps(value)}")
-        # Interpret the float via its shortest decimal form, exactly.
-        return Fraction(repr(value))
+    if isinstance(value, float) and math.isfinite(value):
+        return Fraction(repr(value))  # its shortest decimal form, exactly
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceError(f"not a rational: {value!r}") from exc
-    raise InstanceError(f"not a rational: {value!r}")
+        except (ValueError, ZeroDivisionError):
+            pass
+    # JSON's literals (null, true, Infinity) are quoted as JSON writes them
+    json_literal = value is None or isinstance(value, (bool, float))
+    raise InstanceError("not a rational: "
+                        + (json.dumps(value) if json_literal else repr(value)))
 
 
 def scaled_weights(values) -> tuple[int, tuple[int, ...]]:
@@ -311,7 +309,8 @@ class Allocation:
 def _check_item_indices(indices, m: int, what: str) -> None:
     for j in indices:
         if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < m:
-            raise IndexOutOfRange(f"{what}: item index {j!r} not in [0, {m})")
+            number = j + 1 if type(j) is int else repr(j)  # files count from 1
+            raise IndexOutOfRange(f"{what}: item {number} not in [1, {m}]")
 
 
 def _validate_system(system: SetSystem, m: int) -> None:
@@ -342,7 +341,7 @@ def _validate_system(system: SetSystem, m: int) -> None:
         for a, b in system.edges:
             _check_item_indices((a, b), m, "conflict edge")
             if a == b:
-                raise InstanceError(f"conflict self-loop on item {a}")
+                raise InstanceError(f"conflict self-loop on item {a + 1}")
         return
     if isinstance(system, IntervalSystem):
         if len(system.jobs) != m:
@@ -402,8 +401,9 @@ def validate_instance(instance: Instance) -> Instance:
         for sys_i in spec.systems:
             _validate_system(sys_i, m)
         if sorted(spec.ordering) != list(range(n)):
+            numbers = [i + 1 if type(i) is int else i for i in spec.ordering]
             raise IndexOutOfRange(
-                f"entitled ordering {spec.ordering} is not a permutation of the agents")
+                f"entitled ordering {numbers} is not a permutation of the agents")
         for prev, nxt in zip(spec.ordering, spec.ordering[1:]):
             if not system_subseteq(spec.systems[prev], spec.systems[nxt], m):
                 raise NonNestedEntitledFamilies(

@@ -296,10 +296,8 @@ class AdversarialOracle(ValuationOracle):
 
 
 def singleton_weights(system: SetSystem, weights) -> tuple:
-    """Each weight, or 0 where {j} is not independent.  Every interval job
-    fits its own window (validated at construction), so needs no test."""
-    if isinstance(system, IntervalSystem):
-        return tuple(weights)
+    """Each weight, or 0 where {j} is not independent.  Validated interval
+    jobs fit their own windows, and conflict graphs have no self-loops."""
     if isinstance(system, ExplicitSystem):  # {j} fits a set exactly when held
         held = system.incidence
         return tuple(w if j in held else 0 for j, w in enumerate(weights))
@@ -307,8 +305,7 @@ def singleton_weights(system: SetSystem, weights) -> tuple:
         sizes, capacity = system.scaled
         return tuple(w if size <= capacity else 0
                      for w, size in zip(weights, sizes))
-    return tuple(w if w and system.independent(frozenset((j,))) else 0
-                 for j, w in enumerate(weights))
+    return tuple(weights)
 
 
 def oracle_for(instance: Instance, agent: int, epsilon: Fraction = ZERO, *,
@@ -459,17 +456,17 @@ def _interval_schedule(jobs, search=True):
     answers: when the machine is free, it starts the released job due first,
     taking released jobs from a heap by (deadline, release, position).  When
     that misses a deadline and ``_preemptive_fits`` refuses the jobs, no
-    schedule exists.  Otherwise the recurrence of ``_interval_table`` runs
-    forwards over sequence prefixes, keeping each prefix mask's least finish
-    slot, and drops a prefix once the jobs outside it cannot all run after
-    that slot: the work due by some deadline b exceeds b - finish (a job
-    that no longer fits its window fails this at its own deadline).  Nor
-    does it append a job released after another pending job could finish,
-    since running that one in the gap first delays nothing.  So from every
-    prefix whose outside jobs fit after its finish, a schedule of them that
-    the search follows exists, and the answer is exact.  A schedule is read
-    back from the full mask through the kept layers: each entry's finish is
-    reached by appending one of its jobs to an entry of the layer before.
+    schedule exists.  Otherwise a depth-first search runs the recurrence of
+    ``_interval_table`` over sequence prefixes, appending jobs in position
+    order.  It skips a prefix mask explored before at no later finish (what
+    completes this one completes that one), and drops a prefix whose outside
+    jobs cannot all run after its finish: the work due by some deadline b
+    exceeds b - finish.  Nor does it append a job released after another
+    pending job could finish, since running that one in the gap first delays
+    nothing.  So from every prefix whose outside jobs fit after its finish,
+    a schedule of them that the search follows exists, and the answer is
+    exact.  Each append writes its job's start: the first full sequence
+    reached is the schedule.
     """
     releases = sorted((r, d, t, p) for t, (p, r, d) in enumerate(jobs))
     released: list[tuple[int, int, int, int]] = []  # (d, r, position, p)
@@ -503,32 +500,29 @@ def _interval_schedule(jobs, search=True):
                     return False
         return True
 
-    layers = [{0: 0}]
-    for _ in jobs:
-        grown: dict[int, int] = {}
-        for mask, finish in layers[-1].items():
-            ends = {t: max(r, finish + 1) + p - 1
-                    for t, (p, r, _) in enumerate(jobs) if not mask >> t & 1}
-            soonest = min(ends.values())
-            for t, end in ends.items():
-                _, r, d = jobs[t]
-                longer = mask | 1 << t
-                if r <= soonest and end <= d \
-                        and end < grown.get(longer, end + 1):
-                    grown[longer] = end
-        layers.append({mask: finish for mask, finish in grown.items()
-                       if rest_fits(mask, finish)})
-    if not layers[-1]:
-        return None
-    [(mask, finish)] = layers[-1].items()
-    for before in reversed(layers[:-1]):
-        for t, (p, r, d) in enumerate(jobs):
-            prev = before.get(mask ^ 1 << t)  # None unless t is in mask
-            if prev is not None and max(r, prev + 1) + p - 1 == finish <= d:
-                starts[t] = finish - p + 1
-                mask, finish = mask ^ 1 << t, prev
-                break
-    return starts
+    explored: dict[int, int] = {}  # prefix mask -> least finish explored at
+
+    def grow(mask, finish):
+        ends = {t: max(r, finish + 1) + p - 1
+                for t, (p, r, _) in enumerate(jobs) if not mask >> t & 1}
+        soonest = min(ends.values())
+        for t, end in ends.items():
+            p, r, d = jobs[t]
+            longer = mask | 1 << t
+            if r <= soonest and end <= d and end < explored.get(longer, end + 1):
+                explored[longer] = end
+                if rest_fits(longer, end):
+                    starts[t] = end - p + 1
+                    yield longer, end
+
+    stack = [grow(0, 0)]  # one per prefix length, so a full prefix outgrows jobs
+    while 0 < len(stack) <= len(jobs):
+        prefix = next(stack[-1], None)
+        if prefix is None:
+            stack.pop()
+        else:
+            stack.append(grow(*prefix))
+    return starts if stack else None
 
 
 def _preemptive_fits(jobs) -> bool:

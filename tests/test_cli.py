@@ -366,7 +366,14 @@ _EXPLICIT = {"kind": "explicit", "maximal_sets": [[1, 2]]}
                  id="no-system"),
     pytest.param({**_TWO_BY_TWO, "asymmetric": [_EXPLICIT] * 2,
                   "entitled": [1, 1]}, None,
-                 "is not a permutation of the agents", id="order-not-a-permutation"),
+                 "error: entitled ordering [1, 1] is not a permutation of the agents",
+                 id="order-not-a-permutation"),
+    pytest.param({**_TWO_BY_TWO, "system": {"kind": "explicit",
+                                            "maximal_sets": [[1, 5]]}},
+                 None, "error: explicit family: item 5 not in [1, 2]\n",
+                 id="explicit-item-out-of-range"),
+    pytest.param({**_TWO_BY_TWO, "system": {"kind": "conflict", "edges": [[1, 1]]}},
+                 None, "error: conflict self-loop on item 1\n", id="conflict-self-loop"),
     pytest.param({**_TWO_BY_TWO, "entitled": [1, 2], "asymmetric": [
         {"kind": "explicit", "maximal_sets": [[1]]},
         {"kind": "explicit", "maximal_sets": [[2]]}]}, None,
@@ -436,6 +443,7 @@ def test_each_input_error_exits_2_with_one_line(tmp_path, capsys, instance,
      "expected a non-empty multiset of positive integers"),
     (["random", "--lo", "5", "--hi", "2"], "bad value range (5, 2)"),
     (["random", "--m", "-1"], "m and n must be non-negative"),
+    (["three-partition", "--numbers", "1, x"], "--numbers: 'x' is not an integer"),
 ])
 def test_gen_refuses_bad_parameters_with_exit_2_and_one_line(tmp_path, capsys,
                                                              argv, needle):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -52,9 +53,11 @@ def test_parse_rational_forms():
 # json reads as inf, each with the quote the refusal carries.
 _NON_FINITE = [("Infinity", "Infinity"), ("-Infinity", "-Infinity"),
                ("NaN", "NaN"), ("1e400", "Infinity")]
+# JSON's other literals are quoted as JSON writes them, not as Python does.
+_LITERALS = [("null", "null"), ("true", "true"), ("false", "false")]
 
 
-@pytest.mark.parametrize("literal, quoted", _NON_FINITE)
+@pytest.mark.parametrize("literal, quoted", _NON_FINITE + _LITERALS)
 @pytest.mark.parametrize("where", ["value", "size", "budget"])
 def test_a_non_finite_number_is_not_a_rational(literal, quoted, where):
     value, size, budget = ((literal if where == w else '"1"')
@@ -75,6 +78,15 @@ def test_a_non_finite_config_epsilon_is_an_input_error(tmp_path, capsys,
     assert cli_main(["solve", str(instance_path), "--config",
                      str(config_path)]) == 2
     assert capsys.readouterr().err == f"error: not a rational: {quoted}\n"
+
+
+@pytest.mark.parametrize("value, quoted", [
+    (None, "null"), (True, "true"), (float("nan"), "NaN"), ("x", "'x'"),
+    (1j, "1j"), (F, "<class 'fractions.Fraction'>")])
+def test_a_refused_library_value_is_quoted_as_json_only_when_json_holds_it(
+        value, quoted):
+    with pytest.raises(InstanceError, match=f"^not a rational: {re.escape(quoted)}$"):
+        parse_rational(value)
 
 
 def test_validate_accepts_identity_case():
@@ -128,14 +140,15 @@ def test_validate_rejects_bad_interval():
 def test_validate_rejects_conflict_self_loop():
     inst = Instance(n=1, m=2, values=((F(1), F(1)),),
                     system=ConflictSystem(edges=((0, 1), (1, 1))))
-    with pytest.raises(InstanceError, match="self-loop on item 1"):
+    with pytest.raises(InstanceError, match="self-loop on item 2$"):
         validate_instance(inst)
 
 
 def test_validate_rejects_out_of_range_items():
     system = ExplicitSystem.normalize([{0, 5}])
     inst = Instance(n=1, m=3, values=((F(1), F(1), F(1)),), system=system)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange,
+                       match=re.escape("explicit family: item 6 not in [1, 3]")):
         validate_instance(inst)
 
 

@@ -843,6 +843,14 @@ def test_interval_independence_matches_the_subset_table():
             p, r = crowded.randint(1, 3), crowded.randint(1, 2 * k)
             jobs.append((p, r, r + p - 1 + crowded.randint(0, 3)))
         corpus.append(jobs)
+    wide, first_wide = random.Random(5), len(corpus)
+    while len(corpus) < first_wide + 60:  # windows up to 30 slots past the job
+        k, jobs = wide.randint(8, 13), []
+        for _ in range(k):
+            p, r = wide.randint(1, 4), wide.randint(1, 2 * k)
+            jobs.append((p, r, r + p - 1 + wide.randint(0, 30)))
+        if _list_schedule(jobs) is None:  # only where the search decides
+            corpus.append(jobs)
     answers, refused = [], 0
     for jobs in corpus:
         system = IntervalSystem(jobs=tuple(jobs))
@@ -853,6 +861,8 @@ def test_interval_independence_matches_the_subset_table():
         assert answer == (table is not None), jobs
         starts = mmsalloc.valuation._interval_schedule(jobs)
         assert (starts is not None) == answer, jobs
+        assert starts is None or _schedule_is_valid(
+            system, frozenset(items), dict(zip(items, starts))), jobs
         listed = _list_schedule(jobs)
         assert mmsalloc.valuation._interval_schedule(jobs, search=False) \
             == listed, jobs
@@ -871,6 +881,21 @@ def test_interval_independence_matches_the_subset_table():
     assert tally[True, False] >= 10, tally
     assert (False, True) not in tally
     assert refused >= 400, refused
+    wide_fits = sum(answer for answer, _ in answers[first_wide:])
+    assert 20 <= wide_fits <= 50, wide_fits
+
+
+def test_interval_search_schedules_a_long_chain_on_its_own_stack():
+    """Six hundred blocks of a long job and a unit job pinned inside its
+    window: the list schedule misses at the first block, so the search holds
+    a prefix 1,200 jobs long, deeper than Python's recursion limit."""
+    jobs = [job for b in range(600)
+            for job in ((3, 20 * b + 1, 20 * b + 10), (1, 20 * b + 2, 20 * b + 2))]
+    assert _list_schedule(jobs) is None
+    starts = mmsalloc.valuation._interval_schedule(jobs)
+    system = IntervalSystem(jobs=tuple(jobs))
+    assert _schedule_is_valid(system, frozenset(range(len(jobs))),
+                              dict(enumerate(starts)))
 
 
 def test_schedule_check_refuses_missing_jobs_windows_and_overlaps():
