@@ -50,7 +50,8 @@ def bundles_from_mms_partition(oracle: ValuationOracle, record: MmsRecord,
     survivors = []
     for block in record.witness:
         restricted = block & items
-        if oracle.exact_value(restricted) >= threshold:
+        if oracle.exact_weight(restricted) * threshold.denominator \
+                >= threshold.numerator * oracle.scale:
             survivors.append(oracle.reduce_to_independent(restricted))
         if len(survivors) == count:
             break
@@ -112,7 +113,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
             if low_weight + oracle.weights[j] < goal:
                 break
             candidate = oracle.approx_value_subset(low | {j}, goal=goal)
-            weight = weight_of(candidate.items)
+            weight = candidate.weight
             if weight < goal:
                 break
             bundle = set(candidate.items)
@@ -155,5 +156,5 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
 
     if len(built) < count:
         return None
-    return [IndependentBundle(items, Fraction(weight, oracle.scale), witness)
+    return [IndependentBundle(items, weight, oracle.scale, witness)
             for items, weight, witness in built[:count]]

@@ -400,7 +400,8 @@ def validate_instance(instance: Instance) -> Instance:
                 f"entitled spec has {len(spec.systems)} systems for {n} agents")
         for sys_i in spec.systems:
             _validate_system(sys_i, m)
-        if sorted(spec.ordering) != list(range(n)):
+        # A boolean sorts as 0 or 1, so it must not pass for an agent.
+        if bool in map(type, spec.ordering) or sorted(spec.ordering) != list(range(n)):
             numbers = [i + 1 if type(i) is int else i for i in spec.ordering]
             raise IndexOutOfRange(
                 f"entitled ordering {numbers} is not a permutation of the agents")

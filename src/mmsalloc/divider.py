@@ -32,7 +32,7 @@ class RoundRecord:
     agents: tuple[int, ...]
     swaps: tuple[tuple[int, int], ...]
     bundles: tuple[Items, ...]
-    edge_values: tuple[tuple[int, int, Fraction], ...]
+    grants: tuple[tuple[int, int, IndependentBundle], ...]
     matching: tuple[tuple[int, int], ...]
     awarded: tuple[tuple[int, Items], ...]
 
@@ -77,7 +77,7 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
                 return DividerOutcome(allocation=None, failed_agent=divider,
                                       trace=tuple(trace))
             assert len(bundles) == len(remaining)
-            assert all(b.value >= thresholds[divider] for b in bundles)
+            assert all(_reaches(b, thresholds[divider]) for b in bundles)
             offers = offers_for(divider, remaining, bundles)
             if not isinstance(offers, int):
                 break
@@ -88,10 +88,9 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
 
         grants = {(agent, idx): bundle if agent == divider else offers[agent, idx]
                   for agent in remaining for idx, bundle in enumerate(bundles)}
-        adjacency = [[idx for idx in range(len(bundles))  # value >= t, on integers
-                      if (value := grants[agent, idx].value).numerator * t.denominator
-                      >= t.numerator * value.denominator]
-                     for agent in remaining for t in [thresholds[agent]]]
+        adjacency = [[idx for idx in range(len(bundles))
+                      if _reaches(grants[agent, idx], thresholds[agent])]
+                     for agent in remaining]
         matched = [(remaining[pos], idx) for pos, idx in
                    envy_free_matching(len(remaining), len(bundles), adjacency)]
         assert matched and any(agent == divider for agent, _ in matched)
@@ -99,15 +98,15 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
         awarded = []
         for agent, idx in matched:
             granted = grants[agent, idx]
-            assert granted.value >= thresholds[agent]
+            assert _reaches(granted, thresholds[agent])
             allocation[agent] = granted
             awarded.append((agent, granted.items))
 
         trace.append(RoundRecord(
             index=len(trace), divider=divider, agents=tuple(remaining),
             swaps=tuple(swaps), bundles=tuple(b.items for b in bundles),
-            edge_values=tuple((agent, idx, granted.value)
-                              for (agent, idx), granted in grants.items()),
+            grants=tuple((agent, idx, granted)
+                         for (agent, idx), granted in grants.items()),
             matching=tuple(matched), awarded=tuple(awarded)))
         matched_agents = {agent for agent, _ in matched}
         taken = frozenset().union(*(bundles[idx].items for _, idx in matched))
@@ -116,6 +115,11 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
 
     return DividerOutcome(allocation=allocation, failed_agent=None,
                           trace=tuple(trace))
+
+
+def _reaches(bundle: IndependentBundle, t: Fraction) -> bool:
+    """Whether the bundle is worth at least t, on integers."""
+    return bundle.weight * t.denominator >= t.numerator * bundle.scale
 
 
 def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker,
@@ -131,8 +135,8 @@ def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker,
     """
     def additive(divider, remaining, bundles):
         return {(agent, idx): IndependentBundle(
-                    items=bundle.items, witness=bundle.witness,
-                    value=oracles[agent].additive_value(bundle.items))
+                    bundle.items, oracles[agent].additive_weight(bundle.items),
+                    oracles[agent].scale, bundle.witness)
                 for agent in remaining if agent != divider
                 for idx, bundle in enumerate(bundles)}
 
@@ -158,11 +162,10 @@ def lone_divider_entitled(instance: Instance, thresholds: dict[int, Fraction],
             if agent == divider:
                 continue
             shrink = ONE - oracles[agent].epsilon
-            weight_of = oracles[agent].additive_weight
             for idx, bundle in enumerate(bundles):
                 subset = oracles[agent].approx_value_subset(bundle.items)
-                if (weight_of(subset.items) * shrink.denominator
-                        < shrink.numerator * weight_of(bundle.items)):
+                if (subset.weight * shrink.denominator < shrink.numerator
+                        * oracles[agent].additive_weight(bundle.items)):
                     # The bundle is independent for the current divider but
                     # not for this agent, so her family is strictly smaller.
                     return agent
@@ -183,8 +186,8 @@ def trace_to_dicts(outcome: DividerOutcome, run: int = 1) -> list[dict]:
             "agents": [a + 1 for a in record.agents],
             "swaps": [[a + 1, b + 1] for a, b in record.swaps],
             "bundles": [sorted(j + 1 for j in b) for b in record.bundles],
-            "edges": [[a + 1, idx + 1, str(v)]
-                      for a, idx, v in record.edge_values],
+            "edges": [[a + 1, idx + 1, str(granted.value)]
+                      for a, idx, granted in record.grants],
             "matching": [[a + 1, idx + 1] for a, idx in record.matching],
             "awarded": [[a + 1, sorted(j + 1 for j in items)]
                         for a, items in record.awarded],

@@ -37,11 +37,25 @@ APPROXIMATE_ERRORS = {"budget": ZERO, "interval": Fraction(1, 2)}
 
 @dataclass(frozen=True)
 class IndependentBundle:
-    """An independent bundle, its (additive) exact value and any schedule of it."""
+    """An independent bundle, its (additive) exact weight on its oracle's
+    integer scale, so its value is weight / scale, and any schedule of it.
+    Bundles are equal when their items and values are."""
 
     items: Items
-    value: Fraction
+    weight: int
+    scale: int
     witness: dict[int, int] | None = field(default=None, compare=False)
+
+    @cached_property
+    def value(self) -> Fraction:
+        return Fraction(self.weight, self.scale)
+
+    def __eq__(self, other):
+        return isinstance(other, IndependentBundle) and \
+            (self.items, self.value) == (other.items, other.value)
+
+    def __hash__(self):
+        return hash((self.items, self.value))
 
 
 class ValuationOracle:
@@ -73,9 +87,6 @@ class ValuationOracle:
 
     def additive_weight(self, bundle) -> int:
         return sum(map(self.weights.__getitem__, bundle))
-
-    def additive_value(self, bundle) -> Fraction:
-        return Fraction(self.additive_weight(bundle), self.scale)
 
     # -- independence -------------------------------------------------------
 
@@ -160,18 +171,18 @@ class ValuationOracle:
         Scans items in ascending index order and drops each item whose removal
         keeps the value unchanged; with ties between equal-value independent
         subsets the result therefore depends on this order.  Uses at most
-        len(bundle) + 1 exact value queries; explicit families need none, as
+        len(bundle) + 1 exact weight queries; explicit families need none, as
         one walk of the item-to-sets incidence gives every set's weight.
         """
         items = frozenset(bundle)
         if isinstance(self.system, ExplicitSystem):
             return self._reduce_explicit(items)
-        value = self.exact_value(items)
+        weight = self.exact_weight(items)
         for j in sorted(items):
             without = items - {j}
-            if self.exact_value(without) == value:
+            if self.exact_weight(without) == weight:
                 items = without
-        return IndependentBundle(items=items, value=value)
+        return IndependentBundle(items, weight, self.scale)
 
     def _reduce_explicit(self, items: Items, whole: bool = False) -> IndependentBundle:
         """The ascending scan of ``reduce_to_independent`` over the optimal
@@ -184,10 +195,10 @@ class ValuationOracle:
         nothing or some set still at the value lacks it; only those then stay.
         """
         if not self.system.maximal_sets:
-            return IndependentBundle(items=frozenset(), value=ZERO)
+            return IndependentBundle(frozenset(), 0, self.scale)
         sums = self._set_weights(items)
-        value = max(sums)
-        best = sum(1 << t for t, s in enumerate(sums) if s == value)
+        weight = max(sums)
+        best = sum(1 << t for t, s in enumerate(sums) if s == weight)
         masks, kept = self.system.masks, []
         positive = sorted(filter(self.weights.__getitem__, items))
         for j in positive:
@@ -200,8 +211,7 @@ class ValuationOracle:
         if whole and len(kept) == len(positive) and reduce(
                 int.__and__, [masks.get(j, 0) for j in items], best):
             kept = items
-        return IndependentBundle(items=frozenset(kept),
-                                 value=Fraction(value, self.scale))
+        return IndependentBundle(frozenset(kept), weight, self.scale)
 
     # -- approximate subset queries ------------------------------------------
 
@@ -223,11 +233,10 @@ class ValuationOracle:
         kept = self._subset_memo.get(items)
         if kept is not None:
             answer, full = kept
-            if full or goal is not None and self.additive_weight(answer.items) >= goal:
+            if full or goal is not None and answer.weight >= goal:
                 return answer
         answer = self._approx_value_subset(items, goal)
-        self._subset_memo[items] = (
-            answer, goal is None or self.additive_weight(answer.items) < goal)
+        self._subset_memo[items] = (answer, goal is None or answer.weight < goal)
         return answer
 
     def _approx_value_subset(self, items: Items, goal: int | None) -> IndependentBundle:
@@ -240,16 +249,16 @@ class ValuationOracle:
             witness = _interval_witness(system, items, len(items) <= self.gate)
             if witness is None:
                 witness = _interval_local_ratio(system, self.weights, sorted(items))
-            return IndependentBundle(frozenset(witness), self.additive_value(witness),
-                                     witness)
+            return IndependentBundle(frozenset(witness), self.additive_weight(witness),
+                                     self.scale, witness)
         if self.is_independent(items):
-            return IndependentBundle(items=items, value=self.additive_value(items))
+            return IndependentBundle(items, self.additive_weight(items), self.scale)
         if not self._approximate:
             return self.reduce_to_independent(items)
         chosen = _knapsack(sorted(items), self.weights, *system.scaled,
                            self.epsilon, goal)
-        return IndependentBundle(items=frozenset(chosen),
-                                 value=self.additive_value(chosen))
+        return IndependentBundle(frozenset(chosen), self.additive_weight(chosen),
+                                 self.scale)
 
     def schedule_witness(self, bundle) -> dict[int, int]:
         """Start times proving an interval bundle schedulable (gated)."""
@@ -279,20 +288,20 @@ class AdversarialOracle(ValuationOracle):
             raise ExactnessGateExceeded(
                 f"adversarial enumeration over {len(items)} items exceeds the "
                 f"gate {self.ENUMERATION_GATE}")
-        bound = (ONE - self.epsilon) * self.exact_value(items)
+        bound = (ONE - self.epsilon) * self.exact_weight(items)  # on the weight scale
         ordered = sorted(items)
-        best: tuple[Fraction, tuple[int, ...]] | None = None
+        best: tuple[int, tuple[int, ...]] | None = None
         for mask in range(1 << len(ordered)):
             subset = frozenset(ordered[t] for t in range(len(ordered))
                                if mask >> t & 1)
-            value = self.additive_value(subset)
-            if value < bound or not self.is_independent(subset):
+            weight = self.additive_weight(subset)
+            if weight < bound or not self.is_independent(subset):
                 continue
-            key = (value, tuple(sorted(subset)))
+            key = (weight, tuple(sorted(subset)))
             if best is None or key < best:
                 best = key
         assert best is not None  # the reduced optimum always qualifies
-        return IndependentBundle(items=frozenset(best[1]), value=best[0])
+        return IndependentBundle(frozenset(best[1]), best[0], self.scale)
 
 
 def singleton_weights(system: SetSystem, weights) -> tuple:

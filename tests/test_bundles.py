@@ -150,7 +150,8 @@ def test_multi_item_bundles_are_minimal_and_value_capped():
             # (3/5) mu*; pairs of two high items are exempt.
             if any(F(oracle.singleton_weights[j], oracle.scale) <= threshold / 2
                    for j in bundle.items):
-                assert oracle.additive_value(bundle.items) < F(3, 5) * mu
+                assert F(oracle.additive_weight(bundle.items), oracle.scale) \
+                    < F(3, 5) * mu
 
 
 def _random_prior_bundles(rng, inst, agent, count, cap):
@@ -220,7 +221,7 @@ def _carve(oracle, j, low, threshold, built):
             value -= oracle.values[removable]
     kept = frozenset(bundle)
     assert len(kept) == 1 or value < 3 * threshold / 2
-    built.append(IndependentBundle(items=kept, value=value))
+    built.append(IndependentBundle(kept, int(value * oracle.scale), oracle.scale))
     return kept
 
 
@@ -269,8 +270,8 @@ def _reference_make_bundles(request, scan=_one_pass_scan):
     built = []
     for j in list(high):
         if singleton[j] >= threshold:
-            built.append(IndependentBundle(items=frozenset((j,)),
-                                           value=singleton[j]))
+            built.append(IndependentBundle(frozenset((j,)),
+                                           oracle.singleton_weights[j], oracle.scale))
             high.remove(j)
     high = scan(oracle, high, low, threshold, built)
     edges, exact_pairs = [], oracle.epsilon > F(1, 3)
@@ -287,8 +288,8 @@ def _reference_make_bundles(request, scan=_one_pass_scan):
                 edges.append((a_pos, b_pos))
     for a_pos, b_pos in max_general_matching(len(high), edges):
         pair = frozenset((high[a_pos], high[b_pos]))
-        built.append(IndependentBundle(items=pair,
-                                       value=oracle.additive_value(pair)))
+        built.append(IndependentBundle(pair, oracle.additive_weight(pair),
+                                       oracle.scale))
     return None if len(built) < request.count else built[:request.count]
 
 
@@ -374,6 +375,59 @@ def _count_queries(oracle):
 
     oracle.approx_value_subset = counted
     return asked
+
+
+def _count_weighings(oracle):
+    """Record each bundle ``oracle`` sums the weight of, with whether a
+    subset query was running at the time."""
+    weighed, weigh, ask = [], oracle.additive_weight, oracle.approx_value_subset
+    asking = []
+
+    def counted_weigh(bundle):
+        weighed.append((bundle, bool(asking)))
+        return weigh(bundle)
+
+    def counted_ask(bundle, goal=None):
+        asking.append(bundle)
+        try:
+            return ask(bundle, goal=goal)
+        finally:
+            asking.pop()
+
+    oracle.additive_weight, oracle.approx_value_subset = counted_weigh, counted_ask
+    return weighed
+
+
+def test_answers_are_not_weighed_again():
+    """Answers carry their weight: a memo hit sums no weight, and the maker
+    sums none of a carving answer it accepts."""
+    rng = random.Random(2030)
+    hits = carves = 0
+    for oracle in _lemma_oracles(rng):
+        weighed = _count_weighings(oracle)
+        for _ in range(3):
+            query = frozenset(j for j in range(len(oracle.values))
+                              if rng.random() < 0.8)
+            goal = rng.choice((None, 1, oracle.exact_weight(query)))
+            oracle.approx_value_subset(query, goal)
+            weighed.clear()
+            oracle.approx_value_subset(query, goal)  # from the memo
+            assert weighed == [], (oracle.system, query, goal)
+            hits += 1
+    for oracle in _lemma_oracles(rng):
+        asked = _count_queries(oracle)
+        weighed = _count_weighings(oracle)
+        mu_star = F(sum(oracle.singleton_weights), oracle.scale * 2) or F(1)
+        make_bundles_alpha(BundleRequest(
+            oracle=oracle, items=frozenset(range(len(oracle.values))),
+            count=2, mu_star=mu_star))
+        goal = math.ceil(F(2, 5) * mu_star * oracle.scale)
+        for _, answer in asked:
+            if answer.weight >= goal:
+                assert all(bundle is not answer.items
+                           for bundle, querying in weighed if not querying)
+                carves += 1
+    assert hits >= 500 and carves >= 100, (hits, carves)
 
 
 def _carving_requests(rng, make_oracle, trials, count_of):
@@ -529,7 +583,8 @@ def test_the_maker_stops_asking_once_its_answer_is_settled():
         built = sum(v >= threshold for v in value.values())
         for query, answer in asked:
             assert built < count, (ours, query)
-            assert oracle.additive_value(query) >= threshold, (ours, query)
+            assert F(oracle.additive_weight(query), oracle.scale) >= threshold, \
+                (ours, query)
             built += answer.value >= threshold
         if pairs:
             left = {j for pair in pairs for j in pair}
@@ -554,8 +609,8 @@ def test_a_settled_request_asks_no_query_past_the_enumeration_gate():
     request = BundleRequest(oracle=oracle, items=frozenset(range(20)),
                             count=2, mu_star=F(20), alpha=F(1, 2))
     assert make_bundles_alpha(request) == [
-        IndependentBundle(frozenset({0}), F(10)),
-        IndependentBundle(frozenset({1}), F(10))]
+        IndependentBundle(frozenset({0}), 10, 1),
+        IndependentBundle(frozenset({1}), 10, 1)]
     with pytest.raises(ExactnessGateExceeded):
         make_bundles_alpha(replace(request, count=3))
 
@@ -610,7 +665,7 @@ def test_above_one_third_an_approximate_answer_may_drop_an_independent_pair():
     request = BundleRequest(oracle=oracle, items=frozenset((0, 1)), count=1,
                             mu_star=F(50), alpha=F(2, 5))
     assert make_bundles_alpha(request) == \
-        [IndependentBundle(items=frozenset((0, 1)), value=F(30))]
+        [IndependentBundle(frozenset((0, 1)), 30, 1)]
 
 
 @pytest.mark.parametrize("count, mu_star, needle", [

@@ -166,6 +166,20 @@ def test_entitled_budget_nesting_comes_from_sorted_budgets():
                                    system=backwards))
 
 
+@pytest.mark.parametrize("ordering, shown", [
+    ((True, False), "[True, False]"),
+    ((1, False), "[2, False]"),
+], ids=["both-booleans", "one-boolean"])
+def test_entitled_ordering_refuses_booleans(ordering, shown):
+    # Booleans sort as 0 and 1, so they once passed for a permutation and
+    # the JSON writer then numbered them as agents 2 and 1.
+    spec = EntitledSpec(systems=(FreeSystem(), FreeSystem()), ordering=ordering)
+    inst = Instance(n=2, m=2, values=((F(1), F(1)), (F(1), F(1))), system=spec)
+    with pytest.raises(InstanceError, match=re.escape(
+            f"entitled ordering {shown} is not a permutation of the agents")):
+        validate_instance(inst)
+
+
 def test_explicit_normalization_keeps_maximal_antichain():
     system = ExplicitSystem.normalize([{0, 1}, {0}, {1, 2}, {0, 1}])
     assert set(system.maximal_sets) == {frozenset({0, 1}), frozenset({1, 2})}

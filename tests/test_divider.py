@@ -63,7 +63,7 @@ def test_round_progress_and_non_matched_safety():
             matched_agents = {a for a, _ in record.matching}
             matched_bundles = {idx for _, idx in record.matching}
             assert record.divider in matched_agents
-            values = {(a, idx): v for a, idx, v in record.edge_values}
+            values = {(a, idx): granted.value for a, idx, granted in record.grants}
             for agent in record.agents:
                 if agent in matched_agents:
                     continue

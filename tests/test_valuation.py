@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mmsalloc.valuation
+from mmsalloc.bundles import BundleRequest, bundles_from_mms_partition, make_bundles_alpha
 from mmsalloc.core import (
     BudgetSystem,
     ConflictSystem,
@@ -20,7 +21,9 @@ from mmsalloc.core import (
     FreeSystem,
     IntervalSystem,
 )
-from mmsalloc.generators import gen_two_thirds_bound
+from mmsalloc.driver import solve_entitled, solve_existence, solve_two_fifths
+from mmsalloc.generators import gen_random_hereditary, gen_two_thirds_bound
+from mmsalloc.mms_oracle import compute_mms_exact
 from mmsalloc.valuation import (
     AdversarialOracle,
     ValuationOracle,
@@ -29,7 +32,13 @@ from mmsalloc.valuation import (
     singleton_weights,
 )
 
-from conftest import brute_member, brute_schedulable, brute_value, schedule_fits
+from conftest import (
+    brute_member,
+    brute_schedulable,
+    brute_value,
+    rand_budget_instance,
+    schedule_fits,
+)
 
 F = Fraction
 
@@ -58,7 +67,7 @@ def test_weights_hold_the_values_on_one_integer_scale():
         assert [F(w, oracle.scale) for w in oracle.weights] == list(values)
         for _ in range(6):
             bundle = [j for j in range(len(values)) if rng.random() < 0.5]
-            assert oracle.additive_value(bundle) == \
+            assert F(oracle.additive_weight(bundle), oracle.scale) == \
                 sum((values[j] for j in bundle), F(0))
     assert ValuationOracle(FreeSystem(), vectors[0]).scale == 1
     assert ValuationOracle(FreeSystem(), vectors[2]).scale == 1
@@ -493,13 +502,17 @@ class _TwoMemoAdversary(_TwoMemoRule, AdversarialOracle):
 
 
 def _memo_system(rng, kind, m):
-    """A random system of one kind: explicit, free, budget or interval."""
+    """A random system of one kind: explicit, free, conflict, budget or
+    interval."""
     if kind == "explicit":
         return ExplicitSystem.normalize(
             frozenset(j for j in range(m) if rng.random() < 0.6)
             for _ in range(rng.randint(1, 4)))
     if kind == "free":
         return FreeSystem()
+    if kind == "conflict":
+        return ConflictSystem.normalize(
+            [(a, b) for a in range(m) for b in range(a + 1, m) if rng.random() < 0.3])
     if kind == "interval":
         jobs = []
         for _ in range(m):
@@ -573,6 +586,71 @@ def test_one_memo_answers_as_the_two_memo_rule(monkeypatch):
                 (system, eps, adversarial, history, items, goal)
             reached_early += answer != plain[items]
     assert reached_early >= 40, reached_early
+
+
+# An oracle of every kind: free, explicit, exact and FPTAS budget, exact
+# conflict, interval at error 1/2, and the adversary on an explicit family.
+_WEIGHT_SETTINGS = (
+    ("free", F(0), False), ("explicit", F(0), False), ("budget", F(0), False),
+    ("budget", F(1, 3), False), ("conflict", F(0), False),
+    ("interval", F(1, 2), False), ("explicit", F(1, 3), True))
+
+
+def _carries_its_weight(oracle, bundle):
+    assert bundle.weight == oracle.additive_weight(bundle.items), \
+        (oracle.system, bundle)
+    assert bundle.scale == oracle.scale
+    assert bundle.value == F(bundle.weight, oracle.scale)
+
+
+def test_every_bundle_carries_its_own_weight():
+    """Every bundle holds its items' weight on its oracle's scale, and its
+    value is that weight over the scale: oracle answers, each asked twice so
+    that the memo's copy is checked too, reductions, both bundle makers, and
+    what the divider grants through its additive and reported engines."""
+    rng = random.Random(2029)
+    for trial in range(210):
+        kind, eps, adversarial = _WEIGHT_SETTINGS[trial % len(_WEIGHT_SETTINGS)]
+        m = rng.randint(1, 9)
+        values = tuple(F(rng.randint(0, 9), rng.choice((1, 2, 3))) for _ in range(m))
+        oracle = (AdversarialOracle if adversarial else ValuationOracle)(
+            _memo_system(rng, kind, m), values, epsilon=eps)
+        for _ in range(3):
+            query = frozenset(j for j in range(m) if rng.random() < 0.85)
+            goal = rng.choice((None, rng.randint(1, oracle.exact_weight(query) + 2)))
+            for _ in range(2):  # answered, then from the memo
+                _carries_its_weight(oracle, oracle.approx_value_subset(query, goal))
+            _carries_its_weight(oracle, oracle.reduce_to_independent(query))
+    built = granted = reported = 0
+    for seed in range(12):
+        inst = gen_random_hereditary(m=rng.randint(5, 8), n=rng.choice((2, 3)),
+                                     seed=3000 + seed)
+        oracle = oracle_for(inst, 0)
+        record = compute_mms_exact(inst, 0, oracle=oracle)
+        remaining = frozenset(j for j in range(inst.m) if rng.random() < 0.8)
+        bundles = bundles_from_mms_partition(oracle, record, remaining, inst.n, F(0))
+        if record.mu:
+            bundles += make_bundles_alpha(BundleRequest(
+                oracle=oracle, items=inst.all_items(), count=inst.n,
+                mu_star=record.mu)) or []
+        for bundle in bundles:
+            _carries_its_weight(oracle, bundle)
+        built += len(bundles)
+        entitled = rand_budget_instance(rng)
+        for solved, result in ((inst, solve_existence(inst)),
+                               (inst, solve_two_fifths(inst)),
+                               (entitled, solve_entitled(entitled))):
+            oracles = [oracle_for(solved, i) for i in range(solved.n)]
+            for run in result.runs:
+                for round_record in run.trace:
+                    for agent, _, bundle in round_record.grants:
+                        _carries_its_weight(oracles[agent], bundle)
+                        granted += 1
+                        reported += solved is entitled
+            for agent, bundle in result.awarded.items():
+                _carries_its_weight(oracles[agent], bundle)
+    assert built >= 40 and granted >= 200 and reported >= 50, \
+        (built, granted, reported)
 
 
 def test_interval_oracle_contract_on_random_instances():
