@@ -9,8 +9,8 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     ZERO,
@@ -29,8 +29,7 @@ from .valuation import DEFAULT_GATES, _schedule_is_valid, oracle_for
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     """Adapter output: the solve result plus constraint-specific evidence."""
 
     result: SolveResult

@@ -8,8 +8,8 @@ oracles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import InsufficientBundles, IntervalSystem, Items
 from .matching import max_general_matching
@@ -19,22 +19,21 @@ from .valuation import IndependentBundle, ValuationOracle, _interval_witness, _s
 TWO_FIFTHS = Fraction(2, 5)
 
 
-@dataclass(frozen=True)
-class BundleRequest:
+class BundleRequest(NamedTuple("BundleRequest", [
+        ("oracle", ValuationOracle), ("items", Items), ("count", int),
+        ("mu_star", Fraction), ("alpha", Fraction)])):
     """One construction task: k disjoint independent bundles worth
-    alpha * mu_star each, drawn from ``items`` under ``oracle``."""
+    alpha * mu_star each, drawn from ``items`` under ``oracle``.  Building
+    one checks count and mu_star; ``_replace`` copies without the check."""
 
-    oracle: ValuationOracle
-    items: Items
-    count: int
-    mu_star: Fraction
-    alpha: Fraction = TWO_FIFTHS
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.count < 0:
+    def __new__(cls, oracle, items, count, mu_star, alpha=TWO_FIFTHS):
+        if count < 0:
             raise ValueError("bundle count must be non-negative")
-        if self.mu_star <= 0:
+        if mu_star <= 0:
             raise ValueError("mu_star must be positive")
+        return super().__new__(cls, oracle, items, count, mu_star, alpha)
 
 
 def bundles_from_mms_partition(oracle: ValuationOracle, record: MmsRecord,
@@ -64,7 +63,7 @@ def bundles_from_mms_partition(oracle: ValuationOracle, record: MmsRecord,
 
 def make_bundles_two_fifths(request: BundleRequest) -> list[IndependentBundle] | None:
     """Two-phase construction at threshold (2/5) * mu_star."""
-    return make_bundles_alpha(replace(request, alpha=TWO_FIFTHS))
+    return make_bundles_alpha(request._replace(alpha=TWO_FIFTHS))
 
 
 def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None:

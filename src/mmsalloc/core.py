@@ -10,9 +10,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 Items = frozenset[int]
 
@@ -110,8 +109,38 @@ def scaled_weights(values) -> tuple[int, tuple[int, ...]]:
 # Set system variants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreeSystem:
+class _Frozen:
+    """Immutable value base of the set systems: ``_fields`` names the
+    constructor's arguments, and one left out keeps its class default.  Unlike
+    tuples, systems equal only their own class, are true and cache properties."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(self._fields) or kwargs.keys() - self._fields:
+            raise TypeError(f"{type(self).__name__} takes fields {self._fields}")
+        self.__dict__.update(zip(self._fields, args), **kwargs)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class FreeSystem(_Frozen):
     """Every subset is independent (plain additive valuations)."""
 
     kind = "free"
@@ -120,8 +149,7 @@ class FreeSystem:
         return True
 
 
-@dataclass(frozen=True)
-class ExplicitSystem:
+class ExplicitSystem(_Frozen):
     """Hereditary family stored as an antichain of maximal independent sets.
 
     A set is independent iff it is contained in some listed maximal set, so
@@ -129,6 +157,7 @@ class ExplicitSystem:
     """
 
     kind = "explicit"
+    _fields = ("maximal_sets",)
     maximal_sets: tuple[Items, ...] = ()
 
     @staticmethod
@@ -155,11 +184,11 @@ class ExplicitSystem:
         return not items or any(items <= s for s in self.maximal_sets)
 
 
-@dataclass(frozen=True)
-class BudgetSystem:
+class BudgetSystem(_Frozen):
     """Items have sizes; a bundle is independent if its sizes fit the budget."""
 
     kind = "budget"
+    _fields = ("sizes", "budget")
     sizes: tuple[Fraction, ...] = ()
     budget: Fraction = ZERO
 
@@ -175,17 +204,15 @@ class BudgetSystem:
         return sum(map(sizes.__getitem__, items)) <= capacity
 
 
-@dataclass(frozen=True)
-class ConflictSystem:
+class ConflictSystem(_Frozen):
     """A bundle is independent if it induces no edge of the conflict graph;
     edges are sorted distinct (min, max) pairs, so equal graphs compare equal."""
 
     kind = "conflict"
-    edges: tuple[tuple[int, int], ...] = ()
+    _fields = ("edges",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(
-            {(min(a, b), max(a, b)) for a, b in self.edges})))
+    def __init__(self, edges=()):
+        super().__init__(tuple(sorted({(min(a, b), max(a, b)) for a, b in edges})))
 
     @staticmethod
     def normalize(edges) -> "ConflictSystem":
@@ -209,8 +236,7 @@ class ConflictSystem:
         return True
 
 
-@dataclass(frozen=True)
-class IntervalSystem:
+class IntervalSystem(_Frozen):
     """Jobs with processing time, release, and deadline on a single machine.
 
     A bundle is independent if its jobs can be scheduled without overlap,
@@ -219,6 +245,7 @@ class IntervalSystem:
     """
 
     kind = "interval"
+    _fields = ("jobs",)
     jobs: tuple[tuple[int, int, int], ...] = ()
 
 
@@ -226,8 +253,7 @@ SetSystem = Union[FreeSystem, ExplicitSystem, BudgetSystem, ConflictSystem,
                   IntervalSystem]
 
 
-@dataclass(frozen=True)
-class EntitledSpec:
+class EntitledSpec(NamedTuple):
     """Per-agent systems nested along an agent ordering.
 
     ``ordering`` lists agent indices from most to least restrictive, so the
@@ -238,8 +264,7 @@ class EntitledSpec:
     ordering: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AsymmetricSpec:
+class AsymmetricSpec(NamedTuple):
     """Per-agent systems with no relation between the families."""
 
     systems: tuple[SetSystem, ...]
@@ -272,8 +297,7 @@ def system_subseteq(a: SetSystem, b: SetSystem, m: int) -> bool:
 # Instance and allocation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A fair-allocation instance: agents, items, values, and a set system."""
 
     n: int
@@ -298,8 +322,7 @@ class Instance:
         return frozenset(range(self.m))
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Ordered pairwise-disjoint bundles, one per agent, possibly partial."""
 
     bundles: tuple[Items, ...]
@@ -423,7 +446,7 @@ def validate_allocation(instance: Instance, allocation: Allocation) -> Allocatio
         _check_item_indices(bundle, instance.m, "allocation")
         overlap = seen.intersection(bundle)
         if overlap:
-            raise InstanceError(f"bundles overlap on items {sorted(overlap)}")
+            raise InstanceError(f"bundles overlap on items {sorted(j + 1 for j in overlap)}")
         seen.update(bundle)
     if allocation.complete and len(seen) != instance.m:
         raise InstanceError("allocation marked complete but items are missing")

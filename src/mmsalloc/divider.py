@@ -15,16 +15,15 @@ bundle betrays a more restrictive remaining agent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import ONE, Instance, Items
 from .matching import envy_free_matching
 from .valuation import IndependentBundle, ValuationOracle
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """Everything a round did, for assertions and --trace output."""
 
     index: int
@@ -37,8 +36,7 @@ class RoundRecord:
     awarded: tuple[tuple[int, Items], ...]
 
 
-@dataclass(frozen=True)
-class DividerOutcome:
+class DividerOutcome(NamedTuple):
     allocation: dict[int, IndependentBundle] | None
     failed_agent: int | None
     trace: tuple[RoundRecord, ...]

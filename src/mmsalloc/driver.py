@@ -14,8 +14,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bundles import (
     TWO_FIFTHS,
@@ -38,8 +38,7 @@ from .valuation import (APPROXIMATE_ERRORS, DEFAULT_GATES, IndependentBundle,
                         oracle_for, singleton_weights)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     mode: str
     alpha: Fraction
     allocation: Allocation
@@ -51,7 +50,7 @@ class SolveResult:
     runs: tuple[DividerOutcome, ...]
     # Exact shares of an existence solve, for certificates to reuse; the
     # polynomial modes' estimates are not shares, so they leave it empty.
-    records: dict[int, MmsRecord] = field(default_factory=dict)
+    records: dict[int, MmsRecord]
 
 
 def alpha_for_error(epsilon: Fraction) -> Fraction:
@@ -71,7 +70,8 @@ def _assemble(instance, mode, alpha, awarded, active, thresholds, estimates,
         allocation=Allocation(bundles=bundles,
                               complete=len(claimed) == instance.m),
         awarded=awarded, active_agents=tuple(active), thresholds=thresholds,
-        estimates=estimates, adjustments=adjustments, runs=tuple(runs))
+        estimates=estimates, adjustments=adjustments, runs=tuple(runs),
+        records={})
 
 
 def _reject_asymmetric(instance: Instance, mode: str) -> None:
@@ -110,11 +110,9 @@ def solve_existence(instance: Instance, *,
 
     outcome = lone_divider(instance, thresholds, maker, oracles)
     assert outcome.succeeded
-    return replace(_assemble(instance, "existence", ratio, outcome.allocation,
-                             range(n), thresholds,
-                             {i: records[i].mu for i in range(n)},
-                             {i: 0 for i in range(n)}, [outcome]),
-                   records=records)
+    return _assemble(instance, "existence", ratio, outcome.allocation,
+                     range(n), thresholds, {i: records[i].mu for i in range(n)},
+                     {i: 0 for i in range(n)}, [outcome])._replace(records=records)
 
 
 # ---------------------------------------------------------------------------

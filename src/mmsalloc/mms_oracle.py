@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     ZERO,
@@ -27,8 +27,7 @@ DEFAULT_MMS_GATE = 12
 SEARCH_DEPTH_LIMIT = 500
 
 
-@dataclass(frozen=True)
-class MmsRecord:
+class MmsRecord(NamedTuple):
     """Exact maximin share of one agent with a witnessing partition."""
 
     agent: int
@@ -36,8 +35,7 @@ class MmsRecord:
     witness: tuple[Items, ...]
 
 
-@dataclass(frozen=True)
-class MmsBounds:
+class MmsBounds(NamedTuple):
     """Singleton-derived bracket: lower <= mu <= upper.
 
     Both bounds are 0 with the flag set when there are fewer items than
@@ -49,8 +47,7 @@ class MmsBounds:
     fewer_items_than_agents: bool = False
 
 
-@dataclass(frozen=True)
-class AgentCheck:
+class AgentCheck(NamedTuple):
     agent: int
     value: Fraction | None
     mu: Fraction | None
@@ -59,8 +56,7 @@ class AgentCheck:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     alpha: Fraction
     checks: tuple[AgentCheck, ...]
 

@@ -9,10 +9,10 @@ pipeline only ever touches sums of item values.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .core import (
     ZERO,
@@ -35,8 +35,7 @@ DEFAULT_GATES = {"budget": 25, "conflict": 30, "interval": 16}
 APPROXIMATE_ERRORS = {"budget": ZERO, "interval": Fraction(1, 2)}
 
 
-@dataclass(frozen=True)
-class IndependentBundle:
+class IndependentBundle(NamedTuple):
     """An independent bundle, its (additive) exact weight on its oracle's
     integer scale, so its value is weight / scale, and any schedule of it.
     Bundles are equal when their items and values are."""
@@ -44,15 +43,18 @@ class IndependentBundle:
     items: Items
     weight: int
     scale: int
-    witness: dict[int, int] | None = field(default=None, compare=False)
+    witness: dict[int, int] | None = None
 
-    @cached_property
+    @property
     def value(self) -> Fraction:
         return Fraction(self.weight, self.scale)
 
     def __eq__(self, other):
         return isinstance(other, IndependentBundle) and \
             (self.items, self.value) == (other.items, other.value)
+
+    def __ne__(self, other):  # else tuple's own, which compares every field
+        return not self == other
 
     def __hash__(self):
         return hash((self.items, self.value))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -122,7 +121,7 @@ def test_alpha_zero_error_equals_two_fifths():
             continue
         base = BundleRequest(oracle=oracle, items=inst.all_items(), count=2,
                              mu_star=mu)
-        zero_error = replace(base, alpha=alpha_for_error(F(0)))
+        zero_error = base._replace(alpha=alpha_for_error(F(0)))
         assert make_bundles_alpha(zero_error) == make_bundles_alpha(base)
 
 
@@ -353,7 +352,7 @@ def test_integer_thresholds_match_the_fraction_reference_at_ties():
     for ours, reference in _tie_requests(rng, 240):
         tie = ours.alpha * ours.mu_star
         factor = 1 + rng.choice((1, -1)) * F(1, 7 ** 200)
-        ours, reference = (replace(r, mu_star=r.mu_star * factor)
+        ours, reference = (r._replace(mu_star=r.mu_star * factor)
                            for r in (ours, reference))
         expected = _reference_make_bundles(reference)
         assert make_bundles_alpha(ours) == expected, ours
@@ -612,7 +611,7 @@ def test_a_settled_request_asks_no_query_past_the_enumeration_gate():
         IndependentBundle(frozenset({0}), 10, 1),
         IndependentBundle(frozenset({1}), 10, 1)]
     with pytest.raises(ExactnessGateExceeded):
-        make_bundles_alpha(replace(request, count=3))
+        make_bundles_alpha(request._replace(count=3))
 
 
 def _lemma_oracles(rng):

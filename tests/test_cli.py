@@ -5,16 +5,17 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmsalloc
 import mmsalloc.cli
 import mmsalloc.driver
 import mmsalloc.mms_oracle
@@ -542,7 +543,7 @@ def test_certify_exits_1_when_a_certificate_fails(tmp_path, capsys,
     alloc_path = tmp_path / "alloc.json"
     run_cli("gen", "two-thirds", "--n", "2", "--out", str(instance_path))
     empty = solve_two_fifths(instance_from_json(instance_path.read_text()))
-    empty = replace(empty, allocation=Allocation(bundles=(frozenset(),) * 2))
+    empty = empty._replace(allocation=Allocation(bundles=(frozenset(),) * 2))
     monkeypatch.setattr(mmsalloc.cli, "solve_two_fifths", lambda inst: empty)
     capsys.readouterr()
     assert run_cli("solve", str(instance_path), "--certify",
@@ -707,6 +708,19 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert instance_from_json(out.read_text()).m == 8
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    """A fresh interpreter, without site packages, imports mmsalloc.cli
+    without dataclasses or inspect: importing them and generating classes
+    through them would slow every CLI run."""
+    probe = ("import sys, mmsalloc.cli; "
+             "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(mmsalloc.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 # Valid documents of at most six items, one per system kind, for the fuzz.

@@ -185,6 +185,45 @@ def test_explicit_normalization_keeps_maximal_antichain():
     assert set(system.maximal_sets) == {frozenset({0, 1}), frozenset({1, 2})}
 
 
+def test_set_systems_are_immutable_values_of_their_own_kind():
+    """A system equals only systems of its kind with equal fields, hashes like
+    them, is true even with no fields, refuses assignment and deletion, and
+    computes each cached property once, apart from equality."""
+    defaults = [FreeSystem(), ExplicitSystem(), BudgetSystem(), ConflictSystem(),
+                IntervalSystem()]
+    same_fields = [ExplicitSystem(()), ConflictSystem(()), IntervalSystem(())]
+    for a, b in itertools.permutations(defaults, 2):
+        assert a != b and not a == b
+    for a, b in itertools.permutations(same_fields, 2):
+        assert a != b and not a == b
+    assert all(defaults) and FreeSystem() == FreeSystem()
+    pairs = [(ExplicitSystem.normalize([{1, 2}, {0}, {1}]),
+              ExplicitSystem(maximal_sets=(frozenset({0}), frozenset({1, 2})))),
+             (ConflictSystem([(2, 1), (1, 2)]), ConflictSystem(edges=((1, 2),))),
+             (BudgetSystem((Fraction(1),), Fraction(2)),
+              BudgetSystem(sizes=(Fraction(1),), budget=Fraction(2)))]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+        name = a._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(a, name, ())
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert a == b
+    assert repr(pairs[1][0]) == "ConflictSystem(edges=((1, 2),))"
+    with pytest.raises(TypeError):
+        ExplicitSystem(sets=())
+    explicit, twin = pairs[0]
+    conflict = pairs[1][0]
+    budget = pairs[2][0]
+    for system, cached in ((explicit, "incidence"), (explicit, "masks"),
+                           (conflict, "neighbours"), (budget, "scaled")):
+        first = getattr(system, cached)
+        assert getattr(system, cached) is first
+    assert explicit.masks == twin.masks and explicit.masks is not twin.masks
+    assert explicit == twin and hash(explicit) == hash(twin)
+
+
 def test_instance_json_round_trip_field_formats():
     inst = gen_random_hereditary(m=6, n=2, seed=11)
     text = instance_to_json(inst)
@@ -243,7 +282,7 @@ def test_allocation_json_round_trip_and_validation():
     text = allocation_to_json(inst, alloc)
     assert allocation_from_json(inst, text) == alloc
     overlapping = '{"bundles": [[1, 2], [2]], "complete": false}'
-    with pytest.raises(Exception):
+    with pytest.raises(InstanceError, match=r"^bundles overlap on items \[2\]$"):
         allocation_from_json(inst, overlapping)
 
 

@@ -56,6 +56,16 @@ def test_alpha_formula_landmarks():
     assert alpha_for_error(F(1, 3)) == F(1, 3)
 
 
+def test_results_share_no_records():
+    """Each result holds its own records: filling one leaves the others."""
+    inst = gen_two_thirds_bound(2)
+    first, second = solve_two_fifths(inst), solve_two_fifths(inst)
+    existence = solve_existence(inst)
+    first.records[0] = existence.records[0]
+    assert second.records == {} and solve_two_fifths(inst).records == {}
+    assert sorted(existence.records) == [0, 1]
+
+
 def test_existence_on_gadget_reaches_two_thirds():
     inst = gen_two_thirds_bound(2)
     result = solve_existence(inst)

@@ -26,6 +26,7 @@ from mmsalloc.generators import gen_random_hereditary, gen_two_thirds_bound
 from mmsalloc.mms_oracle import compute_mms_exact
 from mmsalloc.valuation import (
     AdversarialOracle,
+    IndependentBundle,
     ValuationOracle,
     _schedule_is_valid,
     oracle_for,
@@ -983,3 +984,24 @@ def test_schedule_check_refuses_missing_jobs_windows_and_overlaps():
     assert not _schedule_is_valid(system, items, {0: 1})  # job 2 has no start
     assert not _schedule_is_valid(system, items, {0: 4, 1: 2})  # job 1 ends at 5
     assert not _schedule_is_valid(system, items, {0: 1, 1: 2})  # both run at 2
+
+
+def test_bundle_inequality_negates_equality_whatever_the_scale_or_witness():
+    """Bundles are equal when their items and values are: the same value on
+    two scales is equal, a witness alone makes no difference, and != is
+    always the negation of ==."""
+    items = frozenset({0, 2})
+    equal = [(IndependentBundle(items, 3, 2), IndependentBundle(items, 6, 4)),
+             (IndependentBundle(items, 3, 2), IndependentBundle(items, 3, 2, {0: 1, 2: 3})),
+             (IndependentBundle(items, 0, 1, {0: 1}), IndependentBundle(items, 0, 5))]
+    unequal = [(IndependentBundle(items, 3, 2), IndependentBundle(items, 4, 2)),
+               (IndependentBundle(items, 3, 2), IndependentBundle(frozenset({0}), 3, 2)),
+               (IndependentBundle(items, 3, 2), (items, 3, 2, None))]
+    for (a, b), alike in [*((pair, True) for pair in equal),
+                          *((pair, False) for pair in unequal)]:
+        for x, y in ((a, b), (b, a)):
+            assert (x == y) is alike and (x != y) is (not alike)
+        if alike:
+            assert hash(a) == hash(b)
+    bundle = IndependentBundle(items, 6, 4)
+    assert bundle.value == F(3, 2) and bundle.value == bundle.value
