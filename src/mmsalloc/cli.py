@@ -39,12 +39,6 @@ from .driver import (
     solve_existence,
     solve_two_fifths,
 )
-from .generators import (
-    gen_asymmetric_half,
-    gen_random_hereditary,
-    gen_three_partition,
-    gen_two_thirds_bound,
-)
 from .mms_oracle import DEFAULT_MMS_GATE, compute_mms_exact, mms_bounds, verify_allocation
 
 EXIT_OK = 0
@@ -78,6 +72,14 @@ def _verdict(report) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # Imported here, so that the other commands do not compile the generators.
+    from .generators import (
+        gen_asymmetric_half,
+        gen_random_hereditary,
+        gen_three_partition,
+        gen_two_thirds_bound,
+    )
+
     if args.family == "two-thirds":
         instance = gen_two_thirds_bound(args.n, args.r)
     elif args.family == "asym-half":

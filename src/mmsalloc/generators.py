@@ -128,6 +128,8 @@ def gen_random_hereditary(m: int, n: int, family_density: float = 0.5,
     lo, hi = value_range
     if lo < 0 or hi < lo:
         raise ValueError(f"bad value range {value_range}")
+    if not 0 <= family_density <= 1:  # NaN too
+        raise ValueError(f"family density {family_density} is not in [0, 1]")
     rng = random.Random(seed)
     if family_density >= 1:
         sets = [frozenset(range(m))]

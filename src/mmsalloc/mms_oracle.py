@@ -87,10 +87,17 @@ def _best_min_assignment(items, groups, group_of, *, gate, feasible=None,
     of each group.  ``feasible`` (on item sets) restricts holdings
     hereditarily; ``allow_discard`` lets an item go to no holder.
 
+    Without ``feasible`` the best value starts one below that of Graham's
+    LPT greedy (each item in turn to the holder of least weight), so the
+    first optimal leaf is still the one returned.  Nodes and leaves that
+    cannot beat the best value are cut, evaluating no more holders.
+
     The search recurses once per item, so past SEARCH_DEPTH_LIMIT items, as
     past ``gate``, it raises BruteForceGateExceeded.  Returns (best min
     value, holder masks) or None when no assignment is feasible.
     """
+    if gate < 0:
+        raise ValueError(f"the brute-force gate must be non-negative, not {gate}")
     limit = min(gate, SEARCH_DEPTH_LIMIT)
     if len(items) > limit:
         raise BruteForceGateExceeded(
@@ -115,23 +122,34 @@ def _best_min_assignment(items, groups, group_of, *, gate, feasible=None,
         previous.append(last.get(g))
         last[g] = h
 
-    best_value: int | None = None
+    # Values are non-negative, so -1 lets the first leaf in.
+    best_value = -1
     best_masks: list[int] | None = None
     masks = [0] * len(group_of)
     held = [0] * len(group_of)
+    if feasible is None:
+        greedy, load = [0] * len(group_of), [0] * len(group_of)
+        for j in order:
+            h = min(holders, key=load.__getitem__)
+            greedy[h] |= 1 << j
+            load[h] += weight_of[h][j]
+        if 0 not in greedy:
+            best_value = min(value_of[h](greedy[h]) for h in holders) - 1
 
     def descend(t: int) -> None:
         nonlocal best_value, best_masks
-        if t == k:
-            value = 0 if 0 in masks else min(
-                value_of[h](masks[h]) for h in holders)
-            if best_value is None or value > best_value:
-                best_value = value
-                best_masks = list(masks)
+        if min(held[h] + suffix_of[h][t] for h in holders) <= best_value:
             return
-        if best_value is not None:
-            if min(held[h] + suffix_of[h][t] for h in holders) <= best_value:
-                return
+        if t == k:
+            # An empty holder passes the cut only while best_value is -1.
+            value = 0 if 0 in masks else math.inf
+            if value:
+                for h in holders:
+                    value = min(value, value_of[h](masks[h]))
+                    if value <= best_value:
+                        return
+            best_value, best_masks = value, list(masks)
+            return
         j = order[t]
         bit = 1 << j
         for h in holders:

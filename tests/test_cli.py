@@ -121,6 +121,24 @@ def test_mms_command_and_gate_exit(tmp_path):
     assert "bounds" in out.read_text()
 
 
+@pytest.mark.parametrize("command", ["solve", "mms", "verify"])
+def test_a_negative_gate_is_an_input_error(tmp_path, capsys, command):
+    # Gate 0 still means that any item trips it (exit 3); below 0 no gate
+    # is meant, so the run stops with one line before any search.
+    instance_path = tmp_path / "inst.json"
+    alloc_path = tmp_path / "alloc.json"
+    run_cli("gen", "two-thirds", "--n", "2", "--out", str(instance_path))
+    run_cli("solve", str(instance_path), "--out", str(alloc_path))
+    extra = {"solve": ["--certify"], "mms": ["--agent", "1"],
+             "verify": [str(alloc_path), "--alpha", "2/5"]}[command]
+    for gate, status in (("0", 3), ("-1", 2)):
+        capsys.readouterr()
+        assert run_cli(command, str(instance_path), *extra, "--gate", gate,
+                       "--out", str(tmp_path / "out")) == status
+    assert capsys.readouterr().err == \
+        "error: the brute-force gate must be non-negative, not -1\n"
+
+
 def test_verify_failure_exit_code(tmp_path):
     instance_path = tmp_path / "inst.json"
     run_cli("gen", "two-thirds", "--n", "2", "--out", str(instance_path))
@@ -445,6 +463,9 @@ def test_each_input_error_exits_2_with_one_line(tmp_path, capsys, instance,
     (["random", "--lo", "5", "--hi", "2"], "bad value range (5, 2)"),
     (["random", "--m", "-1"], "m and n must be non-negative"),
     (["three-partition", "--numbers", "1, x"], "--numbers: 'x' is not an integer"),
+    (["random", "--density", "nan"], "family density nan is not in [0, 1]"),
+    (["random", "--density", "-0.5"], "family density -0.5 is not in [0, 1]"),
+    (["random", "--density", "1.5"], "family density 1.5 is not in [0, 1]"),
 ])
 def test_gen_refuses_bad_parameters_with_exit_2_and_one_line(tmp_path, capsys,
                                                              argv, needle):
@@ -710,12 +731,14 @@ def test_console_entry_point(tmp_path):
     assert instance_from_json(out.read_text()).m == 8
 
 
-def test_importing_the_cli_loads_no_dataclasses():
+def test_importing_the_cli_loads_neither_dataclasses_nor_generators():
     """A fresh interpreter, without site packages, imports mmsalloc.cli
     without dataclasses or inspect: importing them and generating classes
-    through them would slow every CLI run."""
-    probe = ("import sys, mmsalloc.cli; "
-             "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    through them would slow every CLI run.  Only ``gen`` compiles the
+    generators."""
+    probe = ("import sys, mmsalloc.cli; print(*sorted("
+             "{'dataclasses', 'inspect', 'mmsalloc.generators'} "
+             "& set(sys.modules)))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(Path(mmsalloc.__file__).parents[1])})

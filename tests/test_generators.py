@@ -116,3 +116,10 @@ def test_random_hereditary_is_reproducible_and_closed():
 
     full = gen_random_hereditary(m=6, n=2, family_density=1, seed=0)
     assert full.system.maximal_sets == (frozenset(range(6)),)
+    # The density check draws nothing, so valid densities keep their draws.
+    assert gen_random_hereditary(m=6, n=2, family_density=0, seed=3) \
+        .system.maximal_sets == (frozenset(),)
+    pinned = gen_random_hereditary(m=6, n=2, family_density=0.5, seed=6)
+    assert sorted(sorted(s) for s in pinned.system.maximal_sets) == [
+        [0, 3], [0, 4, 5], [1, 2, 3, 5], [2, 3, 4]]
+    assert pinned.values[0] == (2, 0, 3, 3, 4, F(5, 2))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from mmsalloc import adapters, mms_oracle
 from mmsalloc.core import (
     Allocation,
     AsymmetricSpec,
@@ -32,7 +34,14 @@ from mmsalloc.mms_oracle import (
 )
 from mmsalloc.valuation import oracle_for
 
-from conftest import brute_mms, brute_value, rand_budget_instance, rand_values
+from conftest import (
+    brute_mms,
+    brute_value,
+    rand_budget_instance,
+    rand_conflict_instance,
+    rand_interval_instance,
+    rand_values,
+)
 
 F = Fraction
 
@@ -257,3 +266,102 @@ def test_bounds_trivial_cases():
                      system=FreeSystem())
     bounds = mms_bounds(zeros, 0)
     assert (bounds.lower, bounds.upper) == (0, 0)
+
+
+def _first_best_leaf(items, groups, group_of, *, gate, feasible=None,
+                     allow_discard=False):
+    """Unpruned reference for ``_best_min_assignment``: the same depth-first
+    walk, heaviest item first and only the lowest-index empty holder of a
+    group started, visits every leaf and keeps the first with the largest min
+    holder value."""
+    order = sorted(items, key=lambda j: (-max(w[j] for _, w in groups), j))
+    values = [functools.cache(value) for value, _ in groups]
+    bundles = [frozenset()] * len(group_of)
+    best = None
+
+    def descend(t):
+        nonlocal best
+        if t == len(order):
+            value = 0 if frozenset() in bundles else min(
+                values[g](bundle) for g, bundle in zip(group_of, bundles))
+            if best is None or value > best[0]:
+                best = (value, [sum(1 << j for j in b) for b in bundles])
+            return
+        for h, g in enumerate(group_of):
+            if not bundles[h] and any(group_of[e] == g and not bundles[e]
+                                      for e in range(h)):
+                continue
+            grown = bundles[h] | {order[t]}
+            if feasible is not None and not feasible(grown):
+                continue
+            bundles[h] = grown
+            descend(t + 1)
+            bundles[h] = grown - {order[t]}
+        if allow_discard:
+            descend(t + 1)
+
+    descend(0)
+    return best
+
+
+def _desk_instances():
+    """Seeded instances of every kind with at most eight items."""
+    rng = random.Random(41)
+    for trial in range(12):
+        yield gen_random_hereditary(m=rng.randint(4, 8), n=rng.choice((2, 3)),
+                                    family_density=rng.uniform(0.3, 1),
+                                    seed=4000 + trial)
+        yield _repeated_rows_instance(rng, 5000 + trial)
+        yield rand_budget_instance(rng, m=rng.randint(4, 8))
+        yield rand_conflict_instance(rng, m=rng.randint(4, 7))
+        yield rand_interval_instance(rng, m=rng.randint(4, 7))
+
+
+def test_pruned_search_returns_the_first_best_leaf(monkeypatch):
+    # The greedy seed, the node cut and the leaf cutoffs skip only leaves
+    # that cannot beat the best value, so the search records the same first
+    # optimal leaf as the unpruned walk: one group per maximin share, several
+    # in the allocation search, and feasible holdings with and without
+    # discarding in the constrained share.
+    searched = []
+
+    def spy(*args, original=mms_oracle._best_min_assignment, **kwargs):
+        found = original(*args, **kwargs)
+        searched.append((args, kwargs, found))
+        return found
+
+    monkeypatch.setattr(mms_oracle, "_best_min_assignment", spy)
+    monkeypatch.setattr(adapters, "_best_min_assignment", spy)
+    seen = set()
+    for inst in _desk_instances():
+        for agent in range(inst.n):
+            compute_mms_exact(inst, agent)
+            if inst.system_for(agent).kind in ("budget", "conflict",
+                                               "interval"):
+                adapters.constrained_mms(inst, agent)
+        if inst.n <= 3:
+            max_min_allocation_value(inst)
+        for args, kwargs, found in searched:
+            assert found == _first_best_leaf(*args, **kwargs)
+            seen.add((len(set(args[2])) > 1, kwargs.get("feasible") is not None,
+                      kwargs.get("allow_discard", False)))
+        searched.clear()
+    assert seen == {(False, False, False), (True, False, False),
+                    (False, True, False), (False, True, True)}
+
+
+def test_exact_mms_evaluates_few_exact_values():
+    # The greedy seed and the leaf cutoffs leave 300 exact value reads on
+    # this instance; a search that starts from nothing and evaluates every
+    # holder of every leaf it reaches makes 1,180.
+    inst = gen_random_hereditary(m=12, n=3, family_density=0.6, seed=13)
+    oracle = oracle_for(inst, 0)
+    reads = []
+
+    def counted(items, original=oracle.exact_weight):
+        reads.append(items)
+        return original(items)
+
+    oracle.exact_weight = counted
+    assert compute_mms_exact(inst, 0, oracle=oracle).mu == 8
+    assert len(reads) == 300
