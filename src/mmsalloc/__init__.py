@@ -38,14 +38,12 @@ from .adapters import (
 from .mms_oracle import (
     MmsRecord,
     compute_mms_exact,
-    max_min_allocation_value,
     mms_bounds,
     verify_allocation,
 )
-from .valuation import AdversarialOracle, IndependentBundle, ValuationOracle, oracle_for
+from .valuation import IndependentBundle, ValuationOracle, oracle_for
 
 __all__ = [
-    "AdversarialOracle",
     "Allocation",
     "AsymmetricSpec",
     "BudgetSystem",
@@ -65,7 +63,6 @@ __all__ = [
     "constrained_mms",
     "instance_from_json",
     "instance_to_json",
-    "max_min_allocation_value",
     "mms_bounds",
     "oracle_for",
     "solve_alpha",

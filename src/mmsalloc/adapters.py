@@ -38,10 +38,6 @@ class ConstraintReport(NamedTuple):
     completion: tuple[tuple[int, int], ...] = ()
     schedules: tuple[dict[int, int], ...] = ()
 
-    @property
-    def all_feasible(self) -> bool:
-        return all(self.feasible)
-
 
 # ---------------------------------------------------------------------------
 # Budget constraints
@@ -154,7 +150,7 @@ def constrained_mms(instance: Instance, agent: int, *,
     # Interval membership sits behind the oracle's gate, here m.
     oracle = oracle_for(instance, agent, gate=instance.m)
     found = _best_min_assignment(
-        range(instance.m), [(oracle.additive_weight, oracle.weights)],
-        [0] * instance.n, gate=gate, feasible=oracle.is_independent,
+        range(instance.m), oracle.additive_weight, oracle.weights, instance.n,
+        gate=gate, feasible=oracle.is_independent,
         allow_discard=not isinstance(system, ConflictSystem))
     return ZERO if found is None else Fraction(found[0], oracle.scale)

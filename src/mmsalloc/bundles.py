@@ -61,11 +61,6 @@ def bundles_from_mms_partition(oracle: ValuationOracle, record: MmsRecord,
     return survivors
 
 
-def make_bundles_two_fifths(request: BundleRequest) -> list[IndependentBundle] | None:
-    """Two-phase construction at threshold (2/5) * mu_star."""
-    return make_bundles_alpha(request._replace(alpha=TWO_FIFTHS))
-
-
 def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None:
     """Two-phase construction at threshold alpha * mu_star.
 

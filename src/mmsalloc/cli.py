@@ -146,13 +146,10 @@ def _cmd_solve(args) -> int:
         mode = "two_fifths"
     epsilon = parse_rational(epsilon_text) if epsilon_text is not None else None
     solved = _solve(instance, mode, epsilon, args.gate)
+    result, allocation = solved, solved.allocation
+    extras: dict = {"mode": mode}
     if isinstance(solved, ConstraintReport):
-        result, allocation = solved.result, solved.allocation
-    else:
-        result, allocation = solved, solved.allocation
-
-    extras: dict = {"mode": mode, "alpha": str(result.alpha)}
-    if isinstance(solved, ConstraintReport):
+        result = solved.result
         extras["feasible"] = list(solved.feasible)
         if solved.completion:
             extras["completion"] = [[agent + 1, item + 1]
@@ -161,6 +158,7 @@ def _cmd_solve(args) -> int:
             extras["schedules"] = [
                 {str(job + 1): start for job, start in sorted(witness.items())}
                 for witness in solved.schedules]
+    extras["alpha"] = str(result.alpha)
 
     report = None
     if args.certify:

@@ -411,18 +411,16 @@ def validate_instance(instance: Instance) -> Instance:
                 raise NegativeValue(f"agent {i + 1}: negative value {v}")
 
     spec = instance.system
-    if isinstance(spec, AsymmetricSpec):
-        if len(spec.systems) != n:
-            raise InstanceError(
-                f"asymmetric spec has {len(spec.systems)} systems for {n} agents")
-        for sys_i in spec.systems:
-            _validate_system(sys_i, m)
-    elif isinstance(spec, EntitledSpec):
-        if len(spec.systems) != n:
-            raise InstanceError(
-                f"entitled spec has {len(spec.systems)} systems for {n} agents")
-        for sys_i in spec.systems:
-            _validate_system(sys_i, m)
+    if not isinstance(spec, (AsymmetricSpec, EntitledSpec)):
+        _validate_system(spec, m)
+        return instance
+    if len(spec.systems) != n:
+        kind = "entitled" if isinstance(spec, EntitledSpec) else "asymmetric"
+        raise InstanceError(
+            f"{kind} spec has {len(spec.systems)} systems for {n} agents")
+    for sys_i in spec.systems:
+        _validate_system(sys_i, m)
+    if isinstance(spec, EntitledSpec):
         # A boolean sorts as 0 or 1, so it must not pass for an agent.
         if bool in map(type, spec.ordering) or sorted(spec.ordering) != list(range(n)):
             numbers = [i + 1 if type(i) is int else i for i in spec.ordering]
@@ -432,8 +430,6 @@ def validate_instance(instance: Instance) -> Instance:
             if not system_subseteq(spec.systems[prev], spec.systems[nxt], m):
                 raise NonNestedEntitledFamilies(
                     f"agent {prev + 1}'s family is not contained in agent {nxt + 1}'s")
-    else:
-        _validate_system(spec, m)
     return instance
 
 

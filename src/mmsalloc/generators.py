@@ -144,39 +144,3 @@ def gen_random_hereditary(m: int, n: int, family_density: float = 0.5,
               for _ in range(m))
         for _ in range(n))
     return validate_instance(Instance(n=n, m=m, values=rows, system=system))
-
-
-def three_partition_decision(numbers) -> bool:
-    """Direct backtracking decision for 3-PARTITION, independent of the MMS path."""
-    numbers = list(numbers)
-    if len(numbers) % 3 != 0 or not numbers:
-        return False
-    n = len(numbers) // 3
-    total = sum(numbers)
-    if total % n != 0:
-        return False
-    target = total // n
-    order = sorted(range(len(numbers)), key=lambda j: -numbers[j])
-    used = [False] * len(numbers)
-
-    def fill(remaining_triples: int) -> bool:
-        if remaining_triples == 0:
-            return True
-        first = next(j for j in order if not used[j])
-        used[first] = True
-        rest = [j for j in order if not used[j]]
-        for t2 in range(len(rest)):
-            j2 = rest[t2]
-            if numbers[first] + numbers[j2] > target:
-                continue
-            for t3 in range(t2 + 1, len(rest)):
-                j3 = rest[t3]
-                if numbers[first] + numbers[j2] + numbers[j3] == target:
-                    used[j2] = used[j3] = True
-                    if fill(remaining_triples - 1):
-                        return True
-                    used[j2] = used[j3] = False
-        used[first] = False
-        return False
-
-    return fill(n)

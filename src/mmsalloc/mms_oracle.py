@@ -1,9 +1,10 @@
 """Brute-force ground truth: exact maximin shares, witnesses, verification.
 
 Everything here enumerates exhaustively (with symmetry and bound pruning) and
-is gated by item count.  The solvers never call into this module; it exists
-so that every guarantee they claim can be checked against an independent
-computation at desk scale.
+is gated by item count.  The existence mode (``solve_existence``, and through
+it the conflicts adapter) builds its bundles from these maximin partitions,
+and ``adapters.constrained_mms`` runs the same search over feasible bundles;
+otherwise this module checks the solvers' guarantees at desk scale.
 """
 
 from __future__ import annotations
@@ -74,18 +75,18 @@ def _on_masks(fn):
     return functools.cache(lambda mask: fn(_mask_items(mask)))
 
 
-def _best_min_assignment(items, groups, group_of, *, gate, feasible=None,
-                         allow_discard=False):
+def _best_min_assignment(items, value_fn, weights, holders, *, gate,
+                         feasible=None, allow_discard=False):
     """Maximise the minimum holder value over assignments of items to holders.
 
-    Holder h values what it holds by ``groups[group_of[h]]``, a pair of an
-    integer value function on item sets and per-item integer weights that
-    upper-bound each item's marginal contribution to that value (they drive
-    the bound pruning).  Items are placed heaviest first, by their largest
-    weight over the groups, ties by index; holders of one group are
-    interchangeable, so an item may only start the lowest-index empty holder
-    of each group.  ``feasible`` (on item sets) restricts holdings
-    hereditarily; ``allow_discard`` lets an item go to no holder.
+    All ``holders`` holders value what they hold by ``value_fn``, an integer
+    value function on item sets; ``weights`` are per-item integer weights
+    that upper-bound each item's marginal contribution to that value (they
+    drive the bound pruning).  Items are placed heaviest first, ties by
+    index; holders are interchangeable, so an item tries the non-empty
+    holders and then only the first empty one.  ``feasible`` (on item sets)
+    restricts holdings hereditarily; ``allow_discard`` lets an item go to no
+    holder.
 
     Without ``feasible`` the best value starts one below that of Graham's
     LPT greedy (each item in turn to the holder of least weight), so the
@@ -102,68 +103,54 @@ def _best_min_assignment(items, groups, group_of, *, gate, feasible=None,
     if len(items) > limit:
         raise BruteForceGateExceeded(
             f"{len(items)} items exceed the brute-force gate {limit}")
-    order = sorted(items, key=lambda j: (-max(w[j] for _, w in groups), j))
+    order = sorted(items, key=lambda j: (-weights[j], j))
     k = len(order)
-    suffixes = []
-    for _, weights in groups:
-        suffix = [0] * (k + 1)
-        for t in reversed(range(k)):
-            suffix[t] = suffix[t + 1] + weights[order[t]]
-        suffixes.append(suffix)
-    value_fns = [_on_masks(value_fn) for value_fn, _ in groups]
+    suffix = [0] * (k + 1)
+    for t in reversed(range(k)):
+        suffix[t] = suffix[t + 1] + weights[order[t]]
+    mask_value = _on_masks(value_fn)
     fits = None if feasible is None else _on_masks(feasible)
-    holders = range(len(group_of))
-    suffix_of = [suffixes[g] for g in group_of]
-    weight_of = [groups[g][1] for g in group_of]
-    value_of = [value_fns[g] for g in group_of]
-    # The previous holder of the same group: while it is empty, so is h.
-    previous, last = [], {}
-    for h, g in enumerate(group_of):
-        previous.append(last.get(g))
-        last[g] = h
 
     # Values are non-negative, so -1 lets the first leaf in.
     best_value = -1
     best_masks: list[int] | None = None
-    masks = [0] * len(group_of)
-    held = [0] * len(group_of)
+    masks = [0] * holders
+    held = [0] * holders
     if feasible is None:
-        greedy, load = [0] * len(group_of), [0] * len(group_of)
+        greedy, load = [0] * holders, [0] * holders
         for j in order:
-            h = min(holders, key=load.__getitem__)
+            h = load.index(min(load))
             greedy[h] |= 1 << j
-            load[h] += weight_of[h][j]
+            load[h] += weights[j]
         if 0 not in greedy:
-            best_value = min(value_of[h](greedy[h]) for h in holders) - 1
+            best_value = min(map(mask_value, greedy)) - 1
 
     def descend(t: int) -> None:
         nonlocal best_value, best_masks
-        if min(held[h] + suffix_of[h][t] for h in holders) <= best_value:
+        if min(held) + suffix[t] <= best_value:
             return
         if t == k:
             # An empty holder passes the cut only while best_value is -1.
             value = 0 if 0 in masks else math.inf
             if value:
-                for h in holders:
-                    value = min(value, value_of[h](masks[h]))
+                for mask in masks:
+                    value = min(value, mask_value(mask))
                     if value <= best_value:
                         return
             best_value, best_masks = value, list(masks)
             return
-        j = order[t]
-        bit = 1 << j
-        for h in holders:
-            if masks[h] == 0 and previous[h] is not None \
-                    and masks[previous[h]] == 0:
-                continue
-            new_mask = masks[h] | bit
-            if fits is not None and not fits(new_mask):
-                continue
-            masks[h] = new_mask
-            held[h] += weight_of[h][j]
-            descend(t + 1)
-            masks[h] ^= bit
-            held[h] -= weight_of[h][j]
+        bit = 1 << order[t]
+        weight = weights[order[t]]
+        for h in range(holders):
+            mask = masks[h]
+            if fits is None or fits(mask | bit):
+                masks[h] = mask | bit
+                held[h] += weight
+                descend(t + 1)
+                masks[h] = mask
+                held[h] -= weight
+            if not mask:
+                break
         if allow_discard:
             descend(t + 1)
 
@@ -183,8 +170,8 @@ def compute_mms_exact(instance: Instance, agent: int, *,
         oracle = oracle_for(instance, agent)
     # A maximin partition: an assignment to n holders sharing one valuation.
     mu, blocks = _best_min_assignment(
-        range(instance.m), [(oracle.exact_weight, oracle.singleton_weights)],
-        [0] * instance.n, gate=gate)
+        range(instance.m), oracle.exact_weight, oracle.singleton_weights,
+        instance.n, gate=gate)
     witness = tuple(_mask_items(mask) for mask in blocks)
     return MmsRecord(agent=agent, mu=Fraction(mu, oracle.scale), witness=witness)
 
@@ -237,25 +224,3 @@ def verify_allocation(instance: Instance, allocation: Allocation,
             checks.append(AgentCheck(agent=agent, value=value, mu=mu,
                                      ratio=value / mu, ok=value >= alpha * mu))
     return VerificationReport(alpha=alpha, checks=tuple(checks))
-
-
-def max_min_allocation_value(instance: Instance, *,
-                             gate: int = DEFAULT_MMS_GATE):
-    """Exhaustive best min bundle value over all complete allocations.
-
-    Agents with identical valuations form one group of interchangeable
-    holders.  Returns (best min value, witness bundles).
-    """
-    if instance.n == 0:
-        return ZERO, ()
-    index: dict = {}
-    group_of = [index.setdefault((instance.values[i], instance.system_for(i)),
-                                 len(index)) for i in range(instance.n)]
-    oracles = [oracle_for(instance, group_of.index(g)) for g in range(len(index))]
-    scale = math.lcm(*(o.scale for o in oracles))
-    groups = [(lambda items, o=o, f=scale // o.scale: o.exact_weight(items) * f,
-               [w * (scale // o.scale) for w in o.singleton_weights])
-              for o in oracles]
-    best, masks = _best_min_assignment(range(instance.m), groups, group_of,
-                                       gate=gate)
-    return Fraction(best, scale), tuple(_mask_items(mask) for mask in masks)

@@ -275,37 +275,6 @@ class ValuationOracle:
         return witness
 
 
-class AdversarialOracle(ValuationOracle):
-    """Testing wrapper that answers subset queries as badly as the bound allows.
-
-    Returns the minimum-value independent subset whose value still reaches
-    (1 - epsilon) times the true bundle value, so downstream consumers are
-    exercised at the exact boundary of the oracle contract.
-    """
-
-    ENUMERATION_GATE = 16
-
-    def _approx_value_subset(self, items: Items, goal: int | None) -> IndependentBundle:
-        if len(items) > self.ENUMERATION_GATE:
-            raise ExactnessGateExceeded(
-                f"adversarial enumeration over {len(items)} items exceeds the "
-                f"gate {self.ENUMERATION_GATE}")
-        bound = (ONE - self.epsilon) * self.exact_weight(items)  # on the weight scale
-        ordered = sorted(items)
-        best: tuple[int, tuple[int, ...]] | None = None
-        for mask in range(1 << len(ordered)):
-            subset = frozenset(ordered[t] for t in range(len(ordered))
-                               if mask >> t & 1)
-            weight = self.additive_weight(subset)
-            if weight < bound or not self.is_independent(subset):
-                continue
-            key = (weight, tuple(sorted(subset)))
-            if best is None or key < best:
-                best = key
-        assert best is not None  # the reduced optimum always qualifies
-        return IndependentBundle(frozenset(best[1]), best[0], self.scale)
-
-
 def singleton_weights(system: SetSystem, weights) -> tuple:
     """Each weight, or 0 where {j} is not independent.  Validated interval
     jobs fit their own windows, and conflict graphs have no self-loops."""

@@ -1,4 +1,5 @@
-"""Shared test helpers: independent brute-force references and samplers.
+"""Shared test helpers: independent brute-force references, an adversarial
+oracle, and samplers.
 
 Every reference here recomputes from the definitions along a different code
 path than the library (permutation search instead of DP, subset enumeration
@@ -7,18 +8,21 @@ instead of DP and branch and bound), so agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 from mmsalloc.core import (
     BudgetSystem,
     ConflictSystem,
+    ExactnessGateExceeded,
     ExplicitSystem,
     FreeSystem,
     Instance,
     IntervalSystem,
     validate_instance,
 )
+from mmsalloc.valuation import IndependentBundle, ValuationOracle, oracle_for
 
 F = Fraction
 
@@ -97,6 +101,104 @@ def brute_mms(instance, agent, parts=None) -> Fraction:
                   for b in range(parts)]
         best = max(best, min(brute_value(system, values, b) for b in blocks))
     return best
+
+
+def max_min_allocation_value(instance):
+    """Best min bundle value over every complete allocation, by enumerating
+    every labelling of items with agents.  Bundle values are the library's
+    exact values, memoized per agent and bundle bitmask; only the pruned
+    search is replaced.  Returns (best min value, witness bundles)."""
+    n, m = instance.n, instance.m
+    if n == 0:
+        return F(0), ()
+
+    def bundle(mask):
+        return frozenset(j for j in range(m) if mask >> j & 1)
+
+    values = [functools.cache(lambda mask, oracle=oracle_for(instance, i):
+                              oracle.exact_value(bundle(mask)))
+              for i in range(n)]
+    best = None
+    for labels in itertools.product(range(n), repeat=m):
+        masks = [0] * n
+        for j, agent in enumerate(labels):
+            masks[agent] |= 1 << j
+        value = min(values[i](masks[i]) for i in range(n))
+        if best is None or value > best[0]:
+            best = (value, masks)
+    return best[0], tuple(map(bundle, best[1]))
+
+
+def three_partition_decision(numbers) -> bool:
+    """Direct backtracking decision for 3-PARTITION, independent of the MMS path."""
+    numbers = list(numbers)
+    if len(numbers) % 3 != 0 or not numbers:
+        return False
+    n = len(numbers) // 3
+    total = sum(numbers)
+    if total % n != 0:
+        return False
+    target = total // n
+    order = sorted(range(len(numbers)), key=lambda j: -numbers[j])
+    used = [False] * len(numbers)
+
+    def fill(remaining_triples: int) -> bool:
+        if remaining_triples == 0:
+            return True
+        first = next(j for j in order if not used[j])
+        used[first] = True
+        rest = [j for j in order if not used[j]]
+        for t2 in range(len(rest)):
+            j2 = rest[t2]
+            if numbers[first] + numbers[j2] > target:
+                continue
+            for t3 in range(t2 + 1, len(rest)):
+                j3 = rest[t3]
+                if numbers[first] + numbers[j2] + numbers[j3] == target:
+                    used[j2] = used[j3] = True
+                    if fill(remaining_triples - 1):
+                        return True
+                    used[j2] = used[j3] = False
+        used[first] = False
+        return False
+
+    return fill(n)
+
+
+# ---------------------------------------------------------------------------
+# An oracle at the edge of its contract
+# ---------------------------------------------------------------------------
+
+class AdversarialOracle(ValuationOracle):
+    """Answers subset queries as badly as the error bound allows.
+
+    Returns the minimum-value independent subset whose value still reaches
+    (1 - epsilon) times the true bundle value, so downstream consumers are
+    exercised at the exact boundary of the oracle contract.  Only the
+    uncached query is overridden, so the memo and goal rules still apply.
+    """
+
+    ENUMERATION_GATE = 16
+
+    def _approx_value_subset(self, items, goal):
+        if len(items) > self.ENUMERATION_GATE:
+            raise ExactnessGateExceeded(
+                f"adversarial enumeration over {len(items)} items exceeds the "
+                f"gate {self.ENUMERATION_GATE}")
+        bound = (1 - self.epsilon) * self.exact_weight(items)  # on the weight scale
+        ordered = sorted(items)
+        best = None
+        for mask in range(1 << len(ordered)):
+            subset = frozenset(ordered[t] for t in range(len(ordered))
+                               if mask >> t & 1)
+            weight = self.additive_weight(subset)
+            if weight < bound or not self.is_independent(subset):
+                continue
+            key = (weight, tuple(sorted(subset)))
+            if best is None or key < best:
+                best = key
+        assert best is not None  # the reduced optimum always qualifies
+        return IndependentBundle(frozenset(best[1]), best[0], self.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from mmsalloc.adapters import (
     solve_conflicts_adapter,
     solve_intervals_adapter,
 )
-from mmsalloc.bundles import BundleRequest, make_bundles_two_fifths
+from mmsalloc.bundles import BundleRequest, make_bundles_alpha
 from mmsalloc.cli import main as cli_main
 from mmsalloc.core import BudgetSystem, IntervalSystem
 from mmsalloc.driver import (
@@ -34,25 +34,27 @@ from mmsalloc.generators import (
     gen_random_hereditary,
     gen_three_partition,
     gen_two_thirds_bound,
-    three_partition_decision,
 )
 from mmsalloc.matching import (
     envy_free_matching,
     is_envy_free,
     max_general_matching,
 )
-from mmsalloc.mms_oracle import compute_mms_exact, max_min_allocation_value, verify_allocation
-from mmsalloc.valuation import AdversarialOracle, ValuationOracle, oracle_for
+from mmsalloc.mms_oracle import compute_mms_exact, verify_allocation
+from mmsalloc.valuation import ValuationOracle, oracle_for
 
 from conftest import (
+    AdversarialOracle,
     brute_envy_free_max,
     brute_max_matching_size,
     brute_member,
     brute_schedulable,
     brute_value,
+    max_min_allocation_value,
     rand_budget_instance,
     rand_conflict_instance,
     rand_interval_instance,
+    three_partition_decision,
 )
 
 F = Fraction
@@ -202,7 +204,7 @@ def test_c06_bundle_construction_contract():
                                        epsilon=epsilon)
         else:
             oracle = oracle_for(inst, agent, epsilon=epsilon)
-        got = make_bundles_two_fifths(BundleRequest(
+        got = make_bundles_alpha(BundleRequest(
             oracle=oracle, items=frozenset(items), count=n - ell,
             mu_star=mu_star))
         qualifying += 1
@@ -282,7 +284,7 @@ def test_c09_adapters(corpus):
     for trial in range(200):
         inst = rand_budget_instance(rng)
         report = solve_budget_adapter(inst)
-        assert report.all_feasible
+        assert all(report.feasible)
         for i in range(inst.n):
             system = inst.system_for(i)
             load = sum((system.sizes[j] for j in report.allocation.bundles[i]),
@@ -296,7 +298,7 @@ def test_c09_adapters(corpus):
     for trial in range(200):
         inst = rand_conflict_instance(rng)
         report = solve_conflicts_adapter(inst)
-        assert report.allocation.complete and report.all_feasible
+        assert report.allocation.complete and all(report.feasible)
         for i in range(inst.n):
             bundle = report.allocation.bundles[i]
             assert not any(a in bundle and b in bundle
@@ -308,7 +310,7 @@ def test_c09_adapters(corpus):
     for trial in range(200):
         inst = rand_interval_instance(rng, m=rng.randint(3, 7))
         report = solve_intervals_adapter(inst)
-        assert report.all_feasible
+        assert all(report.feasible)
         for i in range(inst.n):
             bundle = report.allocation.bundles[i]
             assert brute_schedulable(inst.system.jobs, bundle)

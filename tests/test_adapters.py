@@ -70,7 +70,7 @@ def test_budget_unit_example():
                      BudgetSystem(sizes=(F(1),) * 4, budget=F(6))),
             ordering=(0, 1))))
     report = solve_budget_adapter(inst)
-    assert report.all_feasible
+    assert all(report.feasible)
     for i in range(2):
         mu = constrained_mms(inst, i)
         assert mu == 2
@@ -94,7 +94,7 @@ def test_budget_adapter_ratios_on_randoms():
     for trial in range(40):
         inst = rand_budget_instance(rng)
         report = solve_budget_adapter(inst)
-        assert report.all_feasible
+        assert all(report.feasible)
         for i in range(inst.n):
             assert brute_member(inst.system_for(i), report.allocation.bundles[i])
             mu = constrained_mms(inst, i)
@@ -116,7 +116,7 @@ def test_conflicts_path_graph_example():
         n=3, m=4, values=((F(1),) * 4,) * 3,
         system=ConflictSystem.normalize([(0, 1), (1, 2), (2, 3)])))
     report = solve_conflicts_adapter(inst)
-    assert report.allocation.complete and report.all_feasible
+    assert report.allocation.complete and all(report.feasible)
     for i in range(3):
         mu = constrained_mms(inst, i)
         assert _additive(inst, i, report.allocation.bundles[i]) >= F(1, 2) * mu
@@ -137,7 +137,7 @@ def test_conflicts_degree_guard_counts_distinct_neighbours(edges):
     inst = validate_instance(Instance(
         n=2, m=3, values=((F(1),) * 3,) * 2, system=ConflictSystem(edges=edges)))
     report = solve_conflicts_adapter(inst)
-    assert report.allocation.complete and report.all_feasible
+    assert report.allocation.complete and all(report.feasible)
     for i in range(2):
         assert brute_member(inst.system, report.allocation.bundles[i])
 
@@ -174,7 +174,7 @@ def test_intervals_wide_windows_reduce_to_everything_schedulable():
         n=2, m=3, values=((F(2), F(1), F(1)), (F(1), F(1), F(1))),
         system=IntervalSystem(jobs=((1, 1, 9), (1, 1, 9), (1, 1, 9)))))
     report = solve_intervals_adapter(inst)
-    assert report.all_feasible
+    assert all(report.feasible)
 
 
 def test_intervals_tight_window_example():
@@ -192,7 +192,7 @@ def test_intervals_adapter_emits_valid_schedules():
     for trial in range(40):
         inst = rand_interval_instance(rng)
         report = solve_intervals_adapter(inst)
-        assert report.all_feasible
+        assert all(report.feasible)
         for i in range(inst.n):
             bundle = report.allocation.bundles[i]
             witness = report.schedules[i]

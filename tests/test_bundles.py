@@ -24,7 +24,6 @@ from mmsalloc.generators import gen_random_hereditary, gen_two_thirds_bound
 from mmsalloc.matching import max_general_matching
 from mmsalloc.mms_oracle import compute_mms_exact
 from mmsalloc.valuation import (
-    AdversarialOracle,
     IndependentBundle,
     ValuationOracle,
     _schedule_is_valid,
@@ -32,6 +31,7 @@ from mmsalloc.valuation import (
 )
 
 from conftest import (
+    AdversarialOracle,
     rand_budget_instance,
     rand_conflict_instance,
     rand_interval_instance,

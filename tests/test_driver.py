@@ -36,9 +36,10 @@ from mmsalloc.generators import (
     gen_two_thirds_bound,
 )
 from mmsalloc.mms_oracle import compute_mms_exact, mms_bounds, verify_allocation
-from mmsalloc.valuation import AdversarialOracle, ValuationOracle, oracle_for
+from mmsalloc.valuation import ValuationOracle, oracle_for
 
 from conftest import (
+    AdversarialOracle,
     brute_member,
     rand_budget_instance,
     rand_conflict_instance,

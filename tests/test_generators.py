@@ -13,11 +13,14 @@ from mmsalloc.generators import (
     gen_random_hereditary,
     gen_three_partition,
     gen_two_thirds_bound,
+)
+from mmsalloc.mms_oracle import compute_mms_exact
+
+from conftest import (
+    brute_member,
+    max_min_allocation_value,
     three_partition_decision,
 )
-from mmsalloc.mms_oracle import compute_mms_exact, max_min_allocation_value
-
-from conftest import brute_member
 
 F = Fraction
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from fractions import Fraction
 
@@ -28,7 +27,6 @@ from mmsalloc.generators import (
 from mmsalloc.mms_oracle import (
     MmsRecord,
     compute_mms_exact,
-    max_min_allocation_value,
     mms_bounds,
     verify_allocation,
 )
@@ -36,7 +34,7 @@ from mmsalloc.valuation import oracle_for
 
 from conftest import (
     brute_mms,
-    brute_value,
+    max_min_allocation_value,
     rand_budget_instance,
     rand_conflict_instance,
     rand_interval_instance,
@@ -209,8 +207,7 @@ def test_exhaustive_allocation_search_on_gadget():
 
 
 def _repeated_rows_instance(rng, seed):
-    """Agents drawn from two value rows and, per agent, two families, so the
-    interchangeable-agent groups have several members and several groups."""
+    """Agents drawn from two value rows and, per agent, two families."""
     m = rng.randint(2, 7)
     n = rng.choice((2, 3))
     rows = rand_values(rng, 2, m)
@@ -227,35 +224,6 @@ def _repeated_rows_instance(rng, seed):
     return validate_instance(Instance(n=n, m=m, values=values, system=system))
 
 
-def test_max_min_allocation_matches_enumeration():
-    rng = random.Random(31)
-    for trial in range(40):
-        if trial % 4 == 3:
-            inst = rand_budget_instance(rng, m=rng.randint(2, 7))
-        else:
-            inst = _repeated_rows_instance(rng, 3000 + trial)
-        n, m = inst.n, inst.m
-        seen: dict = {}
-
-        def value(agent, bundle):
-            key = (agent, bundle)
-            if key not in seen:
-                seen[key] = brute_value(inst.system_for(agent),
-                                        inst.values[agent], bundle)
-            return seen[key]
-
-        expected = max(
-            min(value(i, frozenset(j for j in range(m) if labels[j] == i))
-                for i in range(n))
-            for labels in itertools.product(range(n), repeat=m))
-        best, witness = max_min_allocation_value(inst)
-        assert best == expected
-        assert len(witness) == n
-        assert sum(len(b) for b in witness) == m
-        assert frozenset().union(*witness) == inst.all_items()
-        assert min(value(i, witness[i]) for i in range(n)) == best
-
-
 def test_bounds_trivial_cases():
     single = Instance(n=1, m=3, values=((F(0), F(7), F(0)),),
                       system=FreeSystem())
@@ -268,28 +236,26 @@ def test_bounds_trivial_cases():
     assert (bounds.lower, bounds.upper) == (0, 0)
 
 
-def _first_best_leaf(items, groups, group_of, *, gate, feasible=None,
-                     allow_discard=False):
+def _first_best_leaf(items, value_fn, weights, holders, *, gate,
+                     feasible=None, allow_discard=False):
     """Unpruned reference for ``_best_min_assignment``: the same depth-first
-    walk, heaviest item first and only the lowest-index empty holder of a
-    group started, visits every leaf and keeps the first with the largest min
-    holder value."""
-    order = sorted(items, key=lambda j: (-max(w[j] for _, w in groups), j))
-    values = [functools.cache(value) for value, _ in groups]
-    bundles = [frozenset()] * len(group_of)
+    walk, heaviest item first and only the lowest-index empty holder started,
+    visits every leaf and keeps the first with the largest min holder
+    value."""
+    order = sorted(items, key=lambda j: (-weights[j], j))
+    value = functools.cache(value_fn)
+    bundles = [frozenset()] * holders
     best = None
 
     def descend(t):
         nonlocal best
         if t == len(order):
-            value = 0 if frozenset() in bundles else min(
-                values[g](bundle) for g, bundle in zip(group_of, bundles))
-            if best is None or value > best[0]:
-                best = (value, [sum(1 << j for j in b) for b in bundles])
+            leaf = 0 if frozenset() in bundles else min(map(value, bundles))
+            if best is None or leaf > best[0]:
+                best = (leaf, [sum(1 << j for j in b) for b in bundles])
             return
-        for h, g in enumerate(group_of):
-            if not bundles[h] and any(group_of[e] == g and not bundles[e]
-                                      for e in range(h)):
+        for h in range(holders):
+            if not bundles[h] and frozenset() in bundles[:h]:
                 continue
             grown = bundles[h] | {order[t]}
             if feasible is not None and not feasible(grown):
@@ -320,9 +286,8 @@ def _desk_instances():
 def test_pruned_search_returns_the_first_best_leaf(monkeypatch):
     # The greedy seed, the node cut and the leaf cutoffs skip only leaves
     # that cannot beat the best value, so the search records the same first
-    # optimal leaf as the unpruned walk: one group per maximin share, several
-    # in the allocation search, and feasible holdings with and without
-    # discarding in the constrained share.
+    # optimal leaf as the unpruned walk: plain in the maximin share, and
+    # feasible holdings with and without discarding in the constrained share.
     searched = []
 
     def spy(*args, original=mms_oracle._best_min_assignment, **kwargs):
@@ -339,15 +304,12 @@ def test_pruned_search_returns_the_first_best_leaf(monkeypatch):
             if inst.system_for(agent).kind in ("budget", "conflict",
                                                "interval"):
                 adapters.constrained_mms(inst, agent)
-        if inst.n <= 3:
-            max_min_allocation_value(inst)
         for args, kwargs, found in searched:
             assert found == _first_best_leaf(*args, **kwargs)
-            seen.add((len(set(args[2])) > 1, kwargs.get("feasible") is not None,
+            seen.add((kwargs.get("feasible") is not None,
                       kwargs.get("allow_discard", False)))
         searched.clear()
-    assert seen == {(False, False, False), (True, False, False),
-                    (False, True, False), (False, True, True)}
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_exact_mms_evaluates_few_exact_values():

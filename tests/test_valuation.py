@@ -25,7 +25,6 @@ from mmsalloc.driver import solve_entitled, solve_existence, solve_two_fifths
 from mmsalloc.generators import gen_random_hereditary, gen_two_thirds_bound
 from mmsalloc.mms_oracle import compute_mms_exact
 from mmsalloc.valuation import (
-    AdversarialOracle,
     IndependentBundle,
     ValuationOracle,
     _schedule_is_valid,
@@ -34,6 +33,7 @@ from mmsalloc.valuation import (
 )
 
 from conftest import (
+    AdversarialOracle,
     brute_member,
     brute_schedulable,
     brute_value,
