@@ -69,6 +69,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     maximum matching.  Items are scanned in ascending index order throughout.
     Interval bundles carry their schedule: a carved one restricts its query's,
     a singleton starts at its release and a pair takes the exact scheduler's.
+    Explicit bundles carry a maximal set holding them, a carved one its answer's.
     Returns None when fewer than the requested number of bundles exist, which
     is the legitimate signal that the caller's estimate is too high.
     """
@@ -85,7 +86,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
 
     # Phase one, singletons: items already meeting the threshold are built;
     # the rest are high (worth more than half of it) or low.
-    built: list[tuple[Items, int, dict | None]] = []  # (bundle, weight, witness)
+    built: list[tuple[Items, int, dict | Items | None]] = []  # (bundle, weight, witness)
     high, low = [], set()
     for j in sorted(request.items):
         if singleton[j] <= half:
@@ -93,7 +94,8 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
         elif singleton[j] < goal:
             high.append(j)
         else:
-            built.append((frozenset((j,)), oracle.weights[j], jobs and {j: jobs[j][1]}))
+            built.append((frozenset((j,)), oracle.weights[j],
+                          {j: jobs[j][1]} if jobs is not None else oracle.holder((j,))))
 
     # Phase one, carving: one high item plus low items, minimised, in one
     # ascending pass that stops once count bundles are built.  An item whose
@@ -120,7 +122,8 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
             assert len(kept) == 1 or 2 * weight * t_den < 3 * t_num, \
                 "phase-one bundle exceeds its value cap"
             witness = candidate.witness
-            built.append((kept, weight, witness and {j: witness[j] for j in kept}))
+            built.append((kept, weight, {j: witness[j] for j in kept}
+                          if isinstance(witness, dict) else witness))
             high = [h for h in high if h not in kept]
             low_weight -= weight_of(kept & low)
             low -= kept
@@ -137,13 +140,14 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
                  if oracle.pair_independent(high[a], high[b])]
         for a_pos, b_pos in max_general_matching(len(high), edges):
             pair = frozenset((high[a_pos], high[b_pos]))
-            built.append((pair, weight_of(pair),
-                          jobs and _interval_witness(oracle.system, pair)))
+            built.append((pair, weight_of(pair), _interval_witness(oracle.system, pair)
+                          if jobs is not None else oracle.holder(pair)))
 
     claimed: set[int] = set()
     for items, weight, witness in built:
-        assert (oracle.is_independent(items) if witness is None
-                else _schedule_is_valid(oracle.system, items, witness))
+        assert (oracle.is_independent(items) if witness is None else
+                _schedule_is_valid(oracle.system, items, witness) if jobs is not None else
+                items <= witness and witness in oracle.system.maximal_sets)
         assert weight >= goal
         assert claimed.isdisjoint(items)
         claimed.update(items)

@@ -67,7 +67,12 @@ class VerificationReport(NamedTuple):
 
 
 def _mask_items(mask: int) -> Items:
-    return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
+    items = []
+    while mask:  # one step per set bit, lowest first
+        low = mask & -mask
+        items.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(items)
 
 
 def _on_masks(fn):

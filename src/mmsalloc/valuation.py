@@ -36,14 +36,15 @@ APPROXIMATE_ERRORS = {"budget": ZERO, "interval": Fraction(1, 2)}
 
 
 class IndependentBundle(NamedTuple):
-    """An independent bundle, its (additive) exact weight on its oracle's
-    integer scale, so its value is weight / scale, and any schedule of it.
-    Bundles are equal when their items and values are."""
+    """An independent bundle, its exact additive weight on its oracle's integer
+    scale (its value is weight / scale) and any witness: a schedule, or a
+    maximal set of the answering oracle's system holding it.  Bundles are
+    equal when their items and values are."""
 
     items: Items
     weight: int
     scale: int
-    witness: dict[int, int] | None = None
+    witness: dict[int, int] | Items | None = None
 
     @property
     def value(self) -> Fraction:
@@ -107,7 +108,17 @@ class ValuationOracle:
 
     def pair_independent(self, j1: int, j2: int) -> bool:
         """Decide whether {j1, j2} is independent, exactly and in poly time."""
+        if isinstance(self.system, ExplicitSystem):  # some maximal set holds both
+            return bool(self.system.masks.get(j1, 0) & self.system.masks.get(j2, 0))
         return self.is_independent(frozenset((j1, j2)))
+
+    def holder(self, items, among: int = -1) -> Items | None:
+        """The lowest-position maximal set of an explicit system holding
+        ``items``, of those in the bitmask ``among``; else None."""
+        if not isinstance(self.system, ExplicitSystem):
+            return None
+        held = reduce(int.__and__, [self.system.masks.get(j, 0) for j in items], among)
+        return self.system.maximal_sets[(held & -held).bit_length() - 1] if held else None
 
     @cached_property
     def singleton_weights(self) -> tuple[int, ...]:
@@ -186,10 +197,15 @@ class ValuationOracle:
                 items = without
         return IndependentBundle(items, weight, self.scale)
 
+    @cached_property
+    def _zero_items(self) -> Items:
+        return frozenset(j for j, w in enumerate(self.weights) if not w)
+
     def _reduce_explicit(self, items: Items, whole: bool = False) -> IndependentBundle:
         """The ascending scan of ``reduce_to_independent`` over the optimal
         sets only, a bitmask of their positions; with ``whole``, the query
         itself when an optimal set holds all of it, as subset queries answer.
+        Each answer carries an optimal set holding it as its witness.
 
         The bundle's value is the largest of its maximal sets' weights, which
         ``_set_weights`` gives.  Dropping an item never raises a set's weight,
@@ -200,20 +216,24 @@ class ValuationOracle:
             return IndependentBundle(frozenset(), 0, self.scale)
         sums = self._set_weights(items)
         weight = max(sums)
+        if sums.count(weight) == 1:
+            held = self.system.maximal_sets[sums.index(weight)]
+            kept = items if whole and items <= held else items & held - self._zero_items
+            return IndependentBundle(kept, weight, self.scale, held)
         best = sum(1 << t for t, s in enumerate(sums) if s == weight)
+        # A set holding the query outweighs every set lacking a positive item.
+        held = self.holder(items, best) if whole else None
+        if held is not None:
+            return IndependentBundle(items, weight, self.scale, held)
         masks, kept = self.system.masks, []
-        positive = sorted(filter(self.weights.__getitem__, items))
-        for j in positive:
+        for j in sorted(filter(self.weights.__getitem__, items)):
             lacking = best & ~masks.get(j, 0)
             if lacking:
                 best = lacking
             else:
                 kept.append(j)
-        # A set holding the whole query is at the value, so no item went.
-        if whole and len(kept) == len(positive) and reduce(
-                int.__and__, [masks.get(j, 0) for j in items], best):
-            kept = items
-        return IndependentBundle(frozenset(kept), weight, self.scale)
+        return IndependentBundle(frozenset(kept), weight, self.scale,
+                                 self.holder(kept, best))
 
     # -- approximate subset queries ------------------------------------------
 

@@ -10,6 +10,7 @@ import pytest
 
 import mmsalloc.bundles
 from mmsalloc.bundles import (
+    TWO_FIFTHS,
     BundleRequest,
     bundles_from_mms_partition,
     make_bundles_alpha,
@@ -527,6 +528,56 @@ def test_an_item_whose_carving_query_falls_short_is_not_asked_again():
             else:
                 reasked += len(high) > len(set(high))
     assert short_queries >= 400 and reasked >= 40, (short_queries, reasked)
+
+
+def test_explicit_bundles_are_proven_by_the_sets_holding_them(monkeypatch):
+    """On an explicit system each bundle carries a maximal set holding it,
+    so the maker's final check asks no is_independent.  The adversary's
+    answers carry none, so bundles carved from them are still asked."""
+    asked = {ValuationOracle: 0, AdversarialOracle: 0}
+    searching = []  # the adversary's own enumeration asks too; not counted
+    is_independent = ValuationOracle.is_independent
+    search = AdversarialOracle._approx_value_subset
+
+    def counted(self, bundle):
+        asked[type(self)] += not searching
+        return is_independent(self, bundle)
+
+    def enumerating(self, items, goal):
+        searching.append(items)
+        try:
+            return search(self, items, goal)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(ValuationOracle, "is_independent", counted)
+    monkeypatch.setattr(AdversarialOracle, "_approx_value_subset", enumerating)
+    rng = random.Random(2033)
+    built = 0
+    for seed in range(60):
+        inst = gen_random_hereditary(m=24, n=5, family_density=0.6, seed=seed)
+        agent = seed % inst.n
+        # At most 16 items, the adversary's enumeration gate.
+        items = frozenset(rng.sample(range(inst.m), 14))
+        oracle = oracle_for(inst, agent)
+        positive = [oracle.singleton_weights[j] for j in sorted(items)
+                    if oracle.singleton_weights[j]]
+        if not positive:
+            continue
+        t = F(rng.choice(positive), oracle.scale) * rng.choice(
+            (F(5, 4), F(3, 2), F(7, 4)))
+        count = rng.randint(2, 5)
+        for maker_oracle in (oracle, AdversarialOracle(inst.system, inst.values[agent])):
+            request = BundleRequest(oracle=maker_oracle, items=items, count=count,
+                                    mu_star=t / TWO_FIFTHS)
+            bundles = make_bundles_alpha(request) or []
+            if maker_oracle is oracle:
+                built += len(bundles)
+                for bundle in bundles:
+                    assert bundle.witness in inst.system.maximal_sets
+                    assert bundle.items <= bundle.witness
+    assert asked[ValuationOracle] == 0
+    assert asked[AdversarialOracle] > 0 and built >= 100, (asked, built)
 
 
 def _count_pair_questions(oracle):

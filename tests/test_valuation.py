@@ -258,6 +258,61 @@ def test_explicit_subset_answers_match_the_two_step_reference(history, epsilon):
         assert (answer.items, answer.value) == expected, q
 
 
+def _tied_families(rng, trials):
+    """Explicit families on at most 9 items with values 0, 1 and a few 2s,
+    so equal-weight sets are common; up to two last items lie in no set,
+    and every tenth family is empty."""
+    for trial in range(trials):
+        m = rng.randint(1, 9)
+        held = m - rng.randint(0, 2)
+        system = ExplicitSystem() if trial % 10 == 0 else ExplicitSystem.normalize(
+            frozenset(j for j in range(held) if rng.random() < 0.5)
+            for _ in range(rng.randint(1, 8)))
+        values = tuple(F(rng.choice((0, 1, 1, 1, 2))) for _ in range(m))
+        yield system, values
+
+
+def test_explicit_answers_match_the_ascending_scan():
+    """Subset answers (the query itself when a maximal set holds it) and
+    reductions equal the ascending scan, whether one set or several reach
+    the query's value, and each carries a maximal set that holds it and
+    weighs its weight inside the query."""
+    rng = random.Random(3033)
+    alone = tied = 0
+    for system, values in _tied_families(rng, 600):
+        oracle = ValuationOracle(system, values)
+        for _ in range(4):
+            q = frozenset(j for j in range(len(values)) if rng.random() < 0.6)
+            sums = sorted((sum((values[j] for j in q & s), F(0))
+                           for s in system.maximal_sets), reverse=True)
+            tied += len(sums) > 1 and sums[0] == sums[1]
+            alone += len(sums) == 1 or len(sums) > 1 and sums[0] != sums[1]
+            scanned = _reference_reduce(system, values, q)
+            whole = (q, sum((values[j] for j in q), F(0))) \
+                if brute_member(system, q) else scanned
+            for answer, expected in ((oracle.approx_value_subset(q), whole),
+                                     (oracle.reduce_to_independent(q), scanned)):
+                assert (answer.items, answer.value) == expected, (system, values, q)
+                if answer.witness is None:
+                    assert not system.maximal_sets
+                else:
+                    assert answer.witness in system.maximal_sets
+                    assert answer.items <= answer.witness
+                    assert sum((values[j] for j in q & answer.witness), F(0)) \
+                        == answer.value, (system, values, q)
+    assert alone >= 1500 and tied >= 300, (alone, tied)
+
+
+def test_explicit_pair_independence_is_membership():
+    rng = random.Random(3034)
+    for system, values in _tied_families(rng, 200):
+        oracle = ValuationOracle(system, values)
+        for j1 in range(len(values)):
+            for j2 in range(j1 + 1, len(values)):
+                assert oracle.pair_independent(j1, j2) \
+                    is brute_member(system, {j1, j2}), (system, j1, j2)
+
+
 def test_interval_single_slot_forces_singleton():
     system = IntervalSystem(jobs=((1, 1, 1), (1, 1, 1), (1, 1, 1)))
     oracle = ValuationOracle(system, (F(1), F(1), F(1)), epsilon=F(1, 2))
@@ -442,8 +497,12 @@ def test_a_goal_answer_reaches_it_or_is_the_answer_without_one(monkeypatch):
         assert answer.items <= bundle
         if answer.witness is None:
             assert brute_member(oracle.system, answer.items)
-        else:
+        elif oracle.system.kind == "interval":
             assert schedule_fits(oracle.system.jobs, answer.items, answer.witness)
+        else:
+            assert answer.witness in oracle.system.maximal_sets
+            assert answer.items <= answer.witness
+            assert brute_member(oracle.system, answer.items)
         weight = oracle.additive_weight(answer.items)
         assert answer.value == F(weight, oracle.scale)
         if weight < goal:
