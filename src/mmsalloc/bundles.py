@@ -74,7 +74,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     is the legitimate signal that the caller's estimate is too high.
     """
     oracle, count = request.oracle, request.count
-    weight_of = oracle.additive_weight
+    weights, weight_of = oracle.weights, oracle.additive_weight
     # On the oracle's integer scale alpha * mu_star is t = t_num / t_den; an
     # integer weight w reaches t when w >= goal, and w <= t/2 when w <= half.
     alpha, mu_star = request.alpha, request.mu_star
@@ -94,7 +94,7 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
         elif singleton[j] < goal:
             high.append(j)
         else:
-            built.append((frozenset((j,)), oracle.weights[j],
+            built.append((frozenset((j,)), weights[j],
                           {j: jobs[j][1]} if jobs is not None else oracle.holder((j,))))
 
     # Phase one, carving: one high item plus low items, minimised, in one
@@ -103,44 +103,47 @@ def make_bundles_alpha(request: BundleRequest) -> list[IndependentBundle] | None
     # still bounds OPT(low | {j}) < t/(1-eps).  A query weighing less than t
     # in all is short unasked, as its answer is a subset of it.  Each query
     # asks only whether some subset reaches t, so it passes t as its goal.
+    # An answer is a subset of low | {j}, so j is the only high item it holds.
     low_weight = weight_of(low)
-    for j in high:  # the list as it stood; each carve rebinds high
-        while j in high and len(built) < count:
-            if low_weight + oracle.weights[j] < goal:
-                break
+    for j in high[:]:
+        while len(built) < count and low_weight + weights[j] >= goal:
             candidate = oracle.approx_value_subset(low | {j}, goal=goal)
             weight = candidate.weight
             if weight < goal:
                 break
-            bundle = set(candidate.items)
-            for removable in sorted(candidate.items):
-                slimmer = weight - oracle.weights[removable]
-                if slimmer >= goal:
-                    bundle.discard(removable)
-                    weight = slimmer
-            kept = frozenset(bundle)
+            kept = []
+            for item in sorted(candidate.items):
+                if weight - weights[item] >= goal:
+                    weight -= weights[item]
+                else:
+                    kept.append(item)
             assert len(kept) == 1 or 2 * weight * t_den < 3 * t_num, \
                 "phase-one bundle exceeds its value cap"
             witness = candidate.witness
-            built.append((kept, weight, {j: witness[j] for j in kept}
+            built.append((frozenset(kept), weight, {i: witness[i] for i in kept}
                           if isinstance(witness, dict) else witness))
-            high = [h for h in high if h not in kept]
-            low_weight -= weight_of(kept & low)
-            low -= kept
+            low.difference_update(kept)
+            if j in kept:
+                high.remove(j)
+                low_weight -= weight - weights[j]
+                break
+            low_weight -= weight
 
     # Phase two: two high items always reach the threshold together, so a
     # pair qualifies exactly when it is independent.  Up to error 1/3 an
     # approximate query answers the same: with t/2 < w2 <= w1 < t, one item
     # weighs w1 < (2/3)(w1 + w2), so the answer to an independent pair is
     # the pair itself.  Above 1/3 it may keep one item, so ask exactly.
-    # No pair is asked when the bundles suffice or pairing all cannot.
+    # No pair is asked when the bundles suffice or pairing all cannot.  An
+    # interval pair is decided by its schedule, which a matched pair carries.
     if len(built) < count <= len(built) + len(high) // 2:
-        edges = [(a, b) for a in range(len(high))
-                 for b in range(a + 1, len(high))
-                 if oracle.pair_independent(high[a], high[b])]
-        for a_pos, b_pos in max_general_matching(len(high), edges):
+        answers = {(a, b): _interval_witness(oracle.system, (high[a], high[b]))
+                   if jobs is not None else oracle.pair_independent(high[a], high[b])
+                   for a in range(len(high)) for b in range(a + 1, len(high))}
+        for a_pos, b_pos in max_general_matching(
+                len(high), [edge for edge, answer in answers.items() if answer]):
             pair = frozenset((high[a_pos], high[b_pos]))
-            built.append((pair, weight_of(pair), _interval_witness(oracle.system, pair)
+            built.append((pair, weight_of(pair), answers[a_pos, b_pos]
                           if jobs is not None else oracle.holder(pair)))
 
     claimed: set[int] = set()

@@ -131,7 +131,10 @@ def _cmd_solve(args) -> int:
     epsilon_text = args.epsilon
     trace_path = args.trace
     if args.config is not None:
-        config = json.loads(_read(args.config))
+        try:
+            config = json.loads(_read(args.config))
+        except json.JSONDecodeError as exc:
+            raise InstanceError(f"malformed config JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise InstanceError(
                 f"config must be a JSON object, got {type(config).__name__}")

@@ -201,14 +201,21 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
             steps += 1
             above, below = above * factor.numerator, below * factor.denominator
         shrink(i, steps)
-        while maker(i, instance.all_items(), k) is None:
+        while (bundles := maker(i, instance.all_items(), k)) is None:
             shrink(i)
+        if i == active[0]:
+            first = [bundles]
 
+    # Both engines first ask active[0] for k bundles from all items, before
+    # any offer asks an oracle.  Her last pre-pass call built just those, and
+    # only later agents' oracles were asked since, so asking again would
+    # replay memo hits.  A swap, a later round or a later run asks anew.
     runs: list[DividerOutcome] = []
     while True:
         thresholds = {i: alpha * estimates[i] for i in active}
-        outcome = (lone_divider_entitled if instance.is_entitled
-                   else lone_divider)(instance, thresholds, maker, oracles)
+        outcome = (lone_divider_entitled if instance.is_entitled else lone_divider)(
+            instance, thresholds,
+            lambda *request: first.pop() if first else maker(*request), oracles)
         runs.append(outcome)
         if outcome.succeeded:
             return _assemble(instance, mode, alpha, outcome.allocation, active,

@@ -203,8 +203,10 @@ def verify_allocation(instance: Instance, allocation: Allocation,
 
     Value and MMS are each None past their gate.  MMS 0 passes whatever the
     value; any other agent missing either fails explicitly, never skipped,
-    with the value's gate named first.
+    with the value's gate named first.  A negative alpha is refused.
     """
+    if alpha < 0:
+        raise ValueError(f"alpha must be non-negative, not {alpha}")
     checks = []
     for agent in range(instance.n):
         oracle = oracle_for(instance, agent)

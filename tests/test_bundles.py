@@ -592,12 +592,16 @@ def _count_pair_questions(oracle):
     return asked
 
 
-def test_the_maker_stops_asking_once_its_answer_is_settled():
+def test_the_maker_stops_asking_once_its_answer_is_settled(monkeypatch):
     """The maker answers as the full two-phase pass does, but asks no subset
     query once count bundles exist or whose items weigh below the threshold
     in all, and no pair when the bundles suffice or pairing cannot reach
-    count."""
+    count.  An interval pair is asked by scheduling it, once: a matched pair
+    carries that schedule."""
     rng = random.Random(2030)
+    scheduled, schedule = [], mmsalloc.bundles._interval_witness
+    monkeypatch.setattr(mmsalloc.bundles, "_interval_witness", lambda system, pair:
+                        scheduled.append(tuple(sorted(pair))) or schedule(system, pair))
 
     def any_oracle(trial):
         kind, local = trial % 4, random.Random(13000 + trial)
@@ -627,7 +631,10 @@ def test_the_maker_stops_asking_once_its_answer_is_settled():
         asked_in_full = _count_queries(reference.oracle)
         pairs_in_full = _count_pair_questions(reference.oracle)
         expected = _reference_make_bundles(reference)
+        scheduled.clear()
         assert make_bundles_alpha(ours) == expected, ours
+        pairs += scheduled
+        assert len(set(pairs)) == len(pairs), ours
         value = {j: F(oracle.singleton_weights[j], oracle.scale)
                  for j in ours.items}
         built = sum(v >= threshold for v in value.values())

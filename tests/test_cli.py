@@ -150,6 +150,21 @@ def test_verify_failure_exit_code(tmp_path):
                    "--alpha", "0") == 0
 
 
+def test_verify_refuses_a_negative_alpha(tmp_path, capsys):
+    # Every share passes a negative ratio, so it is an input error, not a
+    # verdict.  "-1/5" reads as an option to argparse, so it goes after "=".
+    instance_path = tmp_path / "inst.json"
+    alloc_path = tmp_path / "alloc.json"
+    run_cli("gen", "two-thirds", "--n", "2", "--out", str(instance_path))
+    run_cli("solve", str(instance_path), "--out", str(alloc_path))
+    for flag, shown in ((["--alpha", "-1"], "-1"), (["--alpha=-1/5"], "-1/5")):
+        capsys.readouterr()
+        assert run_cli("verify", str(instance_path), str(alloc_path), *flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: alpha must be non-negative, not {shown}\n"
+
+
 # Each case names the substring its one-line error must contain; the first
 # four keep the ids pytest generated for them before they had one.
 @pytest.mark.parametrize("fields, needle", [
@@ -684,8 +699,10 @@ def test_solve_flags_reach_the_solver(tmp_path, doc, argv, code, keys):
     ("solve", '[1]'),
     ("verify", '{"bundles": [[1, 2, 3, 4], [5, 6, 7, 8]], "complete": "no"}'),
     ("verify", '{"bundles": [[], []], "complete": 0}'),
+    ("solve", 'x'),
 ], ids=["bundle-entry", "bundles-not-a-list", "allocation-not-an-object",
-        "config-not-an-object", "complete-a-string", "complete-a-number"])
+        "config-not-an-object", "complete-a-string", "complete-a-number",
+        "config-not-json"])
 def test_malformed_allocation_or_config_is_an_input_error(tmp_path, capsys,
                                                           command, text):
     instance_path = tmp_path / "inst.json"
@@ -702,6 +719,8 @@ def test_malformed_allocation_or_config_is_an_input_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if text == "x":  # named as instance and allocation files are
+        assert err.startswith("error: malformed config JSON: ")
 
 
 def test_byte_identical_outputs_across_runs(tmp_path):

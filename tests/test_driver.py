@@ -214,10 +214,11 @@ def test_final_estimates_pass_round_one_on_all_items():
             assert bundles is not None and len(bundles) == k, (seed, agent)
 
 
-def _budgets_at_scale(m: int, n: int, shared: bool = False) -> Instance:
+def _budgets_at_scale(m: int, n: int, shared: bool = False,
+                      seed: int = 1) -> Instance:
     """Budgets as the benchmark draws them: sizes 1-9, budgets 10-40.  They
     are nested, or with ``shared`` the first is every agent's."""
-    rng = random.Random(1)
+    rng = random.Random(seed)
     sizes = tuple(F(rng.randint(1, 9)) for _ in range(m))
     budgets = [F(rng.randint(10, 40)) for _ in range(n)]
     values = tuple(tuple(F(rng.randint(0, 6), rng.choice((1, 1, 2, 3)))
@@ -310,10 +311,10 @@ def test_entitled_solves_nested_explicit_families_at_scale(m, n):
         assert result.adjustments[i] < _two_fifths_cap(k, m)
 
 
-def _intervals_at_scale(m: int, n: int) -> Instance:
+def _intervals_at_scale(m: int, n: int, seed: int = 1) -> Instance:
     """Jobs as the benchmark draws them: processing 1-3, release 1-2m,
     slack 0-6."""
-    rng = random.Random(1)
+    rng = random.Random(seed)
     jobs = []
     for _ in range(m):
         p, r = rng.randint(1, 3), rng.randint(1, 2 * m)
@@ -344,6 +345,74 @@ def test_interval_adapter_at_scale_makes_one_divider_run(m, n):
         assert result.adjustments[i] < 2 * (5 * k + 3) * math.log(inst.m)
         assert result.estimates[i] >= mms_bounds(inst, i).lower, i
     assert len(result.runs) == 1
+
+
+def _record_bundle_requests(monkeypatch):
+    """Spy on the bundle maker and the divider engines.  ``built`` lists each
+    make_bundles_alpha call's (oracle, items, count, mu_star) and answer;
+    ``runs`` lists, per divider run, the index into ``built`` at its start
+    and each (agent, items, count) request of the run with its answer."""
+    built, runs = [], []
+    build = mmsalloc.driver.make_bundles_alpha
+
+    def building(request):
+        answer = build(request)
+        built.append((request[:4], answer))
+        return answer
+
+    monkeypatch.setattr(mmsalloc.driver, "make_bundles_alpha", building)
+    for name in ("lone_divider", "lone_divider_entitled"):
+        def running(instance, thresholds, maker, oracles,
+                    engine=getattr(mmsalloc.driver, name)):
+            asked = []
+            runs.append((len(built), asked))
+
+            def asking(*request):
+                answer = maker(*request)
+                asked.append((request, answer))
+                return answer
+            return engine(instance, thresholds, asking, oracles)
+        monkeypatch.setattr(mmsalloc.driver, name, running)
+    return built, runs
+
+
+@pytest.mark.parametrize("make, solve", [
+    (lambda seed: gen_random_hereditary(m=24, n=5, family_density=0.6, seed=seed),
+     solve_two_fifths),
+    (lambda seed: _budgets_at_scale(m=16, n=4, seed=seed),
+     lambda inst: solve_budget_adapter(inst).result),
+    (lambda seed: _intervals_at_scale(m=10 + 2 * (seed % 3), n=3, seed=seed),
+     lambda inst: solve_intervals_adapter(inst).result),
+], ids=["explicit-m24-n5", "budget-m16-n4", "interval-m10-14"])
+def test_the_first_divider_request_takes_the_pre_pass_bundles(monkeypatch,
+                                                              make, solve):
+    """In a solve of one divider run, the first request of the run takes
+    the first agent's last pre-pass answer, and no request is built twice,
+    but that of a divider swapped in during round one, who asks anew."""
+    built, runs = _record_bundle_requests(monkeypatch)
+    one_run = swapped = 0
+    for seed in range(1, 31):
+        built.clear()
+        runs.clear()
+        inst = make(seed)
+        result = solve(inst)
+        if len(result.runs) > 1:  # a later run asks anew
+            continue
+        one_run += 1
+        (start, asked), = runs
+        oracle = built[0][0][0]  # the pre-pass starts with the first agent
+        kept = [answer for request, answer in built[:start]
+                if request[0] is oracle][-1]
+        (request, answer), round_one = asked[0], result.runs[0].trace[0]
+        assert request == (result.active_agents[0], inst.all_items(),
+                           len(result.active_agents))
+        assert kept is not None and answer is kept, seed
+        if not round_one.swaps:
+            assert round_one.bundles == tuple(b.items for b in kept), seed
+        requests = [request for request, _ in built]
+        assert len(requests) - len(set(requests)) <= len(round_one.swaps), seed
+        swapped += bool(round_one.swaps)
+    assert one_run >= 25 and (swapped or not inst.is_entitled), (one_run, swapped)
 
 
 @pytest.mark.parametrize("solve", [solve_two_fifths, solve_entitled])
