@@ -48,7 +48,7 @@ def solve_budget_adapter(instance: Instance, *,
     """2/5-approximate allocation where every bundle fits its owner's budget.
 
     Budgets order the agents from most to least restrictive, so the entitled
-    solver applies at oracle error ``epsilon`` (1/(n+1) when None); its
+    solver applies at oracle error ``epsilon`` (1/(k+1) when None); its
     oracle-subset awards are affordable by construction.
     """
     systems = [instance.system_for(i) for i in range(instance.n)]

@@ -31,7 +31,7 @@ class BundleRequest(NamedTuple("BundleRequest", [
     def __new__(cls, oracle, items, count, mu_star, alpha=TWO_FIFTHS):
         if count < 0:
             raise ValueError("bundle count must be non-negative")
-        if mu_star <= 0:
+        if mu_star.numerator <= 0:
             raise ValueError("mu_star must be positive")
         return super().__new__(cls, oracle, items, count, mu_star, alpha)
 

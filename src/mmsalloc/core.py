@@ -101,8 +101,9 @@ def parse_rational(value) -> Fraction:
 def scaled_weights(values) -> tuple[int, tuple[int, ...]]:
     """The least common multiple of the values' denominators, and each value
     times it: exact integer weights with value = weight / scale."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*{d for _, d in ratios})
+    return scale, tuple(a * (scale // d) for a, d in ratios)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import ONE, Instance, Items
+from .core import Instance, Items
 from .matching import envy_free_matching
 from .valuation import IndependentBundle, ValuationOracle
 
@@ -60,6 +60,7 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
     agent receives, the whole matched bundle leaves the item pool.
     """
     remaining = sorted(thresholds)
+    limits = {agent: t.as_integer_ratio() for agent, t in thresholds.items()}
     items = instance.all_items()
     allocation: dict[int, IndependentBundle] = {}
     trace: list[RoundRecord] = []
@@ -75,7 +76,7 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
                 return DividerOutcome(allocation=None, failed_agent=divider,
                                       trace=tuple(trace))
             assert len(bundles) == len(remaining)
-            assert all(_reaches(b, thresholds[divider]) for b in bundles)
+            assert all(_reaches(b, limits[divider]) for b in bundles)
             offers = offers_for(divider, remaining, bundles)
             if not isinstance(offers, int):
                 break
@@ -87,7 +88,7 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
         grants = {(agent, idx): bundle if agent == divider else offers[agent, idx]
                   for agent in remaining for idx, bundle in enumerate(bundles)}
         adjacency = [[idx for idx in range(len(bundles))
-                      if _reaches(grants[agent, idx], thresholds[agent])]
+                      if _reaches(grants[agent, idx], limits[agent])]
                      for agent in remaining]
         matched = [(remaining[pos], idx) for pos, idx in
                    envy_free_matching(len(remaining), len(bundles), adjacency)]
@@ -96,7 +97,7 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
         awarded = []
         for agent, idx in matched:
             granted = grants[agent, idx]
-            assert _reaches(granted, thresholds[agent])
+            assert _reaches(granted, limits[agent])
             allocation[agent] = granted
             awarded.append((agent, granted.items))
 
@@ -115,9 +116,9 @@ def _run_rounds(instance: Instance, thresholds: dict[int, Fraction], maker,
                           trace=tuple(trace))
 
 
-def _reaches(bundle: IndependentBundle, t: Fraction) -> bool:
-    """Whether the bundle is worth at least t, on integers."""
-    return bundle.weight * t.denominator >= t.numerator * bundle.scale
+def _reaches(bundle: IndependentBundle, limit: tuple[int, int]) -> bool:
+    """Whether the bundle is worth at least the threshold t = limit[0] / limit[1]."""
+    return bundle.weight * limit[1] >= limit[0] * bundle.scale
 
 
 def lone_divider(instance: Instance, thresholds: dict[int, Fraction], maker,
@@ -159,10 +160,10 @@ def lone_divider_entitled(instance: Instance, thresholds: dict[int, Fraction],
         for agent in remaining:
             if agent == divider:
                 continue
-            shrink = ONE - oracles[agent].epsilon
+            a, b = oracles[agent].epsilon.as_integer_ratio()
             for idx, bundle in enumerate(bundles):
                 subset = oracles[agent].approx_value_subset(bundle.items)
-                if (subset.weight * shrink.denominator < shrink.numerator
+                if (subset.weight * b < (b - a)
                         * oracles[agent].additive_weight(bundle.items)):
                     # The bundle is independent for the current divider but
                     # not for this agent, so her family is strictly smaller.

@@ -4,11 +4,11 @@
   desk scale only) and guarantees every agent n/(2n-1) of her MMS.
 * The polynomial modes share one pipeline: estimate each agent's MMS from
   singleton values, shrink each estimate until her two-phase bundle maker
-  builds n bundles from all items, then run the lone divider, shrinking a
-  divider who fails in a later round until a run succeeds.
-  ``solve_two_fifths`` and ``solve_entitled`` guarantee 2/5 with oracle error
-  at most 1/(n+1); ``solve_alpha`` guarantees (1-eps)/(1+(3/2)(1-eps)) at
-  error bound eps and is the 2/5 mode at eps 0.
+  builds k bundles from all items (k active agents), then run the lone
+  divider, shrinking a divider who fails in a later round until a run
+  succeeds.  ``solve_two_fifths`` and ``solve_entitled`` guarantee 2/5 with
+  oracle error at most 1/(k+1); ``solve_alpha`` guarantees
+  (1-eps)/(1+(3/2)(1-eps)) at error bound eps and is the 2/5 mode at eps 0.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .bundles import (
 )
 from .core import (
     ONE,
-    ZERO,
     Allocation,
     EpsilonOutOfRange,
     Instance,
@@ -54,10 +53,11 @@ class SolveResult(NamedTuple):
 
 
 def alpha_for_error(epsilon: Fraction) -> Fraction:
-    """Guaranteed ratio under oracles with error bound epsilon."""
-    if not ZERO <= epsilon < ONE:
+    """Guaranteed ratio (1-eps)/(1+(3/2)(1-eps)) = 2(b-a)/(5b-3a) at error a/b."""
+    a, b = epsilon.as_integer_ratio()
+    if not 0 <= a < b:
         raise EpsilonOutOfRange(f"error bound {epsilon} not in [0, 1)")
-    return (ONE - epsilon) / (ONE + Fraction(3, 2) * (ONE - epsilon))
+    return Fraction(2 * (b - a), 5 * b - 3 * a)
 
 
 def _assemble(instance, mode, alpha, awarded, active, thresholds, estimates,
@@ -119,6 +119,14 @@ def solve_existence(instance: Instance, *,
 # The polynomial pipeline behind the 2/5, alpha and entitled modes
 # ---------------------------------------------------------------------------
 
+def _shrink_rule(two_fifths: bool, a: int, b: int, k: int, m: int):
+    """Shrink factor fn/fd and cap on shrinks for k active agents at error a/b."""
+    if two_fifths:
+        return k, k + 1, 6 * (k + 1) / 5 * math.log(m)
+    d = 5 * k * b - 3 * k * a + 3 * a + 3 * b
+    return d, d + 3 * (b - a), b / (b - a) * (5 * k + 3) * math.log(m)
+
+
 def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
                       epsilon: Fraction | None = None, *,
                       oracle_factory=None) -> SolveResult:
@@ -131,37 +139,32 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     error is at most 1/(k+1) (the default), each shrink is by k/(k+1) and
     the cap on shrinks (6/5)(k+1) ln m; at any other alpha each shrink undoes
     the alpha mode's overshoot and the cap is (5k+3) ln m / (1-epsilon).
-    A gated kind with no approximation at that error is refused here, before
-    any oracle work; each oracle also rejects an error below its kind's least.
+    The caller has refused an error outside [0, 1).  A gated kind with no
+    approximation at the error is refused here, before any oracle work; each
+    oracle also rejects an error below its kind's least.
     An entitled instance divides by swap detection through its agents'
     oracles; every other bundle is independent for every agent, so it is
     offered at its additive value.
     """
-    if epsilon is not None:
-        alpha_for_error(epsilon)  # refuses an error bound outside [0, 1)
+    a, b = (0, 1) if epsilon is None else epsilon.as_integer_ratio()
     n, m = instance.n, instance.m
     # An agent is active (her MMS is positive) when at least n of her
     # singletons are worth something.
     active = [i for i in range(n) if sum(map(bool, singleton_weights(
-        instance.system_for(i), instance.values[i]))) >= n]
+        instance.system_for(i), [v.numerator for v in instance.values[i]]))) >= n]
     if not active:
         return _assemble(instance, mode, alpha, {}, (), {}, {}, {}, ())
-    k = len(active)
-    if alpha == TWO_FIFTHS:
-        epsilon = Fraction(1, k + 1) if epsilon is None else epsilon
-        if epsilon > Fraction(1, k + 1):
-            raise EpsilonOutOfRange(
-                f"entitled mode needs oracle error at most 1/(n+1) = 1/{k + 1}, "
-                f"got {epsilon}")
-        factor, cap = Fraction(k, k + 1), Fraction(6, 5) * (k + 1) * math.log(m)
-    else:
-        overshoot = (3 - 3 * epsilon) / (5 * k - 3 * k * epsilon
-                                         + 3 * epsilon + 3)
-        factor = ONE / (ONE + overshoot)
-        cap = float(ONE / (ONE - epsilon)) * (5 * k + 3) * math.log(m)
+    k, two_fifths = len(active), alpha == TWO_FIFTHS
+    if two_fifths and epsilon is None:
+        epsilon, a, b = Fraction(1, k + 1), 1, k + 1
+    elif two_fifths and a * (k + 1) > b:
+        raise EpsilonOutOfRange(
+            f"entitled mode needs oracle error at most 1/(k+1) = 1/{k + 1} "
+            f"for its k = {k} active agents, got {epsilon}")
+    fn, fd, cap = _shrink_rule(two_fifths, a, b, k, m)
     for i in active:
         kind = instance.system_for(i).kind
-        if kind in DEFAULT_GATES and not (epsilon and kind in APPROXIMATE_ERRORS):
+        if kind in DEFAULT_GATES and not (a and kind in APPROXIMATE_ERRORS):
             raise UnsupportedSystem(f"agent {i + 1}: no polynomial {kind} "
                                     f"oracle at error {epsilon}")
     oracles = {i: (oracle_factory or oracle_for)(instance, i, epsilon)
@@ -176,11 +179,19 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
     estimates = {i: Fraction(m * sorted(oracles[i].singleton_weights)[-k],
                              oracles[i].scale) for i in active}
     adjustments = {i: 0 for i in active}
+    alpha_n, alpha_d = alpha.as_integer_ratio()
+    # Each agent's last k bundles, always asked from all items, and the estimate
+    # object that built them: until a shrink replaces it, asking rebuilds them.
+    kept: dict[int, tuple[Fraction, list[IndependentBundle] | None]] = {}
 
     def maker(agent: int, items: Items, count: int):
-        return make_bundles_alpha(BundleRequest(
-            oracle=oracles[agent], items=items, count=count,
-            mu_star=estimates[agent], alpha=alpha))
+        if count == k and agent in kept and kept[agent][0] is estimates[agent]:
+            return kept[agent][1]
+        bundles = make_bundles_alpha(
+            BundleRequest(oracles[agent], items, count, estimates[agent], alpha))
+        if count == k:
+            kept[agent] = estimates[agent], bundles
+        return bundles
 
     def shrink(agent: int, steps: int = 1) -> None:
         if steps:  # the count only grows, so one check trips iff a step's would
@@ -188,34 +199,29 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
             if not adjustments[agent] < cap:
                 raise AssertionError(
                     f"agent {agent + 1} exceeded the adjustment bound {cap:.3f}")
-            estimates[agent] *= factor ** steps
+            e = estimates[agent]
+            estimates[agent] = Fraction(e.numerator * fn**steps, e.denominator * fd**steps)
 
     # Round one on all items: an agent whose maker cannot build k bundles
     # there would fail as the divider.  k bundles worth alpha * e each need
     # k * alpha * e <= her singleton sum, so larger estimates fail unasked.
     for i in active:
-        c = Fraction(sum(oracles[i].singleton_weights), oracles[i].scale) / (k * alpha)
         e, steps = estimates[i], 0
-        above, below = e.numerator * c.denominator, c.numerator * e.denominator
-        while above > below:  # e * factor ** steps > c, counted on integers
+        above = e.numerator * oracles[i].scale * k * alpha_n
+        below = sum(oracles[i].singleton_weights) * e.denominator * alpha_d
+        while above > below:  # k * alpha * e * factor ** steps > the sum
             steps += 1
-            above, below = above * factor.numerator, below * factor.denominator
+            above, below = above * fn, below * fd
         shrink(i, steps)
-        while (bundles := maker(i, instance.all_items(), k)) is None:
+        while maker(i, instance.all_items(), k) is None:
             shrink(i)
-        if i == active[0]:
-            first = [bundles]
 
-    # Both engines first ask active[0] for k bundles from all items, before
-    # any offer asks an oracle.  Her last pre-pass call built just those, and
-    # only later agents' oracles were asked since, so asking again would
-    # replay memo hits.  A swap, a later round or a later run asks anew.
     runs: list[DividerOutcome] = []
     while True:
-        thresholds = {i: alpha * estimates[i] for i in active}
+        thresholds = {i: Fraction(alpha_n * e.numerator, alpha_d * e.denominator)
+                      for i, e in estimates.items()}
         outcome = (lone_divider_entitled if instance.is_entitled else lone_divider)(
-            instance, thresholds,
-            lambda *request: first.pop() if first else maker(*request), oracles)
+            instance, thresholds, maker, oracles)
         runs.append(outcome)
         if outcome.succeeded:
             return _assemble(instance, mode, alpha, outcome.allocation, active,
@@ -224,7 +230,7 @@ def _solve_polynomial(instance: Instance, mode: str, alpha: Fraction,
 
 
 def solve_two_fifths(instance: Instance, *, oracle_factory=None) -> SolveResult:
-    """Polynomial 2/5-approximate solver at oracle error 1/(n+1).
+    """Polynomial 2/5-approximate solver at oracle error 1/(k+1).
 
     Budget systems use the knapsack value scaling at exactly that error,
     conflict graphs are refused, and interval systems are rejected by their
@@ -244,7 +250,7 @@ def solve_alpha(instance: Instance, epsilon: Fraction, *,
 
     Guarantees every agent alpha = (1-eps)/(1+(3/2)(1-eps)) of her MMS.
     Epsilon 0 is the 2/5 mode bundle for bundle: the oracles run at error
-    1/(n+1) and an entitled instance is served.  Above 0 an entitled
+    1/(k+1) and an entitled instance is served.  Above 0 an entitled
     instance is refused.
     """
     alpha = alpha_for_error(epsilon)
@@ -258,7 +264,7 @@ def solve_alpha(instance: Instance, epsilon: Fraction, *,
 
 def solve_entitled(instance: Instance, epsilon: Fraction | None = None, *,
                    oracle_factory=None) -> SolveResult:
-    """Polynomial 2/5 solver at oracle error epsilon, 1/(n+1) by default.
+    """Polynomial 2/5 solver at oracle error epsilon, 1/(k+1) by default.
 
     On nested per-agent families the ordering is treated as unknown: matched
     agents receive the independent subsets their own oracles reported, so
@@ -266,5 +272,7 @@ def solve_entitled(instance: Instance, epsilon: Fraction | None = None, *,
     system's bundles are offered at their additive value.
     """
     _reject_asymmetric(instance, "the entitled mode")
+    if epsilon is not None:
+        alpha_for_error(epsilon)  # refuses an error bound outside [0, 1)
     return _solve_polynomial(instance, "entitled", TWO_FIFTHS, epsilon,
                              oracle_factory=oracle_factory)

@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from .core import (
     ZERO,
-    ONE,
     BudgetSystem,
     ConflictSystem,
     EpsilonOutOfRange,
@@ -73,14 +72,15 @@ class ValuationOracle:
     def __init__(self, system: SetSystem, values: tuple[Fraction, ...], *,
                  epsilon: Fraction = ZERO, gate: int | None = None):
         least = APPROXIMATE_ERRORS.get(system.kind, ZERO)
-        if not (epsilon == 0 or least <= epsilon < ONE):
+        a, b = self._error = epsilon.as_integer_ratio()
+        if not (a == 0 or least.numerator * b <= a * least.denominator and a < b):
             raise EpsilonOutOfRange(f"{system.kind} oracles support error bound "
                                     f"0 or one in [{least}, 1), not {epsilon}")
         self.system = system
         self.values = tuple(values)
         self.scale, self.weights = scaled_weights(self.values)
         self.epsilon = epsilon
-        self._approximate = bool(epsilon) and system.kind in APPROXIMATE_ERRORS
+        self._approximate = bool(a) and system.kind in APPROXIMATE_ERRORS
         self.gate = gate if gate is not None else DEFAULT_GATES.get(system.kind)
         # Item set -> (answer, full); see approx_value_subset.
         self._subset_memo: dict[Items, tuple[IndependentBundle, bool]] = {}
@@ -147,7 +147,7 @@ class ValuationOracle:
         self._check_gate(items)
         if isinstance(system, BudgetSystem):
             return self.additive_weight(_knapsack(
-                sorted(items), self.weights, *system.scaled, ZERO))
+                sorted(items), self.weights, *system.scaled, 0, 1))
         if isinstance(system, ConflictSystem):
             return self.additive_weight(
                 _mwis_exact(sorted(items), self.weights, system.neighbours))
@@ -278,7 +278,7 @@ class ValuationOracle:
         if not self._approximate:
             return self.reduce_to_independent(items)
         chosen = _knapsack(sorted(items), self.weights, *system.scaled,
-                           self.epsilon, goal)
+                           *self._error, goal)
         return IndependentBundle(frozenset(chosen), self.additive_weight(chosen),
                                  self.scale)
 
@@ -319,8 +319,8 @@ def oracle_for(instance: Instance, agent: int, epsilon: Fraction = ZERO, *,
 # Knapsack by value scaling: approximate above error 0, exact at 0
 # ---------------------------------------------------------------------------
 
-def _knapsack(items, weights, sizes, capacity, eps, goal=None):
-    """Feasible subset with value at least (1 - eps) times the optimum.
+def _knapsack(items, weights, sizes, capacity, a, b, goal=None):
+    """Feasible subset with value at least (1 - eps) times the optimum, eps = a/b.
 
     Classic value scaling on integer weights: each is floored to a multiple
     of the unit eps * wmax / k, so the additive loss is at most
@@ -340,8 +340,8 @@ def _knapsack(items, weights, sizes, capacity, eps, goal=None):
     if goal is None:  # a weight no subset reaches
         goal = sum(map(weights.__getitem__, usable)) + 1
     scaled = [weights[j] for j in usable]
-    if eps:  # floor(w / unit) = w * k // (eps * wmax), in integers
-        numer, denom = len(usable) * eps.denominator, eps.numerator * max(scaled)
+    if a:  # floor(w / unit) = w * k // (eps * wmax), in integers
+        numer, denom = len(usable) * b, a * max(scaled)
         scaled = [w * numer // denom for w in scaled]
     # dp: scaled total -> (min combined scaled size, real weight,
     #                      (last item, rest) link)

@@ -728,7 +728,8 @@ def test_above_one_third_an_approximate_answer_may_drop_an_independent_pair():
 @pytest.mark.parametrize("count, mu_star, needle", [
     (-1, F(1), "must be non-negative"),
     (1, F(0), "must be positive"),
-], ids=["negative-count", "zero-mu-star"])
+    (1, F(-1, 2), "must be positive"),
+], ids=["negative-count", "zero-mu-star", "negative-mu-star"])
 def test_bundle_request_refuses_a_negative_count_or_a_zero_estimate(
         count, mu_star, needle):
     oracle = oracle_for(gen_two_thirds_bound(2), 0)

@@ -288,6 +288,25 @@ def test_unservable_instance_is_an_input_error(tmp_path, capsys, doc, argv):
     assert "Traceback" not in err
 
 
+def test_the_entitled_error_bound_counts_active_agents(tmp_path, capsys):
+    # Two of three agents value something, so k = 2: the bound is
+    # 1/(k+1) = 1/3, not 1/(n+1) = 1/4.  Error 1/2 is refused with one line
+    # naming k, and 1/3 is served.
+    instance_path = tmp_path / "inact.json"
+    instance_path.write_text(json.dumps({
+        "n": 3, "m": 4, "system": {"kind": "free"},
+        "values": [["1", "1", "1", "1"], ["1", "2", "1", "1"], ["0"] * 4]}))
+    out = str(tmp_path / "alloc.json")
+    assert run_cli("solve", str(instance_path), "--mode", "entitled",
+                   "--epsilon", "1/2", "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "error: entitled mode needs oracle error at most 1/(k+1) = 1/3 "
+        "for its k = 2 active agents, got 1/2\n")
+    assert run_cli("solve", str(instance_path), "--mode", "entitled",
+                   "--epsilon", "1/3", "--out", out) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("doc, argv, config, mode", [
     (_BUDGETS, ("--mode", "two_fifths", "--epsilon", "9/10"), None,
      "two_fifths"),

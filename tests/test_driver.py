@@ -24,6 +24,7 @@ from mmsalloc.core import (
     validate_instance,
 )
 from mmsalloc.driver import (
+    _shrink_rule,
     alpha_for_error,
     solve_alpha,
     solve_entitled,
@@ -55,6 +56,66 @@ def test_alpha_formula_landmarks():
     assert alpha_for_error(F(0)) == F(2, 5)
     assert alpha_for_error(F(1, 2)) == F(2, 7)
     assert alpha_for_error(F(1, 3)) == F(1, 3)
+
+
+def _reference_factor(k: int, epsilon: Fraction | None) -> Fraction:
+    """The shrink factor as the theorems state it: k/(k+1) in the 2/5
+    modes (no error given), else one over one plus the alpha mode's
+    overshoot (3 - 3eps) / (5k - 3k eps + 3eps + 3)."""
+    if epsilon is None:
+        return F(k, k + 1)
+    return 1 / (1 + (3 - 3 * epsilon) / (5 * k - 3 * k * epsilon
+                                         + 3 * epsilon + 3))
+
+
+def test_the_integer_rule_is_the_rational_rule():
+    """alpha_for_error and each shrink factor equal the rational formulas,
+    and each cap is bit for bit the float that the formula's Fraction form
+    gives: (6/5)(k+1) ln m at 2/5, else (1/(1-eps))(5k+3) ln m."""
+    for k in range(2, 61):
+        for epsilon in (F(0), F(1, 100), F(1, 3), F(2, 7), F(1, 2), F(9, 10),
+                        F(99, 100), F(1, k + 1)):
+            a, b = epsilon.numerator, epsilon.denominator
+            alpha = alpha_for_error(epsilon)
+            assert type(alpha) is F
+            assert alpha == (1 - epsilon) / (1 + F(3, 2) * (1 - epsilon))
+            for m in (2, 3, 24, 300, 2000):
+                fn, fd, cap = _shrink_rule(False, a, b, k, m)
+                assert F(fn, fd) == _reference_factor(k, epsilon)
+                assert cap == float(1 / (1 - epsilon)) * (5 * k + 3) * math.log(m)
+                fn, fd, cap = _shrink_rule(True, a, b, k, m)
+                assert F(fn, fd) == _reference_factor(k, None)
+                assert cap == F(6, 5) * (k + 1) * math.log(m)
+
+
+@pytest.mark.parametrize("make, solve, epsilon", [
+    (lambda seed: gen_random_hereditary(m=12, n=3, seed=seed), solve_two_fifths,
+     None),
+    (lambda seed: gen_random_hereditary(m=12, n=3, seed=seed),
+     lambda inst: solve_alpha(inst, F(1, 2)), F(1, 2)),
+    (lambda seed: gen_random_hereditary(m=12, n=3, seed=seed),
+     lambda inst: solve_alpha(inst, F(1, 3)), F(1, 3)),
+    (lambda seed: _budgets_at_scale(m=12, n=3, seed=seed), solve_entitled, None),
+], ids=["two-fifths", "alpha-half", "alpha-third", "entitled-budgets"])
+def test_settled_estimates_and_thresholds_follow_the_rational_rule(
+        make, solve, epsilon):
+    """Each settled estimate is m times the agent's k-th best singleton
+    value times the factor to the power of her adjustments, and each
+    threshold is alpha times it, both Fractions."""
+    shrunk = 0
+    for seed in range(1, 21):
+        inst = make(seed)
+        result = solve(inst)
+        k = len(result.active_agents)
+        factor = _reference_factor(k, epsilon)
+        for i, estimate in result.estimates.items():
+            oracle = oracle_for(inst, i)
+            start = F(inst.m * sorted(oracle.singleton_weights)[-k], oracle.scale)
+            assert type(estimate) is F and type(result.thresholds[i]) is F
+            assert estimate == start * factor ** result.adjustments[i], (seed, i)
+            assert result.thresholds[i] == result.alpha * estimate, (seed, i)
+            shrunk += result.adjustments[i] > 0
+    assert shrunk >= 10, shrunk
 
 
 def test_results_share_no_records():
@@ -386,33 +447,38 @@ def _record_bundle_requests(monkeypatch):
 ], ids=["explicit-m24-n5", "budget-m16-n4", "interval-m10-14"])
 def test_the_first_divider_request_takes_the_pre_pass_bundles(monkeypatch,
                                                               make, solve):
-    """In a solve of one divider run, the first request of the run takes
-    the first agent's last pre-pass answer, and no request is built twice,
-    but that of a divider swapped in during round one, who asks anew."""
+    """The first request of the first run takes the first agent's last
+    pre-pass answer.  No request for k bundles from all items is built twice
+    for one agent at one estimate: a divider swapped in during round one and
+    a later run take the bundles built at that estimate before.  A solve of
+    one run builds no request twice."""
     built, runs = _record_bundle_requests(monkeypatch)
-    one_run = swapped = 0
-    for seed in range(1, 31):
+    swapped = rerun = 0
+    for seed in (*range(1, 31), 51):  # explicit seed 51 makes two runs
         built.clear()
         runs.clear()
         inst = make(seed)
         result = solve(inst)
-        if len(result.runs) > 1:  # a later run asks anew
-            continue
-        one_run += 1
-        (start, asked), = runs
+        k = len(result.active_agents)
+        start, asked = runs[0]
         oracle = built[0][0][0]  # the pre-pass starts with the first agent
         kept = [answer for request, answer in built[:start]
                 if request[0] is oracle][-1]
         (request, answer), round_one = asked[0], result.runs[0].trace[0]
-        assert request == (result.active_agents[0], inst.all_items(),
-                           len(result.active_agents))
+        assert request == (result.active_agents[0], inst.all_items(), k)
         assert kept is not None and answer is kept, seed
         if not round_one.swaps:
             assert round_one.bundles == tuple(b.items for b in kept), seed
         requests = [request for request, _ in built]
-        assert len(requests) - len(set(requests)) <= len(round_one.swaps), seed
+        whole = [request for request in requests
+                 if request[1] == inst.all_items() and request[2] == k]
+        assert len(whole) == len(set(whole)), seed
+        if len(result.runs) == 1:
+            assert len(requests) == len(set(requests)), seed
         swapped += bool(round_one.swaps)
-    assert one_run >= 25 and (swapped or not inst.is_entitled), (one_run, swapped)
+        rerun += len(result.runs) > 1
+    assert swapped or not inst.is_entitled, swapped
+    assert rerun or isinstance(inst.system, IntervalSystem), rerun
 
 
 @pytest.mark.parametrize("solve", [solve_two_fifths, solve_entitled])

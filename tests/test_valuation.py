@@ -156,7 +156,8 @@ def test_fptas_matches_the_fraction_reference():
         eps = rng.choice((F(1, 2), F(1, 3), F(1, 5), F(1, 9)))
         items = sorted(j for j in range(m) if rng.random() < 0.85)
         scaled = BudgetSystem(sizes=sizes, budget=budget).scaled
-        assert mmsalloc.valuation._knapsack(items, values, *scaled, eps) == \
+        assert mmsalloc.valuation._knapsack(
+                items, values, *scaled, *eps.as_integer_ratio()) == \
             _reference_fptas(items, values, sizes, budget, eps), trial
 
 
